@@ -56,15 +56,22 @@ def load_config(path: Optional[str]) -> Dict[str, dict]:
     if path is None:
         return resolved
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except configparser.Error as exc:
+        # no section header, a malformed line, a bad '%' interpolation, ...
+        where = f" [{exc.section}] {exc.option}" if isinstance(exc, configparser.InterpolationError) else ""
+        detail = " ".join(str(exc).split())
+        raise ContractError(f"config file {path}:{where} {detail}") from None
     if not read:
         raise ContractError(f"config file not found: {path}")
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in CONFIG_SCHEMA:
             hint = difflib.get_close_matches(section, CONFIG_SCHEMA, n=1)
             extra = f" (did you mean '{hint[0]}'?)" if hint else ""
             raise ContractError(f"unknown config section '{section}'{extra}")
-        for key, raw in parser.items(section):
+        for key, raw in items:
             schema = CONFIG_SCHEMA[section]
             if key not in schema:
                 hint = difflib.get_close_matches(key, schema, n=1)
@@ -73,8 +80,13 @@ def load_config(path: Optional[str]) -> Dict[str, dict]:
             kind, _ = schema[key]
             if kind is bool:
                 resolved[section][key] = raw.strip().lower() in ("1", "true", "yes", "on")
-            else:
+                continue
+            try:
                 resolved[section][key] = kind(raw)
+            except ValueError:
+                raise ContractError(
+                    f"config file {path}: [{section}] {key} = {raw!r} is not a valid {kind.__name__}"
+                ) from None
     return resolved
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..core import ContractError
 from .base import Model, glorot_uniform, relu, relu_grad
@@ -18,8 +19,37 @@ def _same_padding(length: int, kernel: int, stride: int) -> Tuple[int, int, int]
     return out_len, pad_left, pad_total - pad_left
 
 
+def _padded(x: np.ndarray, pad_left: int, pad_right: int) -> np.ndarray:
+    n, length, c = x.shape
+    xp = np.zeros((n, pad_left + length + pad_right, c))
+    xp[:, pad_left : pad_left + length] = x
+    return xp
+
+
+def _windows(xp: np.ndarray, count: int, kernel: int, stride: int) -> np.ndarray:
+    """im2col: the (n·count, kernel·c) matrix whose row (b, l) is the window
+    xp[b, l·stride : l·stride + kernel] of a padded (n, length, c) array."""
+    n, _, c = xp.shape
+    s0, s1, s2 = xp.strides
+    view = as_strided(xp, (n, count, kernel, c), (s0, stride * s1, s1, s2), writeable=False)
+    return np.ascontiguousarray(view).reshape(n * count, kernel * c)
+
+
+def _add_windows(cols: np.ndarray, xp: np.ndarray, count: int, kernel: int, stride: int) -> None:
+    """col2im, the adjoint of ``_windows``: add every window row of ``cols``
+    back into the padded array ``xp`` (one strided add per kernel tap)."""
+    n, _, c = xp.shape
+    taps = cols.reshape(n, count, kernel, c)
+    span = count * stride
+    for u in range(kernel):
+        xp[:, u : u + span : stride] += taps[:, :, u]
+
+
 class _Conv1d:
-    """Strided 'same'-padded 1-D convolution. Weight shape (kernel, c_in, c_out)."""
+    """Strided 'same'-padded 1-D convolution. Weight shape (kernel, c_in, c_out).
+
+    Lowered to one matrix multiply over the im2col window matrix; the
+    backward pass is two multiplies plus the col2im scatter."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int, rng):
         self.kernel = kernel
@@ -31,32 +61,30 @@ class _Conv1d:
         return [self.w, self.b]
 
     def forward(self, x):
-        n, length, c_in = x.shape
+        n, length, _ = x.shape
         out_len, pad_left, pad_right = _same_padding(length, self.kernel, self.stride)
-        xp = np.pad(x, ((0, 0), (pad_left, pad_right), (0, 0)))
-        out = np.broadcast_to(self.b, (n, out_len, self.b.size)).copy()
-        for u in range(self.kernel):
-            sl = xp[:, u : u + out_len * self.stride : self.stride, :]
-            out += sl @ self.w[u]
-        return out, (xp, length, pad_left, out_len)
+        xp = _padded(x, pad_left, pad_right)
+        cols = _windows(xp, out_len, self.kernel, self.stride)
+        out = cols @ self.w.reshape(-1, self.b.size) + self.b
+        return out.reshape(n, out_len, -1), (cols, xp.shape, length, pad_left)
 
     def backward(self, d_out, cache):
-        xp, length, pad_left, out_len = cache
-        dw = np.zeros_like(self.w)
-        db = d_out.sum(axis=(0, 1))
-        dxp = np.zeros_like(xp)
-        for u in range(self.kernel):
-            sl = xp[:, u : u + out_len * self.stride : self.stride, :]
-            dw[u] = np.einsum("nli,nlo->io", sl, d_out)
-            dxp[:, u : u + out_len * self.stride : self.stride, :] += d_out @ self.w[u].T
-        dx = dxp[:, pad_left : pad_left + length, :]
-        return dx, [dw, db]
+        cols, padded_shape, length, pad_left = cache
+        n, out_len, c_out = d_out.shape
+        d = d_out.reshape(n * out_len, c_out)
+        dw = (cols.T @ d).reshape(self.w.shape)
+        db = d.sum(axis=0)
+        dcols = d @ self.w.reshape(-1, c_out).T
+        dxp = np.zeros(padded_shape)
+        _add_windows(dcols, dxp, out_len, self.kernel, self.stride)
+        return dxp[:, pad_left : pad_left + length], [dw, db]
 
 
 class _ConvTranspose1d:
     """Adjoint of a strided 'same'-padded convolution; doubles the length for
     stride 2. Weight shape (kernel, c_out, c_in) so forward is the
-    backward-data pass of the matching convolution."""
+    backward-data pass of the matching convolution: one matrix multiply, then
+    the col2im scatter; the backward pass gathers windows and multiplies."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int, rng):
         self.kernel = kernel
@@ -68,28 +96,25 @@ class _ConvTranspose1d:
         return [self.w, self.b]
 
     def forward(self, x):
-        n, in_len, _ = x.shape
+        n, in_len, c_in = x.shape
         out_len = in_len * self.stride
         check_len, pad_left, pad_right = _same_padding(out_len, self.kernel, self.stride)
         if check_len != in_len:
             raise ContractError("transposed conv length mismatch")
-        yp = np.zeros((n, out_len + pad_left + pad_right, self.b.size))
-        for u in range(self.kernel):
-            yp[:, u : u + in_len * self.stride : self.stride, :] += x @ np.swapaxes(self.w[u], 0, 1)
-        out = yp[:, pad_left : pad_left + out_len, :] + self.b
-        return out, (x, in_len, pad_left, pad_right, out_len)
+        cols = x.reshape(n * in_len, c_in) @ self.w.reshape(-1, c_in).T
+        yp = np.zeros((n, pad_left + out_len + pad_right, self.b.size))
+        _add_windows(cols, yp, in_len, self.kernel, self.stride)
+        out = yp[:, pad_left : pad_left + out_len] + self.b
+        return out, (x, pad_left, pad_right)
 
     def backward(self, d_out, cache):
-        x, in_len, pad_left, pad_right, out_len = cache
+        x, pad_left, pad_right = cache
+        n, in_len, c_in = x.shape
         db = d_out.sum(axis=(0, 1))
-        dyp = np.pad(d_out, ((0, 0), (pad_left, pad_right), (0, 0)))
-        dw = np.zeros_like(self.w)
-        dx = np.zeros_like(x)
-        for u in range(self.kernel):
-            sl = dyp[:, u : u + in_len * self.stride : self.stride, :]
-            dw[u] = np.einsum("nlo,nli->oi", sl, x)
-            dx += sl @ self.w[u]
-        return dx, [dw, db]
+        cols = _windows(_padded(d_out, pad_left, pad_right), in_len, self.kernel, self.stride)
+        dw = (cols.T @ x.reshape(n * in_len, c_in)).reshape(self.w.shape)
+        dx = cols @ self.w.reshape(-1, c_in)
+        return dx.reshape(x.shape), [dw, db]
 
 
 class ConvAutoencoder(Model):

@@ -77,10 +77,11 @@ class _LstmLayer:
         gates, cells, states = [], [], []
         for t in range(t_len):
             z = x[:, t, :] @ self.wx + h @ self.wh + self.b
-            i = sigmoid(z[:, :hdim])
-            f = sigmoid(z[:, hdim : 2 * hdim])
+            s = sigmoid(z)  # the g block of s is unused; tanh covers it
+            i = s[:, :hdim]
+            f = s[:, hdim : 2 * hdim]
             g = np.tanh(z[:, 2 * hdim : 3 * hdim])
-            o = sigmoid(z[:, 3 * hdim :])
+            o = s[:, 3 * hdim :]
             c = f * c + i * g
             h = o * np.tanh(c)
             gates.append((i, f, g, o))
@@ -99,6 +100,7 @@ class _LstmLayer:
         dx = np.zeros_like(x)
         dh = np.zeros((n, hdim))
         dc = np.zeros((n, hdim))
+        dz = np.empty((n, 4 * hdim))
         for t in range(t_len - 1, -1, -1):
             i, f, g, o = gates[t]
             c = cells[t]
@@ -111,15 +113,10 @@ class _LstmLayer:
             di = dct * g
             df = dct * c_prev
             dg = dct * i
-            dz = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g * g),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
+            dz[:, :hdim] = di * i * (1.0 - i)
+            dz[:, hdim : 2 * hdim] = df * f * (1.0 - f)
+            dz[:, 2 * hdim : 3 * hdim] = dg * (1.0 - g * g)
+            dz[:, 3 * hdim :] = do * o * (1.0 - o)
             dwx += x[:, t, :].T @ dz
             dwh += h_prev.T @ dz
             db += dz.sum(axis=0)
@@ -199,8 +196,6 @@ class RecurrentNet(Model):
 
     def predict(self, x) -> np.ndarray:
         out, _ = self._forward(x)
-        if self.loss == "gaussian_nll":
-            return out[:, 0]
         return out[:, 0]
 
     def predict_distribution(self, x):

@@ -48,6 +48,22 @@ class TestLoadConfig:
         with pytest.raises(ContractError, match="no/such/file.cfg"):
             cli.load_config("no/such/file.cfg")
 
+    def test_bad_interpolation_names_key(self, tmp_path):
+        path = write_config(tmp_path, "[detection]\nlambda = 10%\n")
+        with pytest.raises(ContractError, match=r"\[detection\] lambda"):
+            cli.load_config(path)
+
+    @pytest.mark.parametrize("text,detail", [
+        ("[training]\nepochs = abc\n", "[training] epochs = 'abc' is not a valid int"),
+        ("epochs = 3\n", "no section headers"),
+    ])
+    def test_config_errors_exit_1_with_location(self, tmp_path, capsys, text, detail):
+        path = write_config(tmp_path, text)
+        code = cli.main(["--config", path, "bench", "--models", "ar", "--datasets", "synth-a"])
+        assert code == cli.USER_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {path}:") and detail in err
+
 
 class TestExitCodes:
     def test_missing_input_file_is_user_error(self, capsys):

@@ -14,8 +14,9 @@ from vibrosense.forecast import (
     make_windows,
 )
 from vibrosense.nn import ConvAutoencoder, Mlp, RecurrentNet, gradient_check
-from vibrosense.nn.base import softplus
-from vibrosense.nn.conv import _same_padding
+from vibrosense.nn.base import sigmoid, softplus
+from vibrosense.nn.conv import _Conv1d, _ConvTranspose1d, _same_padding
+from vibrosense.nn.recurrent import _LstmLayer
 
 
 def series(values):
@@ -241,3 +242,194 @@ class TestTrainingGuards:
         with np.errstate(over="ignore"), \
                 pytest.raises(ContractError, match="non-finite training loss at epoch"):
             model.fit(series(values))
+
+
+# Reference kernels: the per-tap convolution loops and the three-call LSTM
+# gate code that the im2col/GEMM layers and the fused gate activation
+# replaced. The convolutions now sum in another order, so they are compared
+# within a relative tolerance; the LSTM and sigmoid must stay bit-identical.
+
+
+def _ref_conv_forward(layer, x):
+    n, length, _ = x.shape
+    out_len, pad_left, pad_right = _same_padding(length, layer.kernel, layer.stride)
+    xp = np.pad(x, ((0, 0), (pad_left, pad_right), (0, 0)))
+    out = np.broadcast_to(layer.b, (n, out_len, layer.b.size)).copy()
+    for u in range(layer.kernel):
+        sl = xp[:, u : u + out_len * layer.stride : layer.stride, :]
+        out += sl @ layer.w[u]
+    return out, (xp, length, pad_left, out_len)
+
+
+def _ref_conv_backward(layer, d_out, cache):
+    xp, length, pad_left, out_len = cache
+    dw = np.zeros_like(layer.w)
+    db = d_out.sum(axis=(0, 1))
+    dxp = np.zeros_like(xp)
+    for u in range(layer.kernel):
+        sl = xp[:, u : u + out_len * layer.stride : layer.stride, :]
+        dw[u] = np.einsum("nli,nlo->io", sl, d_out)
+        dxp[:, u : u + out_len * layer.stride : layer.stride, :] += d_out @ layer.w[u].T
+    return dxp[:, pad_left : pad_left + length, :], [dw, db]
+
+
+def _ref_conv_transpose_forward(layer, x):
+    n, in_len, _ = x.shape
+    out_len = in_len * layer.stride
+    _, pad_left, pad_right = _same_padding(out_len, layer.kernel, layer.stride)
+    yp = np.zeros((n, out_len + pad_left + pad_right, layer.b.size))
+    for u in range(layer.kernel):
+        yp[:, u : u + in_len * layer.stride : layer.stride, :] += x @ np.swapaxes(layer.w[u], 0, 1)
+    out = yp[:, pad_left : pad_left + out_len, :] + layer.b
+    return out, (x, in_len, pad_left, pad_right, out_len)
+
+
+def _ref_conv_transpose_backward(layer, d_out, cache):
+    x, in_len, pad_left, pad_right, out_len = cache
+    db = d_out.sum(axis=(0, 1))
+    dyp = np.pad(d_out, ((0, 0), (pad_left, pad_right), (0, 0)))
+    dw = np.zeros_like(layer.w)
+    dx = np.zeros_like(x)
+    for u in range(layer.kernel):
+        sl = dyp[:, u : u + in_len * layer.stride : layer.stride, :]
+        dw[u] = np.einsum("nlo,nli->oi", sl, x)
+        dx += sl @ layer.w[u]
+    return dx, [dw, db]
+
+
+def _masked_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _ref_lstm_forward(self, x):
+    n, t_len, _ = x.shape
+    hdim = self.hidden
+    h = np.zeros((n, hdim))
+    c = np.zeros((n, hdim))
+    gates, cells, states = [], [], []
+    for t in range(t_len):
+        z = x[:, t, :] @ self.wx + h @ self.wh + self.b
+        i = _masked_sigmoid(z[:, :hdim])
+        f = _masked_sigmoid(z[:, hdim : 2 * hdim])
+        g = np.tanh(z[:, 2 * hdim : 3 * hdim])
+        o = _masked_sigmoid(z[:, 3 * hdim :])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        gates.append((i, f, g, o))
+        cells.append(c)
+        states.append(h)
+    return np.stack(states, axis=1), (x, gates, cells, states)
+
+
+def _ref_lstm_backward(self, d_out, cache):
+    x, gates, cells, states = cache
+    n, t_len, _ = x.shape
+    hdim = self.hidden
+    dwx = np.zeros_like(self.wx)
+    dwh = np.zeros_like(self.wh)
+    db = np.zeros_like(self.b)
+    dx = np.zeros_like(x)
+    dh = np.zeros((n, hdim))
+    dc = np.zeros((n, hdim))
+    for t in range(t_len - 1, -1, -1):
+        i, f, g, o = gates[t]
+        c = cells[t]
+        c_prev = cells[t - 1] if t > 0 else np.zeros_like(c)
+        h_prev = states[t - 1] if t > 0 else np.zeros((n, hdim))
+        dh_total = d_out[:, t, :] + dh
+        tc = np.tanh(c)
+        do = dh_total * tc
+        dct = dc + dh_total * o * (1.0 - tc * tc)
+        di = dct * g
+        df = dct * c_prev
+        dg = dct * i
+        dz = np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)],
+            axis=1,
+        )
+        dwx += x[:, t, :].T @ dz
+        dwh += h_prev.T @ dz
+        db += dz.sum(axis=0)
+        dx[:, t, :] = dz @ self.wx.T
+        dh = dz @ self.wh.T
+        dc = dct * f
+    return dx, [dwx, dwh, db]
+
+
+def _assert_rel_close(new, ref, rtol=1e-12):
+    """Max abs difference within rtol of the reference's largest magnitude."""
+    assert new.shape == ref.shape
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(new - ref)) <= rtol * scale, np.max(np.abs(new - ref)) / scale
+
+
+# (layer, c_in, c_out, input length, kernel, batch): every layer of the
+# detect-grid autoencoder at window 32 (32 filters, kernel 7) and of the
+# criterion-2 toy (window 8, 2 filters, kernel 3); stride 2 throughout.
+CONV_SHAPES = [
+    (_Conv1d, 1, 32, 32, 7, 10),
+    (_Conv1d, 32, 32, 16, 7, 10),
+    (_ConvTranspose1d, 32, 32, 8, 7, 10),
+    (_ConvTranspose1d, 32, 1, 16, 7, 10),
+    (_Conv1d, 1, 2, 8, 3, 3),
+    (_Conv1d, 2, 2, 4, 3, 3),
+    (_ConvTranspose1d, 2, 2, 2, 3, 3),
+    (_ConvTranspose1d, 2, 1, 4, 3, 3),
+]
+CONV_REFS = {
+    _Conv1d: (_ref_conv_forward, _ref_conv_backward),
+    _ConvTranspose1d: (_ref_conv_transpose_forward, _ref_conv_transpose_backward),
+}
+
+
+class TestKernelOracles:
+    @pytest.mark.parametrize("cls,c_in,c_out,length,kernel,batch", CONV_SHAPES)
+    def test_conv_matches_per_tap_reference(self, cls, c_in, c_out, length, kernel, batch):
+        rng = make_rng(21)
+        layer = cls(c_in, c_out, kernel, 2, rng)
+        layer.b[...] = rng.normal(size=layer.b.shape)
+        x = rng.normal(size=(batch, length, c_in))
+        ref_forward, ref_backward = CONV_REFS[cls]
+        out, cache = layer.forward(x)
+        ref_out, ref_cache = ref_forward(layer, x)
+        _assert_rel_close(out, ref_out)
+        d_out = rng.normal(size=out.shape)
+        dx, (dw, db) = layer.backward(d_out, cache)
+        ref_dx, (ref_dw, ref_db) = ref_backward(layer, d_out, ref_cache)
+        _assert_rel_close(dx, ref_dx)
+        _assert_rel_close(dw, ref_dw)
+        _assert_rel_close(db, ref_db)
+
+    def test_sigmoid_bit_identical_to_masked(self):
+        z = np.concatenate([
+            make_rng(22).normal(size=2000) * 40.0,
+            [0.0, -0.0, 745.0, -745.0, np.inf, -np.inf],
+        ])
+        # exp(-745) is subnormal, so both forms underflow there; anything
+        # else (overflow, inf/inf, 0/0) raises.
+        with np.errstate(all="raise", under="ignore"):
+            assert np.array_equal(sigmoid(z), _masked_sigmoid(z))
+
+    def test_lstm_bit_identical_to_three_call_gates(self, monkeypatch):
+        def loss_and_grad():
+            rng = make_rng(23)
+            net = RecurrentNet("lstm", [6, 5], [4], loss="mse", rng=rng)
+            x = rng.normal(size=(7, 9)) * 2.0
+            y = rng.normal(size=7)
+            loss, grads = net.loss_and_grad(x, y)
+            return loss, grads, net.predict(x[:1])
+
+        loss, grads, pred = loss_and_grad()
+        monkeypatch.setattr(_LstmLayer, "forward", _ref_lstm_forward)
+        monkeypatch.setattr(_LstmLayer, "backward", _ref_lstm_backward)
+        ref_loss, ref_grads, ref_pred = loss_and_grad()
+        assert loss == ref_loss
+        assert np.array_equal(pred, ref_pred)
+        assert len(grads) == len(ref_grads)
+        for g, ref_g in zip(grads, ref_grads):
+            assert np.array_equal(g, ref_g)
