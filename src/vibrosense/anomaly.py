@@ -13,7 +13,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from . import forecast, report
-from .core import ContractError, SplitSpec, TimeSeries, precision_recall_f1, rmse, split_series
+from .core import ContractError, SplitSpec, TimeSeries, precision_recall_f1, rms, rmse, split_series
 from .ingest import DEFAULT_TIMEZONE
 
 #: Default threshold, from the plant's "within 10% of actual" acceptability bar.
@@ -43,9 +43,11 @@ class AnomalyRuleConfig:
 
     def scaled_to(self, train_values) -> "AnomalyRuleConfig":
         """Same rule with the epsilon floor tied to the training-split RMS."""
-        values = np.asarray(train_values, dtype=np.float64)
-        scale = float(np.sqrt(np.mean(values * values)))
-        eps = max(EPSILON_RMS_FRACTION * scale, 1e-300)
+        return self.scaled_to_rms(rms(train_values))
+
+    def scaled_to_rms(self, train_rms: float) -> "AnomalyRuleConfig":
+        """Same rule with the epsilon floor tied to a known training-split RMS."""
+        eps = max(EPSILON_RMS_FRACTION * train_rms, 1e-300)
         return AnomalyRuleConfig(self.lam, eps, self.two_sided)
 
 
@@ -75,13 +77,14 @@ class DetectionResult:
 def detect_series(model, test: TimeSeries, cfg: AnomalyRuleConfig, history=None) -> DetectionResult:
     """Rolling one-step predictions over the test split with per-point flags.
     Context is seeded from the model's training tail unless given explicitly;
-    the epsilon floor is rescaled to the model's training RMS when known."""
+    the epsilon floor is rescaled to the model's training RMS when known, and
+    to the history's otherwise."""
     if history is None:
         history = getattr(model, "train_tail", None)
         if history is None:
             raise ContractError("model carries no training tail; pass history explicitly")
-    train_rms_basis = getattr(model, "train_values", history)
-    rule = cfg.scaled_to(train_rms_basis)
+    train_rms = getattr(model, "train_rms", None)
+    rule = cfg.scaled_to(history) if train_rms is None else cfg.scaled_to_rms(train_rms)
     preds = forecast.rolling_forecast(model, history, test.values)
     flags = flag_anomaly(preds, test.values, rule)
     return DetectionResult(predictions=preds, flags=flags, rule=rule)

@@ -78,12 +78,12 @@ def load_config(path: Optional[str]) -> Dict[str, dict]:
                 extra = f" (did you mean '{hint[0]}'?)" if hint else ""
                 raise ContractError(f"unknown config key '{key}' in [{section}]{extra}")
             kind, _ = schema[key]
-            if kind is bool:
-                resolved[section][key] = raw.strip().lower() in ("1", "true", "yes", "on")
-                continue
             try:
-                resolved[section][key] = kind(raw)
-            except ValueError:
+                if kind is bool:
+                    resolved[section][key] = parser.BOOLEAN_STATES[raw.strip().lower()]
+                else:
+                    resolved[section][key] = kind(raw)
+            except (KeyError, ValueError):
                 raise ContractError(
                     f"config file {path}: [{section}] {key} = {raw!r} is not a valid {kind.__name__}"
                 ) from None

@@ -148,8 +148,13 @@ def rmse(predicted, actual) -> float:
         raise ContractError(
             f"rmse needs equal nonempty shapes, got {predicted.shape} vs {actual.shape}"
         )
-    diff = predicted - actual
-    return float(np.sqrt(np.mean(diff * diff)))
+    return rms(predicted - actual)
+
+
+def rms(values) -> float:
+    """Root mean square of the values."""
+    values = np.asarray(values, dtype=np.float64)
+    return float(np.sqrt(np.mean(values * values)))
 
 
 @dataclass(frozen=True)

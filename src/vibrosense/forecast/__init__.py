@@ -7,8 +7,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ..core import ContractError, TimeSeries
+from ..core import ContractError, TimeSeries, rms
 from .. import modelio
 from .classical import Arima, AutoRegression, SeasonalNaive, autoregression_fit
 from .forest import RandomForestForecaster, TreeNodes, best_split_for_feature, fit_regression_tree
@@ -154,9 +155,10 @@ def fit(config: ForecastModelConfig, train: TimeSeries):
     model = _construct(config)
     model.fit(train)
     model.config = config
-    # training tail seeds rolling evaluation; full values back the epsilon floor
-    model.train_tail = train.values[-(model.min_context + 1):].copy()
-    model.train_values = train.values.copy()
+    # the training tail seeds rolling evaluation; the training RMS sets the
+    # anomaly rule's epsilon floor
+    model.train_tail = train.values[-model.min_context :].copy()
+    model.train_rms = rms(train.values)
     return model
 
 
@@ -166,7 +168,9 @@ def predict_one_step(model, context) -> float:
 
 def rolling_forecast(model, history, test_values) -> np.ndarray:
     """One-step rolling predictions over the test values, feeding true
-    observations (never model outputs) as successive context."""
+    observations (never model outputs) as successive context. Every context
+    is known up front, so all of them go to the model as one batch: row i is
+    the min_context values before test point i."""
     history = np.asarray(history, dtype=np.float64)
     test_values = np.asarray(test_values, dtype=np.float64)
     if test_values.size == 0:
@@ -174,14 +178,8 @@ def rolling_forecast(model, history, test_values) -> np.ndarray:
     need = model.min_context
     if history.size < need:
         raise ContractError(f"history must hold >= {need} values")
-    context = list(history[-need - 1 :])
-    preds = np.empty(test_values.size)
-    for i, actual in enumerate(test_values):
-        preds[i] = model.predict_one_step(np.asarray(context))
-        context.append(actual)
-        if len(context) > need + 1:
-            context.pop(0)
-    return preds
+    observed = np.concatenate([history[history.size - need :], test_values[:-1]])
+    return model.predict_batch(sliding_window_view(observed, need))
 
 
 def _neural_state(model) -> dict:
@@ -214,6 +212,8 @@ def save_forecaster(model, path) -> None:
     payload = {
         "hyperparameters": config.resolved(),
         "seed": config.seed,
+        "train_tail": model.train_tail,
+        "train_rms": model.train_rms,
     }
     if kind == "seasonal_naive":
         payload["state"] = {"last_season": model.last_season}
@@ -244,6 +244,9 @@ def load_forecaster(path):
     if not full_kind.startswith("forecast/"):
         raise ContractError(f"not a forecaster file: kind '{full_kind}'")
     kind = full_kind.split("/", 1)[1]
+    missing = [k for k in ("hyperparameters", "seed", "state", "train_tail", "train_rms") if k not in payload]
+    if missing:
+        raise ContractError(f"forecaster file {path} lacks {', '.join(missing)}")
     config = ForecastModelConfig(kind, payload["hyperparameters"], seed=payload["seed"])
     model = _construct(config)
     state = payload["state"]
@@ -269,4 +272,6 @@ def load_forecaster(path):
     else:
         _restore_neural(model, state)
     model.config = config
+    model.train_tail = np.asarray(payload["train_tail"], dtype=np.float64)
+    model.train_rms = payload["train_rms"]
     return model

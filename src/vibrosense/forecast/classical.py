@@ -8,11 +8,12 @@ from typing import Optional
 import numpy as np
 
 from ..core import ContractError, TimeSeries
+from .base import OneStepForecaster
 
 RIDGE_JITTER = 1e-8
 
 
-class SeasonalNaive:
+class SeasonalNaive(OneStepForecaster):
     """Forecast equals the observation one season (m steps) back."""
 
     def __init__(self, m: int):
@@ -31,11 +32,8 @@ class SeasonalNaive:
         self.last_season = train.values[-self.m :].copy()
         return self
 
-    def predict_one_step(self, context) -> float:
-        context = np.asarray(context, dtype=np.float64)
-        if context.size < self.m:
-            raise ContractError(f"context must hold >= {self.m} values")
-        return float(context[-self.m])
+    def predict_batch(self, contexts) -> np.ndarray:
+        return np.asarray(contexts, dtype=np.float64)[:, -self.m].copy()
 
 
 def autoregression_fit(series_values, p: int, fit_intercept: bool = True):
@@ -69,7 +67,7 @@ def autoregression_fit(series_values, p: int, fit_intercept: bool = True):
     return beta, 0.0
 
 
-class AutoRegression:
+class AutoRegression(OneStepForecaster):
     def __init__(self, p: int = 10, fit_intercept: bool = True):
         self.p = p
         self.fit_intercept = fit_intercept
@@ -86,18 +84,12 @@ class AutoRegression:
         )
         return self
 
-    def predict_from_lags(self, context) -> float:
-        context = np.asarray(context, dtype=np.float64)
-        if context.size < self.p:
-            raise ContractError(f"context must hold >= {self.p} values")
-        recent = context[-self.p :][::-1]  # recent[j-1] is j steps back
-        return float(self.intercept + recent @ self.coefs)
-
-    def predict_one_step(self, context) -> float:
-        return self.predict_from_lags(context)
+    def predict_batch(self, contexts) -> np.ndarray:
+        recent = np.asarray(contexts, dtype=np.float64)[:, -self.p :][:, ::-1]
+        return self.intercept + recent @ self.coefs  # recent[:, j-1] is j steps back
 
 
-class Arima:
+class Arima(OneStepForecaster):
     """AR on the d-times differenced series, integrated back at prediction.
     Moving-average terms are out of scope: the tuned configuration uses q = 0."""
 
@@ -126,10 +118,9 @@ class Arima:
         )
         return self
 
-    def predict_one_step(self, context) -> float:
-        context = np.asarray(context, dtype=np.float64)
-        if context.size < self.min_context:
-            raise ContractError(f"context must hold >= {self.min_context} values")
+    def predict_batch(self, contexts) -> np.ndarray:
+        contexts = np.asarray(contexts, dtype=np.float64)
         if self.d == 0:
-            return self.ar.predict_from_lags(context)
-        return float(context[-1] + self.ar.predict_from_lags(np.diff(context)))
+            return self.ar.predict_batch(contexts)
+        recent = contexts[:, -self.min_context :]
+        return recent[:, -1] + self.ar.predict_batch(np.diff(recent, axis=1))

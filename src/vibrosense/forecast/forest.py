@@ -3,12 +3,13 @@ samples, random feature subsets of size ceil(features/3) per split."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
 from ..core import ContractError, TimeSeries, make_rng
+from .base import OneStepForecaster
 
 
 @dataclass
@@ -22,43 +23,57 @@ class TreeNodes:
     value: np.ndarray
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
-        out = np.empty(rows.shape[0])
-        for i, row in enumerate(rows):
-            node = 0
-            while self.feature[node] >= 0:
-                if row[self.feature[node]] <= self.threshold[node]:
-                    node = self.left[node]
-                else:
-                    node = self.right[node]
-            out[i] = self.value[node]
-        return out
+        """Walk all rows down the tree together, one level per step, until
+        every row sits at a leaf."""
+        at = np.arange(rows.shape[0])
+        node = np.zeros(rows.shape[0], dtype=np.int64)
+        inner = self.feature[node] >= 0
+        while inner.any():
+            # a leaf's feature -1 reads the last column; the leaf's row stays put
+            f = self.feature[node]
+            step = np.where(rows[at, f] <= self.threshold[node], self.left[node], self.right[node])
+            node = np.where(inner, step, node)
+            inner = self.feature[node] >= 0
+        return self.value[node]
+
+
+def _best_splits(block: np.ndarray, targets: np.ndarray):
+    """Exhaustive best threshold by weighted-variance reduction for every
+    column of an (n, k) block at once, n >= 2. Returns (thresholds, scores),
+    one per column; a constant column scores -inf. Candidate thresholds are
+    midpoints between consecutive distinct values; a tie goes to the smaller
+    threshold."""
+    n = block.shape[0]
+    order = np.argsort(block, axis=0, kind="stable")
+    v = np.take_along_axis(block, order, axis=0)
+    t = targets[order]
+    csum = np.cumsum(t, axis=0)
+    csq = np.cumsum(t * t, axis=0)
+    total_sum, total_sq = csum[-1], csq[-1]
+    k = np.arange(1, n)[:, None]  # split sizes
+    left_sum = csum[:-1]
+    left_sse = csq[:-1] - left_sum * left_sum / k
+    right_n = n - k
+    right_sum = total_sum - left_sum
+    right_sse = (total_sq - csq[:-1]) - right_sum * right_sum / right_n
+    parent_sse = total_sq - total_sum * total_sum / n
+    reduction = parent_sse - (left_sse + right_sse)
+    reduction[~(v[1:] > v[:-1])] = -np.inf  # no boundary between equal values
+    best = np.argmax(reduction, axis=0)
+    cols = np.arange(block.shape[1])
+    return 0.5 * (v[best, cols] + v[best + 1, cols]), reduction[best, cols]
 
 
 def best_split_for_feature(values: np.ndarray, targets: np.ndarray):
     """Exhaustive best threshold by weighted-variance reduction for one
-    feature. Returns (threshold, score) or None when the feature is constant.
-    Candidate thresholds are midpoints between consecutive distinct values."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    t = targets[order]
-    n = v.size
-    boundaries = np.flatnonzero(v[1:] > v[:-1]) + 1  # split sizes
-    if boundaries.size == 0:
+    feature. Returns (threshold, score) or None when the feature is constant."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size < 2:
         return None
-    csum = np.cumsum(t)
-    csq = np.cumsum(t * t)
-    total_sum, total_sq = csum[-1], csq[-1]
-    k = boundaries
-    left_sum = csum[k - 1]
-    left_sse = csq[k - 1] - left_sum * left_sum / k
-    right_n = n - k
-    right_sum = total_sum - left_sum
-    right_sse = (total_sq - csq[k - 1]) - right_sum * right_sum / right_n
-    parent_sse = total_sq - total_sum * total_sum / n
-    reduction = parent_sse - (left_sse + right_sse)
-    best = int(np.argmax(reduction))
-    threshold = 0.5 * (v[k[best] - 1] + v[k[best]])
-    return float(threshold), float(reduction[best])
+    thresholds, scores = _best_splits(values[:, None], np.asarray(targets, dtype=np.float64))
+    if scores[0] == -np.inf:
+        return None
+    return float(thresholds[0]), float(scores[0])
 
 
 def _grow(rows, targets, depth, max_depth, feat_rng, nodes):
@@ -72,19 +87,13 @@ def _grow(rows, targets, depth, max_depth, feat_rng, nodes):
     n_features = rows.shape[1]
     n_try = -(-n_features // 3)  # ceil
     candidates = feat_rng.choice(n_features, size=n_try, replace=False)
-    best = None
-    for f in candidates:
-        found = best_split_for_feature(rows[:, f], targets)
-        if found is None:
-            continue
-        threshold, score = found
-        if best is None or score > best[2]:
-            best = (int(f), threshold, score)
-    if best is None:
+    thresholds, scores = _best_splits(rows[:, candidates], targets)
+    best = int(np.argmax(scores))  # the first candidate among equal scores
+    if scores[best] == -np.inf:
         nodes["feature"][idx] = -1
         nodes["value"][idx] = float(np.mean(targets))
         return idx
-    f, threshold, _ = best
+    f, threshold = int(candidates[best]), float(thresholds[best])
     mask = rows[:, f] <= threshold
     nodes["feature"][idx] = f
     nodes["threshold"][idx] = threshold
@@ -112,7 +121,7 @@ def fit_regression_tree(rows, targets, max_depth: int, rng) -> TreeNodes:
     )
 
 
-class RandomForestForecaster:
+class RandomForestForecaster(OneStepForecaster):
     """Forest over (lag window -> next value) pairs; prediction is the mean
     of per-tree predictions."""
 
@@ -148,9 +157,11 @@ class RandomForestForecaster:
             self.trees.append(fit_regression_tree(rows[boot], targets[boot], self.max_depth, rng))
         return self
 
-    def predict_one_step(self, context) -> float:
-        context = np.asarray(context, dtype=np.float64)
-        if context.size < self.lag_window:
-            raise ContractError(f"context must hold >= {self.lag_window} values")
-        row = context[-self.lag_window :][None, :]
-        return float(np.mean([tree.predict(row)[0] for tree in self.trees]))
+    def predict_batch(self, contexts) -> np.ndarray:
+        rows = np.asarray(contexts, dtype=np.float64)[:, -self.lag_window :]
+        # one contiguous row of tree outputs per point, averaged as one
+        # point's list of tree outputs was
+        per_tree = np.empty((rows.shape[0], len(self.trees)))
+        for j, tree in enumerate(self.trees):
+            per_tree[:, j] = tree.predict(rows)
+        return per_tree.mean(axis=1)

@@ -13,6 +13,13 @@ import numpy as np
 
 from ..core import ContractError, TimeSeries, make_rng
 from ..nn import ConvAutoencoder, Mlp, RecurrentNet, sgd_epochs
+from .base import OneStepForecaster
+
+# Windows per network call in predict_batch. One call over every window keeps
+# each layer's activations for all of them alive at once (a conv layer's
+# im2col matrix alone is windows x out_len x kernel x channels); blocks of 32
+# bound that memory and still amortise the per-call Python overhead.
+_PREDICT_BLOCK = 32
 
 
 def make_windows(values: np.ndarray, window: int):
@@ -25,7 +32,7 @@ def make_windows(values: np.ndarray, window: int):
     return rows, values[window:]
 
 
-class _WindowForecaster:
+class _WindowForecaster(OneStepForecaster):
     """Shared fit/predict plumbing over (lag window -> next value) pairs."""
 
     def __init__(self, lag_window: int, epochs: int, batch_size: int, learning_rate: float, seed: int):
@@ -60,15 +67,16 @@ class _WindowForecaster:
         )
         return self
 
-    def _predict_normed(self, window: np.ndarray) -> float:
-        return float(np.ravel(self.net.predict(window[None, :]))[0])
+    def _predict_normed(self, windows: np.ndarray) -> np.ndarray:
+        return np.ravel(self.net.predict(windows))
 
-    def predict_one_step(self, context) -> float:
-        context = np.asarray(context, dtype=np.float64)
-        if context.size < self.lag_window:
-            raise ContractError(f"context must hold >= {self.lag_window} values")
-        window = (context[-self.lag_window :] - self._mean) / self._std
-        return self._predict_normed(window) * self._std + self._mean
+    def predict_batch(self, contexts) -> np.ndarray:
+        contexts = np.asarray(contexts, dtype=np.float64)
+        windows = (contexts[:, -self.lag_window :] - self._mean) / self._std
+        normed = np.empty(windows.shape[0])
+        for lo in range(0, windows.shape[0], _PREDICT_BLOCK):
+            normed[lo : lo + _PREDICT_BLOCK] = self._predict_normed(windows[lo : lo + _PREDICT_BLOCK])
+        return normed * self._std + self._mean
 
 
 class MlpForecaster(_WindowForecaster):
@@ -244,7 +252,6 @@ class AutoencoderForecaster(_WindowForecaster):
         self.net.set_training(False)
         return self
 
-    def _predict_normed(self, window: np.ndarray) -> float:
-        shifted = np.concatenate([window[1:], window[-1:]])
-        recon = self.net.reconstruct(shifted[None, :])
-        return float(recon[0, -1])
+    def _predict_normed(self, windows: np.ndarray) -> np.ndarray:
+        shifted = np.concatenate([windows[:, 1:], windows[:, -1:]], axis=1)
+        return self.net.reconstruct(shifted)[:, -1]

@@ -68,16 +68,19 @@ class _Conv1d:
         out = cols @ self.w.reshape(-1, self.b.size) + self.b
         return out.reshape(n, out_len, -1), (cols, xp.shape, length, pad_left)
 
+    def weight_grads(self, d_out, cache):
+        """[dw, db] alone: the backward pass without the input's gradient."""
+        cols = cache[0]
+        d = d_out.reshape(-1, self.b.size)
+        return [(cols.T @ d).reshape(self.w.shape), d.sum(axis=0)]
+
     def backward(self, d_out, cache):
-        cols, padded_shape, length, pad_left = cache
+        _, padded_shape, length, pad_left = cache
         n, out_len, c_out = d_out.shape
-        d = d_out.reshape(n * out_len, c_out)
-        dw = (cols.T @ d).reshape(self.w.shape)
-        db = d.sum(axis=0)
-        dcols = d @ self.w.reshape(-1, c_out).T
+        dcols = d_out.reshape(n * out_len, c_out) @ self.w.reshape(-1, c_out).T
         dxp = np.zeros(padded_shape)
         _add_windows(dcols, dxp, out_len, self.kernel, self.stride)
-        return dxp[:, pad_left : pad_left + length], [dw, db]
+        return dxp[:, pad_left : pad_left + length], self.weight_grads(d_out, cache)
 
 
 class _ConvTranspose1d:
@@ -207,6 +210,9 @@ class ConvAutoencoder(Model):
             if mask is not None:
                 delta = delta * mask
             delta = delta * relu_grad(z)
-            delta, grads = self.encoder[i].backward(delta, cache)
+            if i == 0:  # nothing reads the gradient of the network's input
+                grads = self.encoder[0].weight_grads(delta, cache)
+            else:
+                delta, grads = self.encoder[i].backward(delta, cache)
             enc_grads = grads + enc_grads
         return loss, enc_grads + dec_grads

@@ -53,8 +53,18 @@ class TestLoadConfig:
         with pytest.raises(ContractError, match=r"\[detection\] lambda"):
             cli.load_config(path)
 
+    @pytest.mark.parametrize("word,value", [
+        ("1", True), ("YES", True), ("True", True), ("on", True),
+        ("0", False), ("No", False), ("false", False), ("OFF", False),
+    ])
+    def test_boolean_words(self, tmp_path, word, value):
+        path = write_config(tmp_path, f"[detection]\ntwo_sided = {word}\n")
+        assert cli.load_config(path)["detection"]["two_sided"] is value
+
     @pytest.mark.parametrize("text,detail", [
         ("[training]\nepochs = abc\n", "[training] epochs = 'abc' is not a valid int"),
+        ("[detection]\ntwo_sided = maybe\n", "[detection] two_sided = 'maybe' is not a valid bool"),
+        ("[detection]\ntwo_sided = ture\n", "[detection] two_sided = 'ture' is not a valid bool"),
         ("epochs = 3\n", "no section headers"),
     ])
     def test_config_errors_exit_1_with_location(self, tmp_path, capsys, text, detail):

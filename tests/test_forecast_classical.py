@@ -15,6 +15,7 @@ from vibrosense.forecast import (
     fit_regression_tree,
     rolling_forecast,
 )
+from vibrosense.forecast.forest import TreeNodes
 
 
 def series(values):
@@ -214,3 +215,187 @@ class TestRollingForecast:
     def test_unknown_hyperparameter(self):
         with pytest.raises(ContractError, match="unknown hyperparameter"):
             ForecastModelConfig("ar", {"trees": 5})
+
+
+# Reference code: the per-point rolling loop, the per-row tree walk and the
+# per-feature split search that the batched paths replaced.
+
+
+def _ref_rolling_forecast(model, history, test_values):
+    history = np.asarray(history, dtype=np.float64)
+    need = model.min_context
+    context = list(history[-need - 1 :])
+    preds = np.empty(len(test_values))
+    for i, actual in enumerate(test_values):
+        preds[i] = model.predict_one_step(np.asarray(context))
+        context.append(actual)
+        if len(context) > need + 1:
+            context.pop(0)
+    return preds
+
+
+def _ref_tree_predict(tree, rows):
+    out = np.empty(rows.shape[0])
+    for i, row in enumerate(rows):
+        node = 0
+        while tree.feature[node] >= 0:
+            if row[tree.feature[node]] <= tree.threshold[node]:
+                node = tree.left[node]
+            else:
+                node = tree.right[node]
+        out[i] = tree.value[node]
+    return out
+
+
+def _ref_best_split_for_feature(values, targets):
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    t = targets[order]
+    n = v.size
+    boundaries = np.flatnonzero(v[1:] > v[:-1]) + 1
+    if boundaries.size == 0:
+        return None
+    csum = np.cumsum(t)
+    csq = np.cumsum(t * t)
+    total_sum, total_sq = csum[-1], csq[-1]
+    k = boundaries
+    left_sum = csum[k - 1]
+    left_sse = csq[k - 1] - left_sum * left_sum / k
+    right_n = n - k
+    right_sum = total_sum - left_sum
+    right_sse = (total_sq - csq[k - 1]) - right_sum * right_sum / right_n
+    parent_sse = total_sq - total_sum * total_sum / n
+    reduction = parent_sse - (left_sse + right_sse)
+    best = int(np.argmax(reduction))
+    threshold = 0.5 * (v[k[best] - 1] + v[k[best]])
+    return float(threshold), float(reduction[best])
+
+
+def _ref_grow(rows, targets, depth, max_depth, feat_rng, nodes):
+    idx = len(nodes["feature"])
+    for key in nodes:
+        nodes[key].append(0)
+    if depth >= max_depth or rows.shape[0] < 2 or np.ptp(targets) == 0.0:
+        nodes["feature"][idx] = -1
+        nodes["value"][idx] = float(np.mean(targets))
+        return idx
+    n_features = rows.shape[1]
+    candidates = feat_rng.choice(n_features, size=-(-n_features // 3), replace=False)
+    best = None
+    for f in candidates:
+        found = _ref_best_split_for_feature(rows[:, f], targets)
+        if found is None:
+            continue
+        threshold, score = found
+        if best is None or score > best[2]:  # first strictly greater score
+            best = (int(f), threshold, score)
+    if best is None:
+        nodes["feature"][idx] = -1
+        nodes["value"][idx] = float(np.mean(targets))
+        return idx
+    f, threshold, _ = best
+    mask = rows[:, f] <= threshold
+    nodes["feature"][idx] = f
+    nodes["threshold"][idx] = threshold
+    nodes["value"][idx] = float(np.mean(targets))
+    nodes["left"][idx] = _ref_grow(rows[mask], targets[mask], depth + 1, max_depth, feat_rng, nodes)
+    nodes["right"][idx] = _ref_grow(rows[~mask], targets[~mask], depth + 1, max_depth, feat_rng, nodes)
+    return idx
+
+
+# Small settings of all nine families; the test split (58 points) crosses the
+# 32-window block boundary of the network forecasters.
+ALL_FAMILIES = [
+    ("seasonal_naive", {"m": 3}),
+    ("ar", {"p": 5}),
+    ("arima", {"p": 5, "d": 1}),
+    ("random_forest", {"n_trees": 7, "max_depth": 5, "lag_window": 6}),
+    ("mlp", {"hidden_layers": 2, "neurons": 8, "epochs": 2}),
+    ("rnn", {"hidden_layers": 1, "neurons": 6, "epochs": 1}),
+    ("lstm", {"blocks": 2, "neurons": 5, "dense_units": 3, "epochs": 1}),
+    ("autoencoder", {"window": 16, "filters": 4, "epochs": 1}),
+    ("gaussian_rnn", {"hidden_layers": 1, "cells": 5, "epochs": 1}),
+]
+BIT_IDENTICAL = {"seasonal_naive", "random_forest"}
+
+
+class TestBatchedPrediction:
+    def split(self):
+        rng = make_rng(31)
+        t = np.arange(170, dtype=float)
+        values = 2.0 + np.sin(2 * np.pi * t / 17) + 0.1 * rng.normal(size=t.size)
+        return split_series(series(values), SplitSpec(0.66))
+
+    @pytest.mark.parametrize("kind,params", ALL_FAMILIES)
+    def test_rolling_matches_per_point_reference(self, kind, params):
+        train, test = self.split()
+        assert len(test) > 32
+        model = fit(ForecastModelConfig(kind, params, seed=4), train)
+        got = rolling_forecast(model, train.values, test.values)
+        ref = _ref_rolling_forecast(model, train.values, test.values)
+        if kind in BIT_IDENTICAL:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind,params", ALL_FAMILIES)
+    def test_one_step_is_a_batch_of_one(self, kind, params):
+        train, test = self.split()
+        model = fit(ForecastModelConfig(kind, params, seed=4), train)
+        for context in (train.values[-model.min_context :], test.values[:40]):
+            assert model.predict_one_step(context) == model.predict_batch(context[None])[0]
+
+    def test_rolling_accepts_history_of_min_context(self):
+        train, test = self.split()
+        model = fit(ForecastModelConfig("ar", {"p": 5}), train)
+        history = train.values[-5:]
+        assert np.array_equal(
+            rolling_forecast(model, history, test.values),
+            _ref_rolling_forecast(model, history, test.values),
+        )
+
+    def test_tree_walk_matches_per_row_reference(self):
+        rng = make_rng(32)
+        rows = np.round(rng.normal(size=(300, 6)), 1)
+        targets = rows[:, 0] - 2.0 * rows[:, 3] + rng.normal(size=300)
+        forest = RandomForestForecaster(n_trees=5, max_depth=7, lag_window=6, seed=2)
+        forest.fit(series(rng.normal(size=80)))
+        forest.trees = [fit_regression_tree(rows, targets, 7, make_rng(s)) for s in range(5)]
+        probe = np.round(rng.normal(size=(200, 6)), 1)
+        per_tree = [_ref_tree_predict(tree, probe) for tree in forest.trees]
+        for tree, ref in zip(forest.trees, per_tree):
+            assert np.array_equal(tree.predict(probe), ref)
+        ref_mean = [np.mean([ref[i] for ref in per_tree]) for i in range(probe.shape[0])]
+        assert np.array_equal(forest.predict_batch(probe), ref_mean)
+
+    def test_single_leaf_tree(self):
+        leaf = TreeNodes(*(np.array([v]) for v in (-1, 0.0, 0, 0, 2.5)))
+        assert np.array_equal(leaf.predict(np.zeros((3, 2))), [2.5, 2.5, 2.5])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_split_search_matches_per_feature_reference(self, seed):
+        rng = make_rng(50 + seed)
+        cases = [
+            (np.arange(4.0), np.array([1.0, 0.0, 0.0, 1.0])),  # tied scores at 0.5 and 2.5
+            (rng.integers(0, 3, size=30).astype(float), rng.integers(0, 2, size=30).astype(float)),
+            (rng.normal(size=25), rng.normal(size=25)),
+            (np.full(6, 2.0), rng.normal(size=6)),
+        ]
+        for values, targets in cases:
+            assert best_split_for_feature(values, targets) == _ref_best_split_for_feature(values, targets)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_split_search_grows_the_per_feature_tree(self, seed):
+        """Ties, constant columns and tied scores across columns: every node
+        must pick the column and threshold of the per-column loop."""
+        rng = make_rng(40 + seed)
+        rows = rng.integers(0, 4, size=(120, 9)).astype(float)
+        rows[:, 2] = 1.5  # constant column
+        rows[:, 5] = rows[:, 1]  # equal scores, second candidate must lose
+        rows[:, 7] = -rows[:, 4]
+        targets = np.round(rows[:, 1] + rng.normal(size=120), 1)
+        got = fit_regression_tree(rows, targets, max_depth=6, rng=make_rng(seed))
+        nodes = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+        _ref_grow(rows, targets, 0, 6, make_rng(seed), nodes)
+        for key, ref in nodes.items():
+            assert np.array_equal(getattr(got, key), ref), key

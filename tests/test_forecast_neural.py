@@ -14,7 +14,7 @@ from vibrosense.forecast import (
     make_windows,
 )
 from vibrosense.nn import ConvAutoencoder, Mlp, RecurrentNet, gradient_check
-from vibrosense.nn.base import sigmoid, softplus
+from vibrosense.nn.base import relu_grad, sigmoid, softplus
 from vibrosense.nn.conv import _Conv1d, _ConvTranspose1d, _same_padding
 from vibrosense.nn.recurrent import _LstmLayer
 
@@ -361,6 +361,32 @@ def _ref_lstm_backward(self, d_out, cache):
     return dx, [dwx, dwh, db]
 
 
+def _ref_autoencoder_loss_and_grad(net, x):
+    """ConvAutoencoder.loss_and_grad with the first encoder layer's full
+    backward pass, input gradient included."""
+    out, x3, enc_caches, dec_caches = net._forward(x)
+    diff = out - x3
+    loss = float(np.mean(diff * diff))
+    delta = 2.0 * diff / diff.size
+    dec_grads = []
+    last = len(net.decoder) - 1
+    for i in range(last, -1, -1):
+        cache, z = dec_caches[i]
+        if i != last:
+            delta = delta * relu_grad(z)
+        delta, grads = net.decoder[i].backward(delta, cache)
+        dec_grads = grads + dec_grads
+    enc_grads = []
+    for i in range(len(net.encoder) - 1, -1, -1):
+        cache, z, mask = enc_caches[i]
+        if mask is not None:
+            delta = delta * mask
+        delta = delta * relu_grad(z)
+        delta, grads = net.encoder[i].backward(delta, cache)
+        enc_grads = grads + enc_grads
+    return loss, enc_grads + dec_grads
+
+
 def _assert_rel_close(new, ref, rtol=1e-12):
     """Max abs difference within rtol of the reference's largest magnitude."""
     assert new.shape == ref.shape
@@ -430,6 +456,21 @@ class TestKernelOracles:
         ref_loss, ref_grads, ref_pred = loss_and_grad()
         assert loss == ref_loss
         assert np.array_equal(pred, ref_pred)
+        assert len(grads) == len(ref_grads)
+        for g, ref_g in zip(grads, ref_grads):
+            assert np.array_equal(g, ref_g)
+
+    @pytest.mark.parametrize("window,filters,kernel", [(32, 32, 7), (8, 2, 3)])
+    def test_autoencoder_step_bit_identical_to_full_backward(self, window, filters, kernel):
+        rng = make_rng(24)
+        net = ConvAutoencoder(window, filters=filters, kernel=kernel, rng=rng)
+        x = rng.normal(size=(10, window))
+        steps = []
+        for step in (net.loss_and_grad, lambda x: _ref_autoencoder_loss_and_grad(net, x)):
+            net.set_training(True, dropout_rng=make_rng(25))
+            steps.append(step(x))
+        (loss, grads), (ref_loss, ref_grads) = steps
+        assert loss == ref_loss
         assert len(grads) == len(ref_grads)
         for g, ref_g in zip(grads, ref_grads):
             assert np.array_equal(g, ref_g)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vibrosense.anomaly import AnomalyRuleConfig, detect_series
 from vibrosense.core import ContractError, SplitSpec, TimeSeries, make_rng, split_series
 from vibrosense.forecast import ForecastModelConfig, fit, load_forecaster, rolling_forecast, save_forecaster
 from vibrosense.modelio import from_jsonable, load_model, save_model, to_jsonable
@@ -95,6 +96,21 @@ class TestForecasterPersistence:
         after = rolling_forecast(loaded, train.values, test.values)
         assert np.array_equal(before, after)
         assert loaded.config.model_kind == kind
+        # detection from the saved training tail and RMS, no history given
+        cfg = AnomalyRuleConfig(lam=0.05)
+        original, reloaded = detect_series(model, test, cfg), detect_series(loaded, test, cfg)
+        assert np.array_equal(original.predictions, reloaded.predictions)
+        assert np.array_equal(original.flags, reloaded.flags)
+        assert original.rule.epsilon == reloaded.rule.epsilon
+        again = tmp_path / f"{kind}-again.json"
+        save_forecaster(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_missing_payload_field(self, tmp_path):
+        path = tmp_path / "ar.json"
+        save_model("forecast/ar", {"hyperparameters": {"p": 2}, "seed": 0, "state": {}}, path)
+        with pytest.raises(ContractError, match="lacks train_tail, train_rms"):
+            load_forecaster(path)
 
     def test_wrong_file_kind(self, tmp_path):
         path = tmp_path / "x.json"
