@@ -240,28 +240,26 @@ def cmd_bench(args, cfg) -> int:
     return 0
 
 
+# Desk-scale grid per model family, one hyperparameter override per variant;
+# the paper-tuned settings stay the single-variant default for the heavier
+# models.
+DEFAULT_VARIANTS: Dict[str, List[dict]] = {
+    "seasonal_naive": [{"m": 1}, {"m": 10}],
+    "ar": [{"p": 5}, {"p": 10}],
+    "arima": [{"p": 10, "d": 0}, {"p": 10, "d": 1}],
+    "random_forest": [{"n_trees": 50, "max_depth": 6}],
+    "mlp": [{}],
+    "rnn": [{"neurons": 32}],
+    "lstm": [{"blocks": 2, "neurons": 16}],
+    "autoencoder": [{"window": 32}],
+    "gaussian_rnn": [{}],
+}
+
+
 def default_variants(kind: str, seed: int) -> List[forecast.ForecastModelConfig]:
-    """Desk-scale grid per model family; the paper-tuned settings stay the
-    single-variant default for the heavier models."""
-    if kind == "seasonal_naive":
-        return [forecast.ForecastModelConfig(kind, {"m": m}, seed) for m in (1, 10)]
-    if kind == "ar":
-        return [forecast.ForecastModelConfig(kind, {"p": p}, seed) for p in (5, 10)]
-    if kind == "arima":
-        return [forecast.ForecastModelConfig(kind, {"p": 10, "d": d}, seed) for d in (0, 1)]
-    if kind == "random_forest":
-        return [forecast.ForecastModelConfig(kind, {"n_trees": 50, "max_depth": 6}, seed)]
-    if kind == "mlp":
-        return [forecast.ForecastModelConfig(kind, {}, seed)]
-    if kind == "rnn":
-        return [forecast.ForecastModelConfig(kind, {"neurons": 32}, seed)]
-    if kind == "lstm":
-        return [forecast.ForecastModelConfig(kind, {"blocks": 2, "neurons": 16}, seed)]
-    if kind == "autoencoder":
-        return [forecast.ForecastModelConfig(kind, {"window": 32}, seed)]
-    if kind == "gaussian_rnn":
-        return [forecast.ForecastModelConfig(kind, {}, seed)]
-    raise ContractError(f"unknown model '{kind}'; known: {sorted(forecast.MODEL_DEFAULTS)}")
+    if kind not in DEFAULT_VARIANTS:
+        raise ContractError(f"unknown model '{kind}'; known: {sorted(forecast.MODEL_DEFAULTS)}")
+    return [forecast.ForecastModelConfig(kind, dict(params), seed) for params in DEFAULT_VARIANTS[kind]]
 
 
 def _train_cfg(args, cfg) -> classify.TrainConfig:

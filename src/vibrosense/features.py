@@ -9,11 +9,10 @@ from typing import List, Sequence
 
 import numpy as np
 
+from . import modelio
 from .core import ContractError, VibrationRecord
 
 TIME_DOMAIN_FEATURE_NAMES = ("mean", "std", "rms", "peak", "crest")
-
-_ENCODER_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -174,47 +173,33 @@ def fit_feature_vectors(vectors: Sequence[FeatureVector], **kwargs) -> FeatureEn
 
 
 def save_encoder(enc: FeatureEncoder, path) -> None:
-    """Versioned key-value text format; floats stored losslessly as hex."""
-    lines = [
-        f"version {_ENCODER_VERSION}",
-        "normalization " + enc.normalization.value,
-        "names " + ",".join(enc.feature_names),
-        "mean " + ",".join(x.hex() for x in enc.mean.tolist()),
-        "scale " + ",".join(x.hex() for x in enc.scale.tolist()),
-        "mask " + ",".join("1" if b else "0" for b in enc.selected_mask),
-        "constant " + ",".join(enc.constant_features),
-    ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    modelio.save_model(
+        "encoder",
+        {
+            "feature_names": list(enc.feature_names),
+            "mean": enc.mean,
+            "scale": enc.scale,
+            "selected_mask": enc.selected_mask,
+            "normalization": enc.normalization.value,
+            "constant_features": list(enc.constant_features),
+        },
+        path,
+    )
 
 
 def load_encoder(path) -> FeatureEncoder:
-    fields = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            key, _, rest = line.partition(" ")
-            fields[key] = rest
-    for required in ("version", "normalization", "names", "mean", "scale", "mask"):
-        if required not in fields:
-            raise ContractError(f"encoder file missing field '{required}'")
-    if fields["version"] != str(_ENCODER_VERSION):
-        raise ContractError(f"unsupported encoder version '{fields['version']}'")
-    names = tuple(fields["names"].split(","))
+    _, payload = modelio.load_model(path, expected_kind="encoder")
+    for name in ("feature_names", "mean", "scale", "selected_mask", "normalization", "constant_features"):
+        if name not in payload:
+            raise ContractError(f"encoder file {path} missing field '{name}'")
     try:
-        mean = np.array([float.fromhex(t) for t in fields["mean"].split(",")])
-        scale = np.array([float.fromhex(t) for t in fields["scale"].split(",")])
-    except ValueError as exc:
-        raise ContractError(f"corrupt encoder numeric field: {exc}") from exc
-    mask = np.array([t == "1" for t in fields["mask"].split(",")])
-    constant = tuple(t for t in fields.get("constant", "").split(",") if t)
-    return FeatureEncoder(
-        feature_names=names,
-        mean=mean,
-        scale=scale,
-        selected_mask=mask,
-        normalization=Normalization(fields["normalization"]),
-        constant_features=constant,
-    )
+        return FeatureEncoder(
+            feature_names=payload["feature_names"],
+            mean=payload["mean"],
+            scale=payload["scale"],
+            selected_mask=payload["selected_mask"],
+            normalization=Normalization(payload["normalization"]),
+            constant_features=tuple(payload["constant_features"]),
+        )
+    except (ValueError, TypeError) as exc:
+        raise ContractError(f"malformed encoder file {path}: {exc}") from exc

@@ -3,27 +3,29 @@ evaluation, and fitted-model persistence."""
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core import ContractError, TimeSeries, rms
 from .. import modelio
+from .base import make_windows
 from .classical import Arima, AutoRegression, SeasonalNaive, autoregression_fit
-from .forest import RandomForestForecaster, TreeNodes, best_split_for_feature, fit_regression_tree
+from .forest import RandomForestForecaster, best_split_for_feature, fit_regression_tree
 from .neural import (
     AutoencoderForecaster,
     GaussianRnnForecaster,
     LstmForecaster,
     MlpForecaster,
     RnnForecaster,
-    make_windows,
 )
 
 __all__ = [
     "ForecastModelConfig",
+    "FAMILIES",
     "MODEL_DEFAULTS",
     "fit",
     "predict_one_step",
@@ -45,59 +47,24 @@ __all__ = [
     "make_windows",
 ]
 
-MODEL_DEFAULTS: Dict[str, dict] = {
-    "seasonal_naive": {"m": 1},
-    "ar": {"p": 10, "fit_intercept": True},
-    "arima": {"p": 10, "d": 1, "q": 0, "fit_intercept": True},
-    "random_forest": {"n_trees": 500, "max_depth": 10, "lag_window": 10},
-    "mlp": {
-        "hidden_layers": 3,
-        "neurons": 50,
-        "learning_rate": 0.01,
-        "batch_size": 10,
-        "epochs": 5,
-        "lag_window": 10,
-    },
-    "rnn": {
-        "hidden_layers": 2,
-        "neurons": 100,
-        "learning_rate": 0.01,
-        "batch_size": 10,
-        "epochs": 5,
-        "lag_window": 10,
-    },
-    "lstm": {
-        "blocks": 4,
-        "neurons": 100,
-        "dense_units": 10,
-        "learning_rate": 0.005,
-        "batch_size": 10,
-        "epochs": 5,
-        "lag_window": 10,
-    },
-    "autoencoder": {
-        "window": 64,
-        "filters": 32,
-        "kernel": 7,
-        "n_layers": 3,
-        "dropout": 0.2,
-        "learning_rate": 0.01,
-        "batch_size": 10,
-        "epochs": 5,
-    },
-    "gaussian_rnn": {
-        "hidden_layers": 3,
-        "cells": 30,
-        "learning_rate": 0.005,
-        "batch_size": 10,
-        "epochs": 5,
-        "lag_window": 10,
-    },
+FAMILIES = {
+    "seasonal_naive": SeasonalNaive,
+    "ar": AutoRegression,
+    "arima": Arima,
+    "random_forest": RandomForestForecaster,
+    "mlp": MlpForecaster,
+    "rnn": RnnForecaster,
+    "lstm": LstmForecaster,
+    "autoencoder": AutoencoderForecaster,
+    "gaussian_rnn": GaussianRnnForecaster,
 }
 
-_SEEDED_KINDS = frozenset(
-    {"random_forest", "mlp", "rnn", "lstm", "autoencoder", "gaussian_rnn"}
-)
+# each family's hyperparameters are its constructor's keywords, defaults
+# included; the seed comes from the config instead
+MODEL_DEFAULTS: Dict[str, dict] = {
+    kind: {k: p.default for k, p in inspect.signature(cls).parameters.items() if k != "seed"}
+    for kind, cls in FAMILIES.items()
+}
 
 
 @dataclass(frozen=True)
@@ -126,27 +93,11 @@ class ForecastModelConfig:
 
 
 def _construct(config: ForecastModelConfig):
+    family = FAMILIES[config.model_kind]
     params = config.resolved()
-    kind = config.model_kind
-    if kind in _SEEDED_KINDS:
+    if "seed" in inspect.signature(family).parameters:
         params["seed"] = config.seed
-    if kind == "seasonal_naive":
-        return SeasonalNaive(**params)
-    if kind == "ar":
-        return AutoRegression(**params)
-    if kind == "arima":
-        return Arima(**params)
-    if kind == "random_forest":
-        return RandomForestForecaster(**params)
-    if kind == "mlp":
-        return MlpForecaster(**params)
-    if kind == "rnn":
-        return RnnForecaster(**params)
-    if kind == "lstm":
-        return LstmForecaster(**params)
-    if kind == "autoencoder":
-        return AutoencoderForecaster(**params)
-    return GaussianRnnForecaster(**params)
+    return family(**params)
 
 
 def fit(config: ForecastModelConfig, train: TimeSeries):
@@ -182,96 +133,35 @@ def rolling_forecast(model, history, test_values) -> np.ndarray:
     return model.predict_batch(sliding_window_view(observed, need))
 
 
-def _neural_state(model) -> dict:
-    return {
-        "weights": [p.copy() for p in model.net.parameters()],
-        "mean": model._mean,
-        "std": model._std,
-        "training_loss": list(model.training_loss),
-    }
-
-
-def _restore_neural(model, state) -> None:
-    from ..core import make_rng
-
-    model._build(make_rng(0))
-    params = model.net.parameters()
-    saved = state["weights"]
-    if len(params) != len(saved):
-        raise ContractError("saved weight count does not match architecture")
-    for p, s in zip(params, saved):
-        p[...] = np.asarray(s).reshape(p.shape)
-    model._mean = state["mean"]
-    model._std = state["std"]
-    model.training_loss = list(state["training_loss"])
-
-
 def save_forecaster(model, path) -> None:
     config: ForecastModelConfig = model.config
-    kind = config.model_kind
     payload = {
         "hyperparameters": config.resolved(),
         "seed": config.seed,
+        "state": model.state(),
         "train_tail": model.train_tail,
         "train_rms": model.train_rms,
     }
-    if kind == "seasonal_naive":
-        payload["state"] = {"last_season": model.last_season}
-    elif kind == "ar":
-        payload["state"] = {"coefs": model.coefs, "intercept": model.intercept}
-    elif kind == "arima":
-        payload["state"] = {"coefs": model.ar.coefs, "intercept": model.ar.intercept}
-    elif kind == "random_forest":
-        payload["state"] = {
-            "trees": [
-                {
-                    "feature": t.feature,
-                    "threshold": t.threshold,
-                    "left": t.left,
-                    "right": t.right,
-                    "value": t.value,
-                }
-                for t in model.trees
-            ]
-        }
-    else:
-        payload["state"] = _neural_state(model)
-    modelio.save_model("forecast/" + kind, payload, path)
+    modelio.save_model("forecast/" + config.model_kind, payload, path)
 
 
 def load_forecaster(path):
     full_kind, payload = modelio.load_model(path)
     if not full_kind.startswith("forecast/"):
         raise ContractError(f"not a forecaster file: kind '{full_kind}'")
-    kind = full_kind.split("/", 1)[1]
     missing = [k for k in ("hyperparameters", "seed", "state", "train_tail", "train_rms") if k not in payload]
     if missing:
         raise ContractError(f"forecaster file {path} lacks {', '.join(missing)}")
-    config = ForecastModelConfig(kind, payload["hyperparameters"], seed=payload["seed"])
-    model = _construct(config)
-    state = payload["state"]
-    if kind == "seasonal_naive":
-        model.last_season = np.asarray(state["last_season"])
-    elif kind == "ar":
-        model.coefs = np.asarray(state["coefs"])
-        model.intercept = state["intercept"]
-    elif kind == "arima":
-        model.ar.coefs = np.asarray(state["coefs"])
-        model.ar.intercept = state["intercept"]
-    elif kind == "random_forest":
-        model.trees = [
-            TreeNodes(
-                feature=np.asarray(t["feature"], dtype=np.int64),
-                threshold=np.asarray(t["threshold"], dtype=np.float64),
-                left=np.asarray(t["left"], dtype=np.int64),
-                right=np.asarray(t["right"], dtype=np.int64),
-                value=np.asarray(t["value"], dtype=np.float64),
-            )
-            for t in state["trees"]
-        ]
-    else:
-        _restore_neural(model, state)
+    try:
+        hyperparameters = dict(payload["hyperparameters"])
+        config = ForecastModelConfig(full_kind.split("/", 1)[1], hyperparameters, seed=payload["seed"])
+        model = _construct(config)
+        model.load_state(payload["state"])
+        model.train_tail = np.asarray(payload["train_tail"], dtype=np.float64)
+    except KeyError as exc:
+        raise ContractError(f"malformed forecaster file {path}: missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:  # ContractError included
+        raise ContractError(f"malformed forecaster file {path}: {exc}") from exc
     model.config = config
-    model.train_tail = np.asarray(payload["train_tail"], dtype=np.float64)
     model.train_rms = payload["train_rms"]
     return model

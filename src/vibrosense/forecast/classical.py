@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..core import ContractError, TimeSeries
-from .base import OneStepForecaster
+from .base import OneStepForecaster, make_windows
 
 RIDGE_JITTER = 1e-8
 
@@ -16,7 +15,7 @@ RIDGE_JITTER = 1e-8
 class SeasonalNaive(OneStepForecaster):
     """Forecast equals the observation one season (m steps) back."""
 
-    def __init__(self, m: int):
+    def __init__(self, m: int = 1):
         if m < 1:
             raise ContractError("season length m must be >= 1")
         self.m = m
@@ -35,6 +34,12 @@ class SeasonalNaive(OneStepForecaster):
     def predict_batch(self, contexts) -> np.ndarray:
         return np.asarray(contexts, dtype=np.float64)[:, -self.m].copy()
 
+    def state(self) -> dict:
+        return {"last_season": self.last_season}
+
+    def load_state(self, state) -> None:
+        self.last_season = np.asarray(state["last_season"])
+
 
 def autoregression_fit(series_values, p: int, fit_intercept: bool = True):
     """OLS over the lag matrix via normal equations with ridge jitter.
@@ -48,13 +53,10 @@ def autoregression_fit(series_values, p: int, fit_intercept: bool = True):
         raise ContractError("lag order p must be >= 1")
     if n <= p + 1:
         raise ContractError(f"autoregression needs > p+1 = {p + 1} points, got {n}")
-    rows = n - p
-    lags = np.empty((rows, p))
-    for j in range(1, p + 1):
-        lags[:, j - 1] = y_all[p - j : n - j]
-    target = y_all[p:]
+    windows, target = make_windows(y_all, p)
+    lags = np.ascontiguousarray(windows[:, ::-1])  # lags[:, j-1] is j steps back
     if fit_intercept:
-        design = np.column_stack([np.ones(rows), lags])
+        design = np.column_stack([np.ones(target.size), lags])
     else:
         design = lags
     gram = design.T @ design + RIDGE_JITTER * np.eye(design.shape[1])
@@ -87,6 +89,13 @@ class AutoRegression(OneStepForecaster):
     def predict_batch(self, contexts) -> np.ndarray:
         recent = np.asarray(contexts, dtype=np.float64)[:, -self.p :][:, ::-1]
         return self.intercept + recent @ self.coefs  # recent[:, j-1] is j steps back
+
+    def state(self) -> dict:
+        return {"coefs": self.coefs, "intercept": self.intercept}
+
+    def load_state(self, state) -> None:
+        self.coefs = np.asarray(state["coefs"])
+        self.intercept = state["intercept"]
 
 
 class Arima(OneStepForecaster):
@@ -124,3 +133,9 @@ class Arima(OneStepForecaster):
             return self.ar.predict_batch(contexts)
         recent = contexts[:, -self.min_context :]
         return recent[:, -1] + self.ar.predict_batch(np.diff(recent, axis=1))
+
+    def state(self) -> dict:
+        return self.ar.state()
+
+    def load_state(self, state) -> None:
+        self.ar.load_state(state)

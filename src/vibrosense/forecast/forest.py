@@ -9,7 +9,7 @@ from typing import List
 import numpy as np
 
 from ..core import ContractError, TimeSeries, make_rng
-from .base import OneStepForecaster
+from .base import OneStepForecaster, make_windows
 
 
 @dataclass
@@ -145,11 +145,8 @@ class RandomForestForecaster(OneStepForecaster):
         w = self.lag_window
         if len(values) <= w + 1:
             raise ContractError(f"random forest needs > lag_window+1 = {w + 1} points")
-        n_rows = len(values) - w
-        rows = np.empty((n_rows, w))
-        for j in range(w):
-            rows[:, j] = values[j : j + n_rows]
-        targets = values[w:]
+        rows, targets = make_windows(values, w)
+        n_rows = targets.size
         rng = make_rng(self.seed)
         self.trees = []
         for _ in range(self.n_trees):
@@ -165,3 +162,18 @@ class RandomForestForecaster(OneStepForecaster):
         for j, tree in enumerate(self.trees):
             per_tree[:, j] = tree.predict(rows)
         return per_tree.mean(axis=1)
+
+    def state(self) -> dict:
+        return {"trees": [vars(t) for t in self.trees]}
+
+    def load_state(self, state) -> None:
+        self.trees = [
+            TreeNodes(
+                feature=np.asarray(t["feature"], dtype=np.int64),
+                threshold=np.asarray(t["threshold"], dtype=np.float64),
+                left=np.asarray(t["left"], dtype=np.int64),
+                right=np.asarray(t["right"], dtype=np.int64),
+                value=np.asarray(t["value"], dtype=np.float64),
+            )
+            for t in state["trees"]
+        ]

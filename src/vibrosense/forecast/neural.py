@@ -7,29 +7,20 @@ mapped back to raw units; the classical models see raw values.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core import ContractError, TimeSeries, make_rng
 from ..nn import ConvAutoencoder, Mlp, RecurrentNet, sgd_epochs
-from .base import OneStepForecaster
+from .base import OneStepForecaster, make_windows
 
 # Windows per network call in predict_batch. One call over every window keeps
 # each layer's activations for all of them alive at once (a conv layer's
 # im2col matrix alone is windows x out_len x kernel x channels); blocks of 32
 # bound that memory and still amortise the per-call Python overhead.
 _PREDICT_BLOCK = 32
-
-
-def make_windows(values: np.ndarray, window: int):
-    n_rows = values.size - window
-    if n_rows < 1:
-        raise ContractError(f"series too short: needs > window = {window} points")
-    rows = np.empty((n_rows, window))
-    for j in range(window):
-        rows[:, j] = values[j : j + n_rows]
-    return rows, values[window:]
 
 
 class _WindowForecaster(OneStepForecaster):
@@ -53,12 +44,15 @@ class _WindowForecaster(OneStepForecaster):
     def _build(self, rng) -> None:
         raise NotImplementedError
 
-    def fit(self, train: TimeSeries):
-        values = train.values
+    def _fit_scaling(self, values: np.ndarray) -> np.ndarray:
+        """Keeps the training split's mean and std; returns it z-scored."""
         self._mean = float(np.mean(values))
         std = float(np.std(values))
         self._std = std if std > 0 else 1.0
-        normed = (values - self._mean) / self._std
+        return (values - self._mean) / self._std
+
+    def fit(self, train: TimeSeries):
+        normed = self._fit_scaling(train.values)
         x, y = make_windows(normed, self.lag_window)
         rng = make_rng(self.seed)
         self._build(rng)
@@ -77,6 +71,26 @@ class _WindowForecaster(OneStepForecaster):
         for lo in range(0, windows.shape[0], _PREDICT_BLOCK):
             normed[lo : lo + _PREDICT_BLOCK] = self._predict_normed(windows[lo : lo + _PREDICT_BLOCK])
         return normed * self._std + self._mean
+
+    def state(self) -> dict:
+        return {
+            "weights": list(self.net.parameters()),
+            "mean": self._mean,
+            "std": self._std,
+            "training_loss": list(self.training_loss),
+        }
+
+    def load_state(self, state) -> None:
+        self._build(make_rng(0))
+        params = self.net.parameters()
+        saved = state["weights"]
+        if len(params) != len(saved):
+            raise ContractError("saved weight count does not match architecture")
+        for p, s in zip(params, saved):
+            p[...] = np.asarray(s).reshape(p.shape)
+        self._mean = state["mean"]
+        self._std = state["std"]
+        self.training_loss = list(state["training_loss"])
 
 
 class MlpForecaster(_WindowForecaster):
@@ -234,15 +248,10 @@ class AutoencoderForecaster(_WindowForecaster):
         )
 
     def fit(self, train: TimeSeries):
-        values = train.values
-        self._mean = float(np.mean(values))
-        std = float(np.std(values))
-        self._std = std if std > 0 else 1.0
-        normed = (values - self._mean) / self._std
-        n_rows = normed.size - self.lag_window + 1
-        if n_rows < 1:
+        normed = self._fit_scaling(train.values)
+        if normed.size < self.lag_window:
             raise ContractError(f"series too short: needs >= window = {self.lag_window} points")
-        x = np.stack([normed[i : i + self.lag_window] for i in range(n_rows)])
+        x = sliding_window_view(normed, self.lag_window).copy()
         rng = make_rng(self.seed)
         self._build(rng)
         self.net.set_training(True, dropout_rng=make_rng(self.seed, 1))

@@ -1,6 +1,6 @@
 """Versioned text serialization with lossless (hex) float encoding.
 
-Used for fitted forecasters, classifiers, and report payloads.
+The one format for fitted forecasters, classifiers and feature encoders.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from .core import ContractError
 
 FORMAT_NAME = "vibrosense-model"
 FORMAT_VERSION = 1
+_TAGS = frozenset({"~f", "~a", "~ai"})  # the keys that mark a float or an array
 
 
 def to_jsonable(obj: Any) -> Any:
@@ -30,7 +31,10 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+        out = {str(k): to_jsonable(v) for k, v in obj.items()}
+        if _TAGS & out.keys():
+            raise ContractError(f"dict keys {sorted(_TAGS & out.keys())} are reserved for tagged values")
+        return out
     raise ContractError(f"cannot serialize value of type {type(obj).__name__}")
 
 
@@ -61,19 +65,33 @@ def save_model(kind: str, payload: dict, path) -> None:
         fh.write("\n")
 
 
-def load_model(path, expected_kind: str = None) -> Tuple[str, dict]:
+def read_json_object(path) -> dict:
+    """The top-level object of a JSON file. Bytes that are not UTF-8, invalid
+    JSON and any other top-level value are a ContractError naming the path."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ContractError(f"corrupt model file {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise ContractError(f"corrupt JSON file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ContractError(f"JSON file {path}: top-level value is {type(doc).__name__}, not an object")
+    return doc
+
+
+def load_model(path, expected_kind: str = None) -> Tuple[str, dict]:
+    doc = read_json_object(path)
     for field in ("format", "version", "kind", "payload"):
         if field not in doc:
-            raise ContractError(f"model file missing field '{field}'")
+            raise ContractError(f"model file {path} missing field '{field}'")
     if doc["format"] != FORMAT_NAME:
         raise ContractError(f"unexpected format '{doc['format']}'")
     if doc["version"] != FORMAT_VERSION:
         raise ContractError(f"unsupported model version {doc['version']}")
+    if not (isinstance(doc["kind"], str) and isinstance(doc["payload"], dict)):
+        raise ContractError(f"model file {path}: kind must be a string and payload an object")
     if expected_kind is not None and doc["kind"] != expected_kind:
         raise ContractError(f"expected kind '{expected_kind}', found '{doc['kind']}'")
-    return doc["kind"], from_jsonable(doc["payload"])
+    try:
+        return doc["kind"], from_jsonable(doc["payload"])
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        raise ContractError(f"corrupt model file {path}: {exc}") from exc

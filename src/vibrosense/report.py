@@ -8,6 +8,8 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from .modelio import read_json_object
+
 ARTIFACT_VERSION = "0.1.0"
 
 
@@ -31,8 +33,7 @@ def write_json_report(report: dict, path) -> None:
 
 
 def load_json_report(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    return read_json_object(path)
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence], precision: int = 4) -> str:

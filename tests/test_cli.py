@@ -238,3 +238,21 @@ class TestReportCommand:
         b.write_text('{"rmse": 1.5}')
         assert cli.main(["report", "--compare", str(a), str(b)]) == 0
         assert "rmse" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "content,detail",
+        [(b"1", "top-level value is int"), (b"\xff", "corrupt JSON"), (b'{"a": ', "corrupt JSON")],
+    )
+    def test_malformed_file_is_user_error(self, tmp_path, capsys, content, detail):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        assert cli.main(["report", "--show", str(path)]) == cli.USER_ERROR
+        err = capsys.readouterr().err
+        assert str(path) in err and detail in err
+
+    def test_compare_with_malformed_file_is_user_error(self, tmp_path, capsys):
+        good, bad = tmp_path / "a.json", tmp_path / "b.json"
+        good.write_text('{"rmse": 1.0}')
+        bad.write_text("[1.5]")
+        assert cli.main(["report", "--compare", str(good), str(bad)]) == cli.USER_ERROR
+        assert str(bad) in capsys.readouterr().err

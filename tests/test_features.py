@@ -13,6 +13,7 @@ from vibrosense.features import (
     save_encoder,
     select_axes,
 )
+from vibrosense.modelio import save_model
 
 
 def make_record(x, y, z):
@@ -136,8 +137,17 @@ class TestEncoderPersistence:
         save_encoder(enc, tmp_path / "e.txt")
         assert load_encoder(tmp_path / "e.txt").n_selected == 1
 
+    def test_comma_in_feature_name(self, tmp_path):
+        enc = fit_encoder(np.array([[1.0, 2.0], [3.0, 5.0]]), ("x,rms", "y"))
+        save_encoder(enc, tmp_path / "e.json")
+        loaded = load_encoder(tmp_path / "e.json")
+        assert loaded.feature_names == ("x,rms", "y")
+        assert np.array_equal(loaded.scale, enc.scale)
+
     def test_truncated_file(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("version 1\nnames a,b\n")
-        with pytest.raises(ContractError, match="missing field"):
+        path = tmp_path / "bad.json"
+        payload = {"feature_names": ["a", "b"], "mean": np.zeros(2), "selected_mask": np.ones(2, bool),
+                   "normalization": "zscore", "constant_features": []}
+        save_model("encoder", payload, path)
+        with pytest.raises(ContractError, match="missing field 'scale'"):
             load_encoder(path)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from vibrosense.cli import DEFAULT_VARIANTS, default_variants
 from vibrosense.core import ContractError, SplitSpec, TimeSeries, make_rng, split_series
 from vibrosense.forecast import (
+    FAMILIES,
     Arima,
     AutoRegression,
     ForecastModelConfig,
@@ -399,3 +401,74 @@ class TestBatchedPrediction:
         _ref_grow(rows, targets, 0, 6, make_rng(seed), nodes)
         for key, ref in nodes.items():
             assert np.array_equal(getattr(got, key), ref), key
+
+
+# The hand-written hyperparameter table MODEL_DEFAULTS once was; the table
+# derived from the constructors must not drift from it.
+REFERENCE_MODEL_DEFAULTS = {
+    "seasonal_naive": {"m": 1},
+    "ar": {"p": 10, "fit_intercept": True},
+    "arima": {"p": 10, "d": 1, "q": 0, "fit_intercept": True},
+    "random_forest": {"n_trees": 500, "max_depth": 10, "lag_window": 10},
+    "mlp": {
+        "hidden_layers": 3,
+        "neurons": 50,
+        "learning_rate": 0.01,
+        "batch_size": 10,
+        "epochs": 5,
+        "lag_window": 10,
+    },
+    "rnn": {
+        "hidden_layers": 2,
+        "neurons": 100,
+        "learning_rate": 0.01,
+        "batch_size": 10,
+        "epochs": 5,
+        "lag_window": 10,
+    },
+    "lstm": {
+        "blocks": 4,
+        "neurons": 100,
+        "dense_units": 10,
+        "learning_rate": 0.005,
+        "batch_size": 10,
+        "epochs": 5,
+        "lag_window": 10,
+    },
+    "autoencoder": {
+        "window": 64,
+        "filters": 32,
+        "kernel": 7,
+        "n_layers": 3,
+        "dropout": 0.2,
+        "learning_rate": 0.01,
+        "batch_size": 10,
+        "epochs": 5,
+    },
+    "gaussian_rnn": {
+        "hidden_layers": 3,
+        "cells": 30,
+        "learning_rate": 0.005,
+        "batch_size": 10,
+        "epochs": 5,
+        "lag_window": 10,
+    },
+}
+
+
+class TestFamilyRegistry:
+    def test_derived_defaults_match_reference(self):
+        assert MODEL_DEFAULTS == REFERENCE_MODEL_DEFAULTS
+        for kind, defaults in REFERENCE_MODEL_DEFAULTS.items():
+            for key, value in defaults.items():
+                assert type(MODEL_DEFAULTS[kind][key]) is type(value), (kind, key)
+
+    def test_one_set_of_family_names(self):
+        assert set(FAMILIES) == set(DEFAULT_VARIANTS) == set(MODEL_DEFAULTS)
+
+    @pytest.mark.parametrize("kind", sorted(DEFAULT_VARIANTS))
+    def test_every_default_variant_constructs(self, kind):
+        configs = default_variants(kind, 5)
+        assert len(configs) == len(DEFAULT_VARIANTS[kind])
+        for config in configs:
+            assert FAMILIES[kind](**config.resolved()).min_context >= 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vibrosense.anomaly import AnomalyRuleConfig, detect_series
+from vibrosense.cli import DEFAULT_VARIANTS, default_variants
 from vibrosense.core import ContractError, SplitSpec, TimeSeries, make_rng, split_series
 from vibrosense.forecast import ForecastModelConfig, fit, load_forecaster, rolling_forecast, save_forecaster
 from vibrosense.modelio import from_jsonable, load_model, save_model, to_jsonable
@@ -64,6 +65,23 @@ class TestModelFile:
         with pytest.raises(ContractError, match="missing field"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "content,detail",
+        [(b"\xff", "corrupt"), (b"1", "is int, not an object"), (b"[]", "is list"), (b"{", "corrupt")],
+    )
+    def test_not_a_json_object(self, tmp_path, content, detail):
+        path = tmp_path / "m.json"
+        path.write_bytes(content)
+        with pytest.raises(ContractError, match=detail) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
+    def test_malformed_payload_value(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"format": "vibrosense-model", "version": 1, "kind": "demo", "payload": {"w": {"~f": "zz"}}}')
+        with pytest.raises(ContractError, match="corrupt model file"):
+            load_model(path)
+
 
 class TestForecasterPersistence:
     def series(self, n=120, seed=0):
@@ -83,7 +101,8 @@ class TestForecasterPersistence:
             ("lstm", {"blocks": 1, "neurons": 5, "dense_units": 3, "epochs": 1}),
             ("autoencoder", {"window": 16, "filters": 4, "epochs": 1}),
             ("gaussian_rnn", {"hidden_layers": 1, "cells": 5, "epochs": 1}),
-        ],
+        ]
+        + [(c.model_kind, c.hyperparameters) for k in DEFAULT_VARIANTS for c in default_variants(k, 0)],
     )
     def test_round_trip_predictions_identical(self, tmp_path, kind, params):
         series = self.series()
@@ -117,3 +136,39 @@ class TestForecasterPersistence:
         save_model("classifier", {}, path)
         with pytest.raises(ContractError, match="not a forecaster"):
             load_forecaster(path)
+
+
+class TestMalformedForecasterState:
+    def saved(self, tmp_path, kind, params):
+        t = np.arange(80, dtype=float)
+        train = TimeSeries(0.0, 1.0, np.sin(2 * np.pi * t / 20) + 0.05 * make_rng(1).normal(size=t.size))
+        path = tmp_path / f"{kind}.json"
+        save_forecaster(fit(ForecastModelConfig(kind, params, seed=2), train), path)
+        return path
+
+    def rewrite_state(self, path, edit):
+        kind, payload = load_model(path)
+        edit(payload["state"])
+        save_model(kind, payload, path)
+
+    @pytest.mark.parametrize(
+        "kind,params,key",
+        [
+            ("ar", {"p": 4}, "coefs"),
+            ("random_forest", {"n_trees": 3, "max_depth": 3, "lag_window": 4}, "trees"),
+            ("mlp", {"hidden_layers": 1, "neurons": 4, "epochs": 1}, "mean"),
+        ],
+    )
+    def test_missing_state_key(self, tmp_path, kind, params, key):
+        path = self.saved(tmp_path, kind, params)
+        self.rewrite_state(path, lambda state: state.pop(key))
+        with pytest.raises(ContractError, match=f"missing key '{key}'") as info:
+            load_forecaster(path)
+        assert str(path) in str(info.value)
+
+    def test_wrong_weight_size(self, tmp_path):
+        path = self.saved(tmp_path, "mlp", {"hidden_layers": 1, "neurons": 4, "epochs": 1})
+        self.rewrite_state(path, lambda state: state["weights"].__setitem__(0, np.zeros(3)))
+        with pytest.raises(ContractError, match="malformed forecaster file") as info:
+            load_forecaster(path)
+        assert str(path) in str(info.value)
