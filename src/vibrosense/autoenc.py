@@ -4,15 +4,14 @@ two losses."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import ContractError, MachineState, make_rng
 from .classify import TrainConfig
-from .nn import Model, glorot_uniform, relu, softmax
-from .nn.base import relu_grad
+from .nn import Model, sgd_epochs, softmax
+from .nn.dense import dense_backward, dense_forward, dense_init, dense_parameters
 
 DEFAULT_ENCODER_WIDTHS = (128, 64)
 DEFAULT_HEAD_WIDTHS = (128, 3)
@@ -44,21 +43,13 @@ class AutoencClassifier(Model):
         self.alpha = alpha
         self.head_on_latent = head_on_latent
         rng = rng if rng is not None else make_rng(0)
-
-        def dense_chain(sizes):
-            ws, bs = [], []
-            for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-                ws.append(glorot_uniform(rng, fan_in, fan_out))
-                bs.append(np.zeros(fan_out))
-            return ws, bs
-
         enc_sizes = [input_width, *encoder_widths]
         dec_sizes = [*reversed(encoder_widths), input_width]
         head_in = encoder_widths[-1] if head_on_latent else encoder_widths[0]
         head_sizes = [head_in, *head_widths]
-        self.enc_w, self.enc_b = dense_chain(enc_sizes)
-        self.dec_w, self.dec_b = dense_chain(dec_sizes)
-        self.head_w, self.head_b = dense_chain(head_sizes)
+        self.enc_w, self.enc_b = dense_init(enc_sizes, rng)
+        self.dec_w, self.dec_b = dense_init(dec_sizes, rng)
+        self.head_w, self.head_b = dense_init(head_sizes, rng)
         self.recon_loss_curve: List[float] = []
         self.class_loss_curve: List[float] = []
 
@@ -67,43 +58,18 @@ class AutoencClassifier(Model):
         return self.head_w[-1].shape[1]
 
     def parameters(self) -> List[np.ndarray]:
-        out = []
-        for ws, bs in ((self.enc_w, self.enc_b), (self.dec_w, self.dec_b),
-                       (self.head_w, self.head_b)):
-            for w, b in zip(ws, bs):
-                out.append(w)
-                out.append(b)
-        return out
+        return (dense_parameters(self.enc_w, self.enc_b)
+                + dense_parameters(self.dec_w, self.dec_b)
+                + dense_parameters(self.head_w, self.head_b))
 
     def _forward(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.input_width:
             raise ContractError(f"expected input width {self.input_width}, got {x.shape[1]}")
-        enc_acts, enc_pre = [x], []
-        a = x
-        for w, b in zip(self.enc_w, self.enc_b):
-            z = a @ w + b
-            enc_pre.append(z)
-            a = relu(z)
-            enc_acts.append(a)
-        dec_acts, dec_pre = [a], []
-        d = a
-        last = len(self.dec_w) - 1
-        for i, (w, b) in enumerate(zip(self.dec_w, self.dec_b)):
-            z = d @ w + b
-            dec_pre.append(z)
-            d = z if i == last else relu(z)
-            dec_acts.append(d)
+        enc_acts, enc_pre = dense_forward(self.enc_w, self.enc_b, x, relu_last=True)
+        dec = dense_forward(self.dec_w, self.dec_b, enc_acts[-1])
         head_in = enc_acts[-1] if self.head_on_latent else enc_acts[1]
-        head_acts, head_pre = [head_in], []
-        h = head_in
-        last = len(self.head_w) - 1
-        for i, (w, b) in enumerate(zip(self.head_w, self.head_b)):
-            z = h @ w + b
-            head_pre.append(z)
-            h = z if i == last else relu(z)
-            head_acts.append(h)
-        return (enc_acts, enc_pre), (dec_acts, dec_pre), (head_acts, head_pre)
+        return (enc_acts, enc_pre), dec, dense_forward(self.head_w, self.head_b, head_in)
 
     def predict_proba(self, x) -> np.ndarray:
         _, _, (head_acts, _) = self._forward(x)
@@ -135,50 +101,24 @@ class AutoencClassifier(Model):
         ce_loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
         total = self.alpha * recon_loss + (1.0 - self.alpha) * ce_loss
 
-        # decoder branch
-        delta = self.alpha * 2.0 * diff / diff.size
-        dec_grads = []
-        for i in range(len(self.dec_w) - 1, -1, -1):
-            if i != len(self.dec_w) - 1:
-                delta = delta * relu_grad(dec_pre[i])
-            dec_grads.append(np.sum(delta, axis=0))
-            dec_grads.append(dec_acts[i].T @ delta)
-            delta = delta @ self.dec_w[i].T
-        dec_grads.reverse()
-        d_latent_from_dec = delta
+        dec_grads, d_latent = dense_backward(
+            self.dec_w, dec_acts, dec_pre, self.alpha * 2.0 * diff / diff.size, input_grad=True)
+        head_grads, d_head_in = dense_backward(
+            self.head_w, head_acts, head_pre,
+            (1.0 - self.alpha) * (probs - np.eye(self.n_classes)[y]) / n, input_grad=True)
 
-        # head branch
-        delta = (1.0 - self.alpha) * (probs - np.eye(self.n_classes)[y]) / n
-        head_grads = []
-        for i in range(len(self.head_w) - 1, -1, -1):
-            if i != len(self.head_w) - 1:
-                delta = delta * relu_grad(head_pre[i])
-            head_grads.append(np.sum(delta, axis=0))
-            head_grads.append(head_acts[i].T @ delta)
-            delta = delta @ self.head_w[i].T
-        head_grads.reverse()
-        d_head_in = delta
-
-        # encoder: decoder gradient lands on the latent; the head gradient
+        # encoder: the decoder gradient lands on the latent; the head gradient
         # lands on the latent or on the first hidden layer per the switch
-        n_enc = len(self.enc_w)
-        d_acts = [np.zeros_like(a) for a in enc_acts]
-        d_acts[n_enc] += d_latent_from_dec
         if self.head_on_latent:
-            d_acts[n_enc] += d_head_in
+            enc_grads, _ = dense_backward(self.enc_w, enc_acts, enc_pre, d_latent + d_head_in,
+                                          relu_last=True)
         else:
-            d_acts[1] += d_head_in
-        enc_grads_rev = []
-        delta = None
-        for i in range(n_enc - 1, -1, -1):
-            d_out = d_acts[i + 1] + (delta if delta is not None else 0.0)
-            dz = d_out * relu_grad(enc_pre[i])
-            enc_grads_rev.append(np.sum(dz, axis=0))
-            enc_grads_rev.append(enc_acts[i].T @ dz)
-            delta = dz @ self.enc_w[i].T
-        enc_grads = list(reversed(enc_grads_rev))
-        grads = enc_grads + dec_grads + head_grads
-        return total, grads
+            upper_grads, d_first = dense_backward(self.enc_w[1:], enc_acts[1:], enc_pre[1:],
+                                                  d_latent, relu_last=True, input_grad=True)
+            enc_grads, _ = dense_backward(self.enc_w[:1], enc_acts, enc_pre, d_head_in + d_first,
+                                          relu_last=True)
+            enc_grads += upper_grads
+        return total, enc_grads + dec_grads + head_grads
 
 
 def train_autoenc_classifier(
@@ -198,6 +138,8 @@ def train_autoenc_classifier(
         raise ContractError("features must be 2-d and row-parallel with states")
     if not np.all(np.isfinite(features)):
         raise ContractError("features must be finite")
+    if states.size == 0 or states.min() < 0 or states.max() >= head_widths[-1]:
+        raise ContractError(f"states must be one or more values in [0, {head_widths[-1]})")
     rng = make_rng(cfg.seed)
     model = AutoencClassifier(
         input_width=features.shape[1],
@@ -207,20 +149,15 @@ def train_autoenc_classifier(
         head_on_latent=head_on_latent,
         rng=rng,
     )
-    params = model.parameters()
-    n = features.shape[0]
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            loss, grads = model.loss_and_grad(features[idx], states[idx])
-            if not np.isfinite(loss):
-                raise ContractError(f"non-finite training loss at epoch {epoch}")
-            for p, g in zip(params, grads):
-                p -= cfg.learning_rate * g
+
+    def record_losses():
         recon, ce = model.component_losses(features, states)
         model.recon_loss_curve.append(recon)
         model.class_loss_curve.append(ce)
+
+    if cfg.epochs > 0:
+        sgd_epochs(model, features, states, cfg.epochs, cfg.batch_size, cfg.learning_rate,
+                   rng, on_epoch=record_losses)
     return model
 
 

@@ -25,13 +25,18 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, (float, np.floating)):
         return {"~f": float(obj).hex()}
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind in "iub":
+        if obj.dtype.kind == "u":  # loads back as int64, which 2**63 and up overflow
+            raise ContractError(f"cannot serialize unsigned array of dtype {obj.dtype}")
+        if obj.dtype.kind in "ib":
             return {"~ai": obj.tolist(), "shape": list(obj.shape)}
         return {"~a": [v.hex() for v in obj.ravel().tolist()], "shape": list(obj.shape)}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, dict):
-        out = {str(k): to_jsonable(v) for k, v in obj.items()}
+        bad = [k for k in obj if not isinstance(k, str)]
+        if bad:  # str() would merge 1 and "1" into one key
+            raise ContractError(f"dict keys must be strings, found {bad[0]!r}")
+        out = {k: to_jsonable(v) for k, v in obj.items()}
         if _TAGS & out.keys():
             raise ContractError(f"dict keys {sorted(_TAGS & out.keys())} are reserved for tagged values")
         return out

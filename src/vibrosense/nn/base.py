@@ -3,7 +3,7 @@ parameter flattening, and the finite-difference gradient check."""
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,15 +72,19 @@ def sgd_epochs(
     batch_size: int,
     learning_rate: float,
     rng: np.random.Generator,
+    trainable: slice = slice(None),
+    on_epoch: Optional[Callable[[], None]] = None,
 ) -> List[float]:
     """Plain mini-batch SGD; returns the mean batch loss per epoch.
 
-    Raises as soon as a non-finite loss shows up, naming the epoch.
+    Only the `trainable` slice of the parameters (and of the gradients) is
+    updated; `on_epoch` is called after each epoch. Raises as soon as a
+    non-finite loss shows up, naming the epoch.
     """
     if epochs < 1 or batch_size < 1 or learning_rate <= 0:
         raise ContractError("epochs, batch_size, learning_rate must be positive")
     n = x.shape[0]
-    params = model.parameters()
+    params = model.parameters()[trainable]
     losses = []
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -90,10 +94,12 @@ def sgd_epochs(
             loss, grads = model.loss_and_grad(x[idx], y[idx])
             if not np.isfinite(loss):
                 raise ContractError(f"non-finite training loss at epoch {epoch}")
-            for p, g in zip(params, grads):
+            for p, g in zip(params, grads[trainable]):
                 p -= learning_rate * g
             batch_losses.append(loss)
         losses.append(float(np.mean(batch_losses)))
+        if on_epoch is not None:
+            on_epoch()
     return losses
 
 

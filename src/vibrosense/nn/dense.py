@@ -1,4 +1,5 @@
-"""Dense feed-forward network with MSE or softmax cross-entropy heads."""
+"""The one dense stack: Glorot init, a ReLU forward pass and its backward pass
+over (weights, biases) lists, and the Mlp built on them."""
 
 from __future__ import annotations
 
@@ -8,6 +9,49 @@ import numpy as np
 
 from ..core import ContractError
 from .base import Model, glorot_uniform, relu, relu_grad, softmax
+
+
+def dense_init(sizes: Sequence[int], rng: np.random.Generator):
+    """Glorot-uniform weights and zero biases for layers sizes[i] -> sizes[i+1]."""
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(glorot_uniform(rng, fan_in, fan_out))
+        biases.append(np.zeros(fan_out))
+    return weights, biases
+
+
+def dense_parameters(weights, biases) -> List[np.ndarray]:
+    """[w0, b0, w1, b1, ...], the order dense_backward returns gradients in."""
+    return [p for pair in zip(weights, biases) for p in pair]
+
+
+def dense_forward(weights, biases, x, relu_last: bool = False):
+    """ReLU between layers (and after the last one when relu_last). Returns the
+    activations [x, a1, ..., out] and the pre-activations of each layer."""
+    acts, pre = [x], []
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ w + b
+        pre.append(z)
+        acts.append(relu(z) if relu_last or i < last else z)
+    return acts, pre
+
+
+def dense_backward(weights, acts, pre, delta, relu_last: bool = False, input_grad: bool = False):
+    """Backward pass of dense_forward from `delta`, the loss gradient at the
+    output. Returns the parameter gradients in dense_parameters order and the
+    gradient at the input (None unless input_grad)."""
+    grads = []
+    last = len(weights) - 1
+    for i in range(last, -1, -1):
+        if relu_last or i < last:
+            delta = delta * relu_grad(pre[i])
+        grads.append(np.sum(delta, axis=0))
+        grads.append(acts[i].T @ delta)
+        if i > 0 or input_grad:
+            delta = delta @ weights[i].T
+    grads.reverse()
+    return grads, delta if input_grad else None
 
 
 class Mlp(Model):
@@ -21,18 +65,10 @@ class Mlp(Model):
             raise ContractError(f"unknown loss '{loss}'")
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         self.loss = loss
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            self.weights.append(glorot_uniform(rng, fan_in, fan_out))
-            self.biases.append(np.zeros(fan_out))
+        self.weights, self.biases = dense_init(self.layer_sizes, rng)
 
     def parameters(self) -> List[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return dense_parameters(self.weights, self.biases)
 
     def _forward(self, x: np.ndarray):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -40,16 +76,7 @@ class Mlp(Model):
             raise ContractError(
                 f"expected input width {self.layer_sizes[0]}, got {x.shape[1]}"
             )
-        activations = [x]
-        pre = []
-        a = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w + b
-            pre.append(z)
-            a = z if i == last else relu(z)
-            activations.append(a)
-        return activations, pre
+        return dense_forward(self.weights, self.biases, x)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         activations, _ = self._forward(x)
@@ -77,13 +104,7 @@ class Mlp(Model):
             delta = probs.copy()
             delta[np.arange(n), y] -= 1.0
             delta /= n
-        grads = []
-        for i in range(len(self.weights) - 1, -1, -1):
-            grads.append(np.sum(delta, axis=0))  # bias
-            grads.append(activations[i].T @ delta)  # weight
-            if i > 0:
-                delta = (delta @ self.weights[i].T) * relu_grad(pre[i - 1])
-        grads.reverse()
+        grads, _ = dense_backward(self.weights, activations, pre, delta)
         return loss, grads
 
     def clone(self) -> "Mlp":

@@ -9,6 +9,7 @@ import numpy as np
 
 from ..core import ContractError
 from .base import Model, glorot_uniform, relu, relu_grad, sigmoid, softplus
+from .dense import dense_backward, dense_forward, dense_init, dense_parameters
 
 SIGMA_FLOOR = 1e-6
 
@@ -158,21 +159,13 @@ class RecurrentNet(Model):
                 self.layers.append(_RnnLayer(d_in, hdim, activation, rng))
             d_in = hdim
         out_dim = 2 if loss == "gaussian_nll" else 1
-        self.head_weights = []
-        self.head_biases = []
-        for width in list(head_sizes) + [out_dim]:
-            self.head_weights.append(glorot_uniform(rng, d_in, width))
-            self.head_biases.append(np.zeros(width))
-            d_in = width
+        self.head_weights, self.head_biases = dense_init([d_in, *head_sizes, out_dim], rng)
 
     def parameters(self) -> List[np.ndarray]:
         out = []
         for layer in self.layers:
             out.extend(layer.parameters())
-        for w, b in zip(self.head_weights, self.head_biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return out + dense_parameters(self.head_weights, self.head_biases)
 
     def _forward(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -183,16 +176,8 @@ class RecurrentNet(Model):
         for layer in self.layers:
             seq, cache = layer.forward(seq)
             caches.append(cache)
-        a = seq[:, -1, :]
-        head_acts = [a]
-        head_pre = []
-        last = len(self.head_weights) - 1
-        for i, (w, b) in enumerate(zip(self.head_weights, self.head_biases)):
-            z = a @ w + b
-            head_pre.append(z)
-            a = z if i == last else relu(z)
-            head_acts.append(a)
-        return a, (x, caches, head_acts, head_pre)
+        head_acts, head_pre = dense_forward(self.head_weights, self.head_biases, seq[:, -1, :])
+        return head_acts[-1], (x, caches, head_acts, head_pre)
 
     def predict(self, x) -> np.ndarray:
         out, _ = self._forward(x)
@@ -226,14 +211,8 @@ class RecurrentNet(Model):
             dsigma = (1.0 / sigma - resid * resid / sigma**3) / n
             draw = dsigma * sigmoid(raw)
             delta = np.column_stack([dmu, draw])
-        head_grads = []
-        for i in range(len(self.head_weights) - 1, -1, -1):
-            head_grads.append(np.sum(delta, axis=0))
-            head_grads.append(head_acts[i].T @ delta)
-            if i > 0:
-                delta = (delta @ self.head_weights[i].T) * relu_grad(head_pre[i - 1])
-        head_grads.reverse()
-        d_final = delta @ self.head_weights[0].T
+        head_grads, d_final = dense_backward(self.head_weights, head_acts, head_pre, delta,
+                                             input_grad=True)
         t_len = x3.shape[1]
         d_seq = np.zeros((n, t_len, d_final.shape[1]))
         d_seq[:, -1, :] = d_final

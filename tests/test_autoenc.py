@@ -98,6 +98,21 @@ class TestTraining:
         b = train_autoenc_classifier(feats, labels, cfg=cfg)
         assert np.array_equal(a.predict_proba(feats), b.predict_proba(feats))
 
+    @pytest.mark.parametrize("bad_state", [-1, 5])
+    def test_states_outside_head_width_rejected(self, bad_state):
+        # -1 used to train as class 2 (np.eye wraps around), 5 raised IndexError
+        feats, labels = blobs(n_per_class=14)
+        states = labels[:40].copy()
+        states[7] = bad_state
+        with pytest.raises(ContractError, match="states"):
+            train_autoenc_classifier(feats[:40], states, cfg=TrainConfig(epochs=1, batch_size=8))
+
+    def test_no_rows_rejected(self):
+        # zero rows used to train on nothing and return NaN loss curves
+        with pytest.raises(ContractError, match="states"):
+            train_autoenc_classifier(np.zeros((0, 4)), np.zeros(0, dtype=int),
+                                     cfg=TrainConfig(epochs=1))
+
     def test_alpha_one_reconstructs(self):
         feats, labels = blobs(seed=3)
         model = train_autoenc_classifier(feats, labels, alpha=1.0,

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+
+from vibrosense import modelio
 
 from vibrosense.classify import (
     ClassifierModel,
@@ -213,3 +217,20 @@ class TestPersistence:
         assert loaded.class_names == model.class_names
         assert np.array_equal(predict_labels(loaded, feats), predict_labels(model, feats))
         assert np.array_equal(predict_proba(loaded, feats), predict_proba(model, feats))
+
+    def test_missing_field_is_contract_error(self, tmp_path):
+        path = tmp_path / "clf.json"
+        modelio.save_model("classifier", {"weights": []}, path)
+        with pytest.raises(ContractError, match=r"clf\.json missing field 'layer_sizes'"):
+            load_classifier(path)
+
+    def test_shapes_must_match_layer_sizes(self, tmp_path):
+        feats, labels = blobs(n_per_class=10)
+        model = train_classifier(feats, labels, hidden_sizes=(4,), cfg=TrainConfig(epochs=1))
+        path = tmp_path / "clf.json"
+        save_classifier(model, path)
+        doc = json.loads(path.read_text())
+        doc["payload"]["layer_sizes"] = [2, 100000, 3]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ContractError, match="malformed classifier file .*layer_sizes"):
+            load_classifier(path)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from vibrosense.classify import load_classifier
 from vibrosense.core import ContractError
 from vibrosense.features import load_encoder
 from vibrosense.forecast import load_forecaster
@@ -25,7 +26,7 @@ KINDS = ["encoder", "classifier", "forecast/seasonal_naive", "forecast/ar", "for
 KEYS = ["hyperparameters", "seed", "state", "train_tail", "train_rms", "coefs", "intercept",
         "last_season", "trees", "feature", "threshold", "left", "right", "value", "weights",
         "mean", "std", "training_loss", "feature_names", "scale", "selected_mask",
-        "normalization", "constant_features", "~f", "~a", "~ai", "shape", "p", "d", "m"]
+        "normalization", "constant_features", "layer_sizes", "biases", "class_names", "~f", "~a", "~ai", "shape", "p", "d", "m"]
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
     | st.sampled_from(["0x1p0", "zscore", "inf"]),
@@ -47,7 +48,7 @@ def path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "file.json"
 
 
-@pytest.mark.parametrize("load", [load_model, load_forecaster, load_encoder])
+@pytest.mark.parametrize("load", [load_model, load_forecaster, load_encoder, load_classifier])
 def test_any_bytes_load_or_contract_error(path, load):
     @FEW
     @given(content=file_bytes)
@@ -106,3 +107,29 @@ def test_codec_round_trips_exactly(value):
         return
     back = from_jsonable(json.loads(json.dumps(to_jsonable(value))))
     assert same(value, back)
+
+
+@FEW
+@given(key=st.integers() | st.booleans() | st.none() | st.floats(allow_nan=False)
+       | st.tuples(st.integers()), value=codec_values)
+def test_codec_refuses_non_str_keys(key, value):
+    with pytest.raises(ContractError, match="keys must be strings"):
+        to_jsonable([{"outer": {key: value}}])
+
+
+def test_codec_refuses_keys_that_str_would_merge():
+    with pytest.raises(ContractError, match="keys must be strings"):
+        to_jsonable({1: "a", "1": "b"})
+
+
+@FEW
+@given(arr=hnp.arrays(hnp.unsigned_integer_dtypes(), shapes))
+def test_codec_refuses_unsigned_arrays(arr):
+    with pytest.raises(ContractError, match="unsigned"):
+        to_jsonable({"a": arr})
+
+
+def test_codec_keeps_bool_arrays_as_integers():
+    mask = np.array([True, False, True])
+    back = from_jsonable(json.loads(json.dumps(to_jsonable(mask))))
+    assert back.dtype == np.int64 and back.tolist() == [1, 0, 1]
