@@ -148,6 +148,43 @@ def _score(flags_pred, flags_true, mask):
     return precision_recall_f1(flags_pred, flags_true)
 
 
+def _cell(dataset: str, family: str, variant, model, test: TimeSeries, truth_test, mask_test,
+          cfg: AnomalyRuleConfig) -> dict:
+    """One grid cell: the fitted `model` (or the ContractError its fit
+    raised) detecting over the test split, scored against the truth."""
+    cell = {
+        "dataset": dataset,
+        "model": family,
+        "config": {
+            "model_kind": variant.model_kind,
+            "hyperparameters": variant.resolved(),
+            "seed": variant.seed,
+        },
+        "seed": variant.seed,
+    }
+    cell["config_fingerprint"] = report.config_fingerprint(cell["config"])
+    try:
+        if isinstance(model, ContractError):
+            raise model
+        result = detect_series(model, test, cfg)
+        score = _score(result.flags, truth_test, mask_test)
+        cell.update(
+            rmse=rmse(result.predictions, test.values),
+            precision=score.precision,
+            recall=score.recall,
+            f1=score.f1,
+            degenerate=score.degenerate,
+            n_test=len(test),
+            error=None,
+        )
+    except ContractError as exc:
+        cell.update(
+            rmse=None, precision=None, recall=None, f1=None,
+            degenerate=None, n_test=len(test), error=str(exc),
+        )
+    return cell
+
+
 def run_benchmark(
     datasets: Sequence[AnomalyDataset],
     model_grid: Dict[str, Sequence[forecast.ForecastModelConfig]],
@@ -162,10 +199,11 @@ def run_benchmark(
     """
     if not datasets or not model_grid:
         raise ContractError("need at least one dataset and one model family")
-    grid_rows: List[dict] = []
-    best_rmse: Dict[str, dict] = {}
-    best_f1: Dict[str, dict] = {}
+    for family, variants in model_grid.items():
+        if not variants:
+            raise ContractError(f"model family '{family}' has no variants")
     dataset_info = {}
+    splits = []
     for ds in datasets:
         dataset_info[ds.name] = {
             "n_points": len(ds.series),
@@ -173,51 +211,38 @@ def run_benchmark(
             "fingerprint": report.data_fingerprint(ds.series.values),
         }
         train, test = split_series(ds.series, split)
-        truth_all = ground_truth_labels(ds)
-        truth_test = truth_all[len(train) :]
+        truth_test = ground_truth_labels(ds)[len(train) :]
         mask_test = None
         if ds.eval_mask is not None:
             mask_test = np.asarray(ds.eval_mask, dtype=bool)[len(train) :]
+        splits.append((train, test, truth_test, mask_test))
+
+    # Each variant is fitted on every dataset in one call, so the family can
+    # train same-shaped networks together; the cells are laid out afterwards
+    # in dataset-major order. A cell's runtime_s is its share of that fit
+    # plus its own detection and scoring.
+    cells: Dict[tuple, dict] = {}
+    for family, variants in model_grid.items():
+        for v, variant in enumerate(variants):
+            t0 = time.perf_counter()
+            fitted = forecast.fit(variant, [train for train, _, _, _ in splits])
+            fit_share = (time.perf_counter() - t0) / len(splits)
+            for d, (ds, model, (_, test, truth_test, mask_test)) in enumerate(
+                    zip(datasets, fitted, splits)):
+                t0 = time.perf_counter()
+                cells[d, family, v] = _cell(ds.name, family, variant, model, test, truth_test,
+                                            mask_test, cfg)
+                cells[d, family, v]["runtime_s"] = round(fit_share + time.perf_counter() - t0, 6)
+
+    grid_rows: List[dict] = []
+    best_rmse: Dict[str, dict] = {}
+    best_f1: Dict[str, dict] = {}
+    for d, ds in enumerate(datasets):
         best_rmse[ds.name] = {}
         best_f1[ds.name] = {}
         for family, variants in model_grid.items():
-            if not variants:
-                raise ContractError(f"model family '{family}' has no variants")
-            family_cells = []
-            for variant in variants:
-                cell = {
-                    "dataset": ds.name,
-                    "model": family,
-                    "config": {
-                        "model_kind": variant.model_kind,
-                        "hyperparameters": variant.resolved(),
-                        "seed": variant.seed,
-                    },
-                    "seed": variant.seed,
-                }
-                cell["config_fingerprint"] = report.config_fingerprint(cell["config"])
-                t0 = time.perf_counter()
-                try:
-                    model = forecast.fit(variant, train)
-                    result = detect_series(model, test, cfg)
-                    score = _score(result.flags, truth_test, mask_test)
-                    cell.update(
-                        rmse=rmse(result.predictions, test.values),
-                        precision=score.precision,
-                        recall=score.recall,
-                        f1=score.f1,
-                        degenerate=score.degenerate,
-                        n_test=len(test),
-                        error=None,
-                    )
-                except ContractError as exc:
-                    cell.update(
-                        rmse=None, precision=None, recall=None, f1=None,
-                        degenerate=None, n_test=len(test), error=str(exc),
-                    )
-                cell["runtime_s"] = round(time.perf_counter() - t0, 6)
-                grid_rows.append(cell)
-                family_cells.append(cell)
+            family_cells = [cells[d, family, v] for v in range(len(variants))]
+            grid_rows.extend(family_cells)
             scored = [c for c in family_cells if c["error"] is None]
             if scored:
                 best_rmse[ds.name][family] = min(scored, key=lambda c: c["rmse"])

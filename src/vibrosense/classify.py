@@ -68,6 +68,8 @@ def train_classifier(
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if features.ndim != 2 or features.shape[0] != labels.size:
         raise ContractError("features must be 2-d and row-parallel with labels")
+    if labels.size == 0:
+        raise ContractError("cannot train a classifier on zero rows")
     n_classes = int(labels.max()) + 1 if class_names is None else len(class_names)
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ContractError("labels out of range for the class count")

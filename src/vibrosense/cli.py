@@ -578,7 +578,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return args.func(args, cfg)
-    except (ContractError, FileNotFoundError) as exc:
+    except (ContractError, OSError) as exc:  # bad input, or a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return USER_ERROR
     except Exception as exc:  # invariant violation

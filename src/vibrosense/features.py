@@ -105,9 +105,6 @@ class FeatureEncoder:
     def n_selected(self) -> int:
         return int(self.selected_mask.sum())
 
-    def selected_names(self) -> tuple:
-        return tuple(n for n, keep in zip(self.feature_names, self.selected_mask) if keep)
-
     def transform(self, rows) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         if rows.shape[1] != len(self.feature_names):
@@ -159,17 +156,6 @@ def fit_encoder(
         normalization=normalization,
         constant_features=constant_names,
     )
-
-
-def fit_feature_vectors(vectors: Sequence[FeatureVector], **kwargs) -> FeatureEncoder:
-    if len(vectors) < 2:
-        raise ContractError("fit_encoder needs >= 2 rows")
-    names = vectors[0].names
-    for v in vectors:
-        if v.names != names:
-            raise ContractError(f"inconsistent feature names: {v.names} vs {names}")
-    rows = np.stack([v.values for v in vectors])
-    return fit_encoder(rows, names, **kwargs)
 
 
 def save_encoder(enc: FeatureEncoder, path) -> None:

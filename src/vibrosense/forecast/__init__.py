@@ -100,17 +100,37 @@ def _construct(config: ForecastModelConfig):
     return family(**params)
 
 
-def fit(config: ForecastModelConfig, train: TimeSeries):
+def fit(config: ForecastModelConfig, train):
     """Fit one model per its config; returns the fitted forecaster with
-    `config` attached for provenance."""
-    model = _construct(config)
-    model.fit(train)
-    model.config = config
-    # the training tail seeds rolling evaluation; the training RMS sets the
-    # anomaly rule's epsilon floor
-    model.train_tail = train.values[-model.min_context :].copy()
-    model.train_rms = rms(train.values)
-    return model
+    `config` attached for provenance.
+
+    Sequence form: `train` is a list of series, and the result a list with,
+    per series, the fitted forecaster or the ContractError its fit raised.
+    Each is the model a fit on that series alone gives; the family may share
+    work across the series (the networks train in lockstep)."""
+    if isinstance(train, TimeSeries):
+        (model,) = _fit_each(config, [train])
+        if isinstance(model, ContractError):
+            raise model
+        return model
+    return _fit_each(config, list(train))
+
+
+def _fit_each(config: ForecastModelConfig, trains) -> list:
+    try:
+        models = [_construct(config) for _ in trains]
+    except ContractError as exc:
+        return [exc] * len(trains)
+    fitted = FAMILIES[config.model_kind].fit_each(models, trains)
+    for model, train in zip(fitted, trains):
+        if isinstance(model, ContractError):
+            continue
+        model.config = config
+        # the training tail seeds rolling evaluation; the training RMS sets
+        # the anomaly rule's epsilon floor
+        model.train_tail = train.values[-model.min_context :].copy()
+        model.train_rms = rms(train.values)
+    return fitted
 
 
 def predict_one_step(model, context) -> float:

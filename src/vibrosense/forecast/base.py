@@ -22,7 +22,8 @@ class OneStepForecaster:
     newest value last, to n one-step predictions. A single prediction is a
     batch of one row. ``state()`` returns the fitted parameters a model file
     stores (the arrays themselves, not copies), and ``load_state(state)`` puts
-    them back into a freshly constructed model of the same hyperparameters."""
+    them back into a freshly constructed model of the same hyperparameters.
+    ``fit(train)`` fits one series; ``fit_each`` fits one model per series."""
 
     min_context: int
 
@@ -34,6 +35,19 @@ class OneStepForecaster:
 
     def load_state(self, state: dict) -> None:
         raise NotImplementedError
+
+    @classmethod
+    def fit_each(cls, models, trains) -> list:
+        """Fits models[i], all built from one config, on trains[i]. Entry i
+        is the fitted model or the ContractError its fit raised. Families
+        whose fits can share work override this; the plain one loops."""
+        out = []
+        for model, train in zip(models, trains):
+            try:
+                out.append(model.fit(train))
+            except ContractError as exc:
+                out.append(exc)
+        return out
 
     def predict_one_step(self, context) -> float:
         context = np.asarray(context, dtype=np.float64)

@@ -51,15 +51,50 @@ class _WindowForecaster(OneStepForecaster):
         self._std = std if std > 0 else 1.0
         return (values - self._mean) / self._std
 
-    def fit(self, train: TimeSeries):
+    def _training_set(self, train: TimeSeries):
+        """Scales the series and builds the net; returns the (x, y) pairs and
+        the generator that sgd_epochs draws the batch order from."""
         normed = self._fit_scaling(train.values)
         x, y = make_windows(normed, self.lag_window)
         rng = make_rng(self.seed)
         self._build(rng)
-        self.training_loss = sgd_epochs(
-            self.net, x, y, self.epochs, self.batch_size, self.learning_rate, rng
-        )
+        return x, y, rng
+
+    def fit(self, train: TimeSeries):
+        (out,) = self.fit_each([self], [train])
+        if isinstance(out, ContractError):
+            raise out
         return self
+
+    @classmethod
+    def fit_each(cls, models, trains) -> list:
+        """Models whose series give the same training shape share one
+        architecture (they come from one config), so they train in lockstep,
+        as one stacked net; each ends bit-identical to a fit on its own."""
+        out: list = [None] * len(models)
+        groups = {}
+        for i, (model, train) in enumerate(zip(models, trains)):
+            try:
+                x, y, rng = model._training_set(train)
+            except ContractError as exc:
+                out[i] = exc
+                continue
+            groups.setdefault(x.shape, []).append((i, x, y, rng))
+        for group in groups.values():
+            index, xs, ys, rngs = (list(column) for column in zip(*group))
+            first = models[index[0]]
+            try:
+                curves = sgd_epochs([models[i].net for i in index], xs, ys, first.epochs,
+                                    first.batch_size, first.learning_rate, rngs)
+            except ContractError as exc:
+                curves = [exc] * len(index)
+            for i, curve in zip(index, curves):
+                if isinstance(curve, ContractError):
+                    out[i] = curve
+                else:
+                    models[i].training_loss = curve
+                    out[i] = models[i]
+        return out
 
     def _predict_normed(self, windows: np.ndarray) -> np.ndarray:
         return np.ravel(self.net.predict(windows))
@@ -247,19 +282,23 @@ class AutoencoderForecaster(_WindowForecaster):
             rng=rng,
         )
 
-    def fit(self, train: TimeSeries):
+    def _training_set(self, train: TimeSeries):
         normed = self._fit_scaling(train.values)
         if normed.size < self.lag_window:
             raise ContractError(f"series too short: needs >= window = {self.lag_window} points")
-        x = sliding_window_view(normed, self.lag_window).copy()
+        x = sliding_window_view(normed, self.lag_window)
         rng = make_rng(self.seed)
         self._build(rng)
         self.net.set_training(True, dropout_rng=make_rng(self.seed, 1))
-        self.training_loss = sgd_epochs(
-            self.net, x, x, self.epochs, self.batch_size, self.learning_rate, rng
-        )
-        self.net.set_training(False)
-        return self
+        return x, x, rng
+
+    @classmethod
+    def fit_each(cls, models, trains) -> list:
+        out = super().fit_each(models, trains)
+        for model in models:
+            if model.net is not None:
+                model.net.set_training(False)
+        return out
 
     def _predict_normed(self, windows: np.ndarray) -> np.ndarray:
         shifted = np.concatenate([windows[:, 1:], windows[:, -1:]], axis=1)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 from zoneinfo import ZoneInfo
 
@@ -117,6 +119,24 @@ def format_timestamp(timestamp_s: float, tz: str = DEFAULT_TIMEZONE) -> str:
     return local.replace(tzinfo=None).isoformat(sep=" ")
 
 
+@contextmanager
+def _decoding(path):
+    """Turns a decoding error while reading `path` into a ContractError that
+    names the file and the byte offset of its first undecodable byte (the
+    error's own offset counts from the start of a read buffer, not the file)."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        try:
+            Path(path).read_bytes().decode(exc.encoding)
+            offset = exc.start
+        except UnicodeDecodeError as whole:
+            offset = whole.start
+        raise ContractError(
+            f"{path}: not {exc.encoding} text at byte offset {offset} ({exc.reason})"
+        ) from exc
+
+
 def parse_triaxial_csv(
     path,
     sample_rate_hz: float,
@@ -130,8 +150,10 @@ def parse_triaxial_csv(
     Returns one record for the whole file, or fixed-length bursts when
     burst_len is given (a short trailing remainder is kept as its own burst).
     """
+    if not sample_rate_hz > 0:
+        raise ContractError(f"sample rate must be positive, got {sample_rate_hz}")
     xs, ys, zs = [], [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, _decoding(path):
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -189,7 +211,7 @@ def write_triaxial_csv(records: Sequence[VibrationRecord], path, header: bool = 
 def parse_process_csv(path, tz: str = DEFAULT_TIMEZONE) -> List[ProcessRow]:
     """Header must carry the timestamp plus the seven measurement columns.
     Rows come back sorted by ascending timestamp."""
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, _decoding(path):
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -233,7 +255,7 @@ def write_process_csv(rows: Sequence[ProcessRow], path, tz: str = DEFAULT_TIMEZO
 def parse_pharma_txt(path, tz: str = DEFAULT_TIMEZONE) -> List[PharmaRecord]:
     """Repeating 5-line groups: datetime, x/y/z axes of 3200 points each, and
     the per-point time delta. Axis tokens may be whitespace- or comma-separated."""
-    with open(path) as fh:
+    with open(path) as fh, _decoding(path):
         lines = [line.rstrip("\n") for line in fh]
     while lines and not lines[-1].strip():
         lines.pop()

@@ -3,7 +3,9 @@ parameter flattening, and the finite-difference gradient check."""
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+import copy
+import math
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,8 +44,39 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def mse_and_delta(out: np.ndarray, target: np.ndarray, member_ndim: int):
+    """Mean squared error and its gradient at `out`. The last `member_ndim`
+    axes hold one model's outputs; the loss is per model (an array over any
+    leading stack axis, a scalar otherwise)."""
+    diff = out - target
+    loss = np.mean(diff * diff, axis=tuple(range(-member_ndim, 0)))
+    return loss, 2.0 * diff / math.prod(diff.shape[-member_ndim:])
+
+
+def cross_entropy_and_delta(logits: np.ndarray, labels):
+    """Mean softmax cross-entropy over the rows of (..., rows, classes) logits
+    and its gradient at the logits; the loss is per model."""
+    classes = logits.shape[-1]
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    rows = np.arange(labels.size)
+    probs = softmax(logits)
+    delta = probs.copy()
+    flat = delta.reshape(-1, classes)  # a view: writes land in delta
+    picked = flat[rows, labels].reshape(logits.shape[:-1])
+    loss = -np.mean(np.log(picked + 1e-300), axis=-1)
+    flat[rows, labels] -= 1.0
+    delta /= logits.shape[-2]
+    return loss, delta
+
+
 class Model:
-    """Minimal trainable-model protocol: a parameter list plus loss+grad."""
+    """Minimal trainable-model protocol: a parameter list plus loss+grad.
+
+    A model may be a *stack* of k same-shaped models (see ``stack``): every
+    parameter then carries a leading axis of length k, inputs and targets
+    carry one too, and ``loss_and_grad`` returns the k members' losses. The
+    layer math is written over that optional axis, so a single model is the
+    unstacked case of the same code."""
 
     def parameters(self) -> List[np.ndarray]:
         raise NotImplementedError
@@ -63,44 +96,109 @@ class Model:
         if offset != flat.size:
             raise ContractError("flat parameter vector has the wrong length")
 
+    @classmethod
+    def stack(cls, models: Sequence["Model"]) -> "Model":
+        """One model holding the members' parameters stacked on a new leading
+        axis: a copy of the first member in which each parameter array is
+        replaced by the stack of all members' arrays (deepcopy's memo maps
+        an object to its copy, so the stacks go in as the copies)."""
+        first = models[0]
+        memo = {id(p): np.stack(ps)
+                for p, ps in zip(first.parameters(), zip(*(m.parameters() for m in models)))}
+        return copy.deepcopy(first, memo)
+
+    def unstack_into(self, models: Sequence["Model"]) -> None:
+        """Copies member j of this stack into models[j]'s parameters."""
+        for j, model in enumerate(models):
+            for p, s in zip(model.parameters(), self.parameters()):
+                p[...] = s[j]
+
 
 def sgd_epochs(
-    model: Model,
-    x: np.ndarray,
-    y: np.ndarray,
+    model,
+    x,
+    y,
     epochs: int,
     batch_size: int,
     learning_rate: float,
-    rng: np.random.Generator,
+    rng,
     trainable: slice = slice(None),
     on_epoch: Optional[Callable[[], None]] = None,
-) -> List[float]:
+):
     """Plain mini-batch SGD; returns the mean batch loss per epoch.
 
     Only the `trainable` slice of the parameters (and of the gradients) is
     updated; `on_epoch` is called after each epoch. Raises as soon as a
     non-finite loss shows up, naming the epoch.
+
+    Lockstep form: `model`, `x`, `y` and `rng` are equal-length lists, k
+    same-shaped models with their own data (all of one row count) and their
+    own generators. The members train as one stacked model, each exactly as
+    it would alone: its own batch order, its own loss. The result is a list
+    holding each member's loss curve, or the ContractError its training
+    would have raised; a member whose loss goes non-finite stops there and
+    the others train on.
     """
     if epochs < 1 or batch_size < 1 or learning_rate <= 0:
         raise ContractError("epochs, batch_size, learning_rate must be positive")
-    n = x.shape[0]
-    params = model.parameters()[trainable]
-    losses = []
+    alone = isinstance(model, Model)
+    members = [model] if alone else list(model)
+    xs, ys, rngs = ([x], [y], [rng]) if alone else (list(x), list(y), list(rng))
+    if not len(members) == len(xs) == len(ys) == len(rngs):
+        raise ContractError("lockstep training needs one x, y and rng per model")
+    n = xs[0].shape[0]
+    stacked = len(members) > 1
+    if stacked:
+        if any(a.shape != xs[0].shape for a in xs) or any(b.shape != ys[0].shape for b in ys):
+            raise ContractError("lockstep training needs equal-shaped data for every model")
+        net = type(members[0]).stack(members)
+    else:
+        net = members[0]
+    params = net.parameters()[trainable]
+    results: List = [[] for _ in members]
+    live = np.arange(len(members))
     for epoch in range(epochs):
-        order = rng.permutation(n)
-        batch_losses = []
+        orders = np.stack([rngs[j].permutation(n) for j in live])
+        epoch_losses = []
         for lo in range(0, n, batch_size):
-            idx = order[lo : lo + batch_size]
-            loss, grads = model.loss_and_grad(x[idx], y[idx])
-            if not np.isfinite(loss):
-                raise ContractError(f"non-finite training loss at epoch {epoch}")
+            if stacked:  # each member's batch comes from its own data
+                rows = orders[:, lo : lo + batch_size]
+                loss, grads = net.loss_and_grad(np.stack([xs[j][r] for j, r in zip(live, rows)]),
+                                                np.stack([ys[j][r] for j, r in zip(live, rows)]))
+                diverged = not all(map(math.isfinite, loss))
+            else:
+                rows = orders[0, lo : lo + batch_size]
+                loss, grads = net.loss_and_grad(xs[0][rows], ys[0][rows])
+                diverged = not math.isfinite(loss)
+            if diverged:
+                error = ContractError(f"non-finite training loss at epoch {epoch}")
+                if alone:
+                    raise error
+                finite = np.isfinite(np.atleast_1d(loss))
+                for j in live[~finite]:
+                    results[j] = error
+                if not finite.any():
+                    return results
+                # the survivors go on as a smaller stack, from where they are
+                net.unstack_into([members[j] for j in live])
+                keep = np.flatnonzero(finite)
+                live, orders, loss = live[keep], orders[keep], loss[keep]
+                epoch_losses = [losses[keep] for losses in epoch_losses]
+                grads = [g[keep] for g in grads]
+                net = type(members[0]).stack([members[j] for j in live])
+                params = net.parameters()[trainable]
             for p, g in zip(params, grads[trainable]):
                 p -= learning_rate * g
-            batch_losses.append(loss)
-        losses.append(float(np.mean(batch_losses)))
+            epoch_losses.append(loss)
+        # one row of batch losses per member, each contiguous like a lone run's list
+        curves = np.array(epoch_losses).reshape(len(epoch_losses), -1).T.copy()
+        for j, curve in zip(live, curves):
+            results[j].append(float(np.mean(curve)))
         if on_epoch is not None:
             on_epoch()
-    return losses
+    if stacked:
+        net.unstack_into([members[j] for j in live])
+    return results[0] if alone else results
 
 
 def finite_difference_gradients(

@@ -1,5 +1,9 @@
 """The one dense stack: Glorot init, a ReLU forward pass and its backward pass
-over (weights, biases) lists, and the Mlp built on them."""
+over (weights, biases) lists, and the Mlp built on them.
+
+The passes work on one model or on a stack of k (see ``Model.stack``): then a
+weight is (k, in, out), a bias (k, out) and an activation (k, rows, width),
+and every product, transpose and row sum acts per member."""
 
 from __future__ import annotations
 
@@ -8,7 +12,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..core import ContractError
-from .base import Model, glorot_uniform, relu, relu_grad, softmax
+from .base import (Model, cross_entropy_and_delta, glorot_uniform, mse_and_delta, relu, relu_grad,
+                   softmax)
 
 
 def dense_init(sizes: Sequence[int], rng: np.random.Generator):
@@ -31,7 +36,7 @@ def dense_forward(weights, biases, x, relu_last: bool = False):
     acts, pre = [x], []
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[-1] @ w + b
+        z = acts[-1] @ w + b[..., None, :]
         pre.append(z)
         acts.append(relu(z) if relu_last or i < last else z)
     return acts, pre
@@ -46,10 +51,10 @@ def dense_backward(weights, acts, pre, delta, relu_last: bool = False, input_gra
     for i in range(last, -1, -1):
         if relu_last or i < last:
             delta = delta * relu_grad(pre[i])
-        grads.append(np.sum(delta, axis=0))
-        grads.append(acts[i].T @ delta)
+        grads.append(np.sum(delta, axis=-2))
+        grads.append(acts[i].swapaxes(-1, -2) @ delta)
         if i > 0 or input_grad:
-            delta = delta @ weights[i].T
+            delta = delta @ weights[i].swapaxes(-1, -2)
     grads.reverse()
     return grads, delta if input_grad else None
 
@@ -72,9 +77,9 @@ class Mlp(Model):
 
     def _forward(self, x: np.ndarray):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.layer_sizes[0]:
+        if x.shape[-1] != self.layer_sizes[0]:
             raise ContractError(
-                f"expected input width {self.layer_sizes[0]}, got {x.shape[1]}"
+                f"expected input width {self.layer_sizes[0]}, got {x.shape[-1]}"
             )
         return dense_forward(self.weights, self.biases, x)
 
@@ -91,19 +96,10 @@ class Mlp(Model):
     def loss_and_grad(self, x: np.ndarray, y: np.ndarray) -> Tuple[float, List[np.ndarray]]:
         activations, pre = self._forward(x)
         out = activations[-1]
-        n = out.shape[0]
         if self.loss == "mse":
-            y = np.asarray(y, dtype=np.float64).reshape(out.shape)
-            diff = out - y
-            loss = float(np.mean(diff * diff))
-            delta = 2.0 * diff / diff.size
+            loss, delta = mse_and_delta(out, np.asarray(y, dtype=np.float64).reshape(out.shape), 2)
         else:
-            y = np.asarray(y, dtype=np.int64).ravel()
-            probs = softmax(out)
-            loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
-            delta = probs.copy()
-            delta[np.arange(n), y] -= 1.0
-            delta /= n
+            loss, delta = cross_entropy_and_delta(out, y)
         grads, _ = dense_backward(self.weights, activations, pre, delta)
         return loss, grads
 

@@ -85,6 +85,10 @@ class TestTraining:
         with pytest.raises(ContractError):
             train_classifier(np.zeros((4, 2)), [0, 1, 5, 0], class_names=("a", "b"))
 
+    def test_zero_rows_is_contract_error(self):
+        with pytest.raises(ContractError, match="zero rows"):
+            train_classifier(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
+
     def test_width_guard_at_predict(self):
         feats, labels = blobs()
         model = train_classifier(feats, labels, cfg=TrainConfig(epochs=1))

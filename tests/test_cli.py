@@ -92,6 +92,34 @@ class TestExitCodes:
     def test_help_is_success(self, capsys):
         assert cli.main(["--help"]) == 0
 
+    @pytest.mark.parametrize("fmt", ["triaxial", "process"])
+    def test_undecodable_byte_is_user_error_with_offset(self, tmp_path, capsys, fmt):
+        path = tmp_path / "data.csv"
+        assert cli.main(["synth", "--emit", fmt, "--out", str(path), "--duration", "0.1",
+                         "--days", "1"]) == 0
+        good = path.read_bytes()
+        offset = len(good) // 2
+        path.write_bytes(good[:offset] + b"\xff" + good[offset + 1 :])
+        capsys.readouterr()
+        code = cli.main(["ingest", "--format", fmt, "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == cli.USER_ERROR
+        assert str(path) in err and f"byte offset {offset}" in err
+
+    def test_zero_sample_rate_is_user_error(self, tmp_path, capsys):
+        path = tmp_path / "v.csv"
+        assert cli.main(["synth", "--emit", "triaxial", "--out", str(path),
+                         "--duration", "0.1"]) == 0
+        code = cli.main(["ingest", "--format", "triaxial", "--input", str(path),
+                         "--sample-rate", "0"])
+        assert code == cli.USER_ERROR
+        assert "sample rate must be positive" in capsys.readouterr().err
+
+    def test_directory_as_input_is_user_error(self, tmp_path, capsys):
+        code = cli.main(["ingest", "--format", "process", "--input", str(tmp_path)])
+        assert code == cli.USER_ERROR
+        assert str(tmp_path) in capsys.readouterr().err
+
 
 BENCH_CFG = """\
 [datasets]

@@ -1,0 +1,181 @@
+"""Lockstep training oracles: k same-shaped networks trained as one stacked
+model (the list form of `nn.sgd_epochs`) must end bit for bit where each
+would end trained alone: parameters compared with `tobytes()`, loss curves
+and error messages with `==`."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from vibrosense import forecast
+from vibrosense.anomaly import AnomalyDataset, TruthRule, run_benchmark, strip_timings
+from vibrosense.core import ContractError, SplitSpec, TimeSeries, make_rng
+from vibrosense.forecast import ForecastModelConfig
+from vibrosense.nn import ConvAutoencoder, Mlp, RecurrentNet, sgd_epochs
+from vibrosense.synth import generate_spiked_series
+
+ROWS = 23  # batches of 5 leave a ragged last batch of 3
+KINDS = ("mlp", "classifier", "rnn", "lstm", "gaussian_rnn", "conv_ae")
+
+
+def _build(kind, seed):
+    """A fresh net and the generator that then orders its batches, as the
+    forecasters use them."""
+    rng = make_rng(seed)
+    if kind == "mlp":
+        net = Mlp([6, 8, 8, 1], "mse", rng)
+    elif kind == "linear":
+        net = Mlp([6, 1], "mse", rng)
+    elif kind == "classifier":
+        net = Mlp([6, 8, 3], "ce", rng)
+    elif kind == "rnn":
+        net = RecurrentNet("rnn", [7, 7], [], "mse", rng, activation="relu")
+    elif kind == "lstm":
+        net = RecurrentNet("lstm", [5, 5], [4], "mse", rng)
+    elif kind == "gaussian_rnn":
+        net = RecurrentNet("rnn", [6, 6], [], "gaussian_nll", rng, activation="tanh")
+    else:
+        net = ConvAutoencoder(window=16, filters=4, kernel=3, n_layers=2, dropout=0.3, rng=rng)
+        net.set_training(True, dropout_rng=make_rng(seed, 1))
+    return net, rng
+
+
+def _data(kind, seed):
+    gen = np.random.default_rng(seed)
+    if kind == "conv_ae":
+        x = gen.standard_normal((ROWS, 16))
+        return x, x
+    x = gen.standard_normal((ROWS, 6))
+    if kind == "classifier":
+        return x, gen.integers(0, 3, ROWS)
+    return x, np.sin(x.sum(axis=1))
+
+
+def _weights(net):
+    return [p.tobytes() for p in net.parameters()]
+
+
+def _alone(kind, seed, x, y, lr, epochs=3):
+    net, rng = _build(kind, seed)
+    try:
+        result = sgd_epochs(net, x, y, epochs, 5, lr, rng)
+    except ContractError as exc:
+        result = str(exc)
+    return net, result
+
+
+def _together(kind, seeds, data, lr, epochs=3):
+    built = [_build(kind, s) for s in seeds]
+    nets = [net for net, _ in built]
+    results = sgd_epochs(nets, [x for x, _ in data], [y for _, y in data], epochs, 5, lr,
+                         [rng for _, rng in built])
+    return nets, [str(r) if isinstance(r, ContractError) else r for r in results]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seeds", [(3, 4), (5, 6, 7)])
+def test_lockstep_matches_training_alone(kind, seeds):
+    data = [_data(kind, 100 + s) for s in seeds]
+    nets, curves = _together(kind, seeds, data, 0.02)
+    for seed, (x, y), net, curve in zip(seeds, data, nets, curves):
+        ref, ref_curve = _alone(kind, seed, x, y, 0.02)
+        assert curve == ref_curve and len(curve) == 3
+        assert _weights(net) == _weights(ref)
+
+
+def test_single_member_list_matches_alone():
+    x, y = _data("lstm", 1)
+    (net,), (curve,) = _together("lstm", (1,), [(x, y)], 0.02)
+    ref, ref_curve = _alone("lstm", 1, x, y, 0.02)
+    assert curve == ref_curve
+    assert _weights(net) == _weights(ref)
+
+
+def test_diverging_member_stops_alone_and_the_others_train_on():
+    # linear regression on inputs 1e4 times larger overshoots by a growing
+    # factor every step and overflows at epoch 4; its partners converge
+    seeds = (3, 4, 5)
+    data = [_data("linear", 40 + s) for s in seeds]
+    data[1] = (1e4 * data[1][0], data[1][1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        nets, results = _together("linear", seeds, data, 0.05, epochs=8)
+        refs = [_alone("linear", s, x, y, 0.05, epochs=8) for s, (x, y) in zip(seeds, data)]
+    assert refs[1][1] == "non-finite training loss at epoch 4"
+    assert results[1] == refs[1][1]
+    for i in (0, 2):
+        ref, ref_curve = refs[i]
+        assert results[i] == ref_curve and len(ref_curve) == 8
+        assert _weights(nets[i]) == _weights(ref)
+
+
+def test_every_member_diverging_returns_every_error():
+    data = [tuple(1e200 * a for a in _data("mlp", s)) for s in (1, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _, results = _together("mlp", (1, 2), data, 0.05)
+    assert results == ["non-finite training loss at epoch 0"] * 2
+
+
+def test_lockstep_rejects_unequal_data():
+    built = [_build("mlp", s) for s in (1, 2)]
+    x, y = _data("mlp", 1)
+    with pytest.raises(ContractError, match="equal-shaped"):
+        sgd_epochs([n for n, _ in built], [x, x[:-1]], [y, y[:-1]], 1, 5, 0.01,
+                   [r for _, r in built])
+
+
+SMALL = {
+    "mlp": {"hidden_layers": 2, "neurons": 8, "epochs": 2},
+    "rnn": {"neurons": 6, "epochs": 2},
+    "lstm": {"blocks": 2, "neurons": 5, "dense_units": 3, "epochs": 2},
+    "gaussian_rnn": {"hidden_layers": 2, "cells": 6, "epochs": 2},
+    "autoencoder": {"window": 16, "filters": 4, "epochs": 2},
+}
+
+
+def _train(seed, n=160):
+    return generate_spiked_series(n, 3, seed=seed).series
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL))
+def test_forecast_fit_sequence_saves_the_files_a_lone_fit_saves(kind, tmp_path):
+    config = ForecastModelConfig(kind, SMALL[kind], seed=9)
+    trains = [_train(1), _train(2), _train(3, n=140)]
+    fitted = forecast.fit(config, trains)
+    for i, (model, train) in enumerate(zip(fitted, trains)):
+        together, alone = tmp_path / f"together{i}.json", tmp_path / f"alone{i}.json"
+        forecast.save_forecaster(model, together)
+        forecast.save_forecaster(forecast.fit(config, train), alone)
+        assert together.read_bytes() == alone.read_bytes()
+
+
+def test_forecast_fit_sequence_reports_errors_per_series():
+    config = ForecastModelConfig("mlp", {"lag_window": 50, "epochs": 1}, seed=0)
+    short = TimeSeries(0.0, 1.0, np.arange(30.0))
+    model, error = forecast.fit(config, [_train(1), short])
+    assert model.config == config
+    assert isinstance(error, ContractError) and "series too short" in str(error)
+    with pytest.raises(ContractError, match="series too short"):
+        forecast.fit(config, short)
+
+
+def test_run_benchmark_groups_series_by_window_count(monkeypatch):
+    spiked = [generate_spiked_series(n, 4, seed=i) for i, n in enumerate((150, 120, 120))]
+    datasets = [AnomalyDataset(f"d{i}", sp.series, TruthRule.INJECTED_SPIKES,
+                               spike_indices=sp.spike_indices) for i, sp in enumerate(spiked)]
+    grid = {"ar": [ForecastModelConfig("ar", {"p": 5})],
+            "mlp": [ForecastModelConfig("mlp", SMALL["mlp"], seed=2)]}
+    group_sizes = []
+
+    def recording(model, *args, **kwargs):
+        group_sizes.append(1 if hasattr(model, "parameters") else len(model))
+        return sgd_epochs(model, *args, **kwargs)
+
+    monkeypatch.setattr(forecast.neural, "sgd_epochs", recording)
+    bench = strip_timings(run_benchmark(datasets, grid, SplitSpec(0.66)))
+    assert sorted(group_sizes) == [1, 2]  # the 150-point series trains on its own
+    alone = [strip_timings(run_benchmark([ds], grid, SplitSpec(0.66)))["grid"] for ds in datasets]
+    assert bench["grid"] == [cell for cells in alone for cell in cells]
+    assert [c["dataset"] for c in bench["grid"]] == ["d0", "d0", "d1", "d1", "d2", "d2"]
