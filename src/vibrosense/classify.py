@@ -206,11 +206,8 @@ def cross_rpm_matrix(
     rpms = sorted(per_rpm)
     if len(rpms) < 2:
         raise ContractError("cross-rpm grid needs >= 2 rpm datasets")
-    splits = {}
-    for i, rpm in enumerate(rpms):
-        features, labels = per_rpm[rpm]
-        spec = SplitSpec(train_fraction, SplitMode.STRATIFIED_SHUFFLE, seed=cfg.seed)
-        splits[rpm] = split_arrays(features, labels, spec)
+    spec = SplitSpec(train_fraction, SplitMode.STRATIFIED_SHUFFLE, seed=cfg.seed)
+    splits = {rpm: split_arrays(*per_rpm[rpm], spec) for rpm in rpms}
     grid: Dict[str, dict] = {}
     for i, train_rpm in enumerate(rpms):
         (ftr, ltr), _ = splits[train_rpm]
@@ -225,21 +222,8 @@ def cross_rpm_matrix(
         grid[str(train_rpm)] = row
     # augmented row: the same per-rpm training splits pooled, plus interpolants,
     # so the single-rpm test splits stay untouched
-    feats = [splits[rpm][0][0] for rpm in rpms]
-    labs = [splits[rpm][0][1] for rpm in rpms]
-    prov = [np.full(len(splits[rpm][0][1]), rpm, dtype=np.int64) for rpm in rpms]
-    if augment_n_per_rpm > 0:
-        for rpm in rpms:
-            (ftr, ltr), _ = splits[rpm]
-            f_new, l_new = augment.interpolate_within_rpm(
-                ftr, ltr, augment_n_per_rpm, seed=cfg.seed + rpm
-            )
-            feats.append(f_new)
-            labs.append(l_new)
-            prov.append(np.full(augment_n_per_rpm, rpm, dtype=np.int64))
-    combined = augment.LabeledSet(
-        np.concatenate(feats), np.concatenate(labs), np.concatenate(prov)
-    )
+    combined = augment.augmented_training_set(per_rpm, train_fraction, augment_n_per_rpm,
+                                              seed=cfg.seed)
     aug_model = train_classifier(
         combined.features, combined.labels, hidden_sizes,
         replace(cfg, seed=cfg.seed + len(rpms)), class_names=class_names,

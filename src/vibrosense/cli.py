@@ -134,6 +134,17 @@ def _resolve_datasets(tokens: List[str], cfg: dict, seed: int) -> List[anomaly.A
     return datasets
 
 
+def _parse_rpms(text: str) -> List[int]:
+    """The comma-separated --synth-rpms list of `train` and `cross-rpm`."""
+    rpms = []
+    for token in text.split(","):
+        try:
+            rpms.append(int(token))
+        except ValueError:
+            raise ContractError(f"--synth-rpms: '{token}' is not an integer rpm") from None
+    return rpms
+
+
 def _synth_per_rpm(rpms, duration_s, noise, seed, amp_rpm_exponent=0.0):
     per_rpm = {}
     for rpm in rpms:
@@ -236,7 +247,7 @@ def cmd_bench(args, cfg) -> int:
     )
     print(anomaly.benchmark_tables(bench))
     if args.out:
-        report.write_json_report(anomaly.strip_timings(bench), args.out)
+        report.write_json_report(bench, args.out)
     return 0
 
 
@@ -274,7 +285,7 @@ def _train_cfg(args, cfg) -> classify.TrainConfig:
 
 def cmd_train(args, cfg) -> int:
     tcfg = _train_cfg(args, cfg)
-    rpms = [int(r) for r in args.synth_rpms.split(",")]
+    rpms = _parse_rpms(args.synth_rpms)
     per_rpm = _synth_per_rpm(rpms, args.duration, args.noise, tcfg.seed)
     feats = np.concatenate([per_rpm[r][0] for r in rpms])
     labels = np.concatenate([per_rpm[r][1] for r in rpms])
@@ -283,12 +294,12 @@ def cmd_train(args, cfg) -> int:
         class_names = ("normal", "not_normal")
     else:
         class_names = classify.DEFAULT_CLASS_NAMES
-    if args.augment:
-        f_new, l_new = augment.interpolate_within_rpm(feats, labels, args.augment, seed=tcfg.seed)
-        feats = np.concatenate([feats, f_new])
-        labels = np.concatenate([labels, l_new])
     spec = SplitSpec(0.7, SplitMode.STRATIFIED_SHUFFLE, seed=tcfg.seed)
     (ftr, ltr), (fte, lte) = split_arrays(feats, labels, spec)
+    if args.augment:  # interpolants join the training split only
+        f_new, l_new = augment.interpolate_within_rpm(ftr, ltr, args.augment, seed=tcfg.seed)
+        ftr = np.concatenate([ftr, f_new])
+        ltr = np.concatenate([ltr, l_new])
     enc = features.fit_encoder(ftr, tuple(f"f{i}" for i in range(ftr.shape[1])))
     model = classify.train_classifier(enc.transform(ftr), ltr, cfg=tcfg, class_names=class_names)
     acc, cm = classify.evaluate(model, enc.transform(fte), lte)
@@ -389,7 +400,7 @@ def run_transfer_experiment(
 
 def cmd_cross_rpm(args, cfg) -> int:
     tcfg = _train_cfg(args, cfg)
-    rpms = [int(r) for r in args.synth_rpms.split(",")]
+    rpms = _parse_rpms(args.synth_rpms)
     per_rpm = _synth_per_rpm(rpms, args.duration, args.noise, tcfg.seed,
                              amp_rpm_exponent=args.amp_rpm_exponent)
     result = classify.cross_rpm_matrix(

@@ -28,7 +28,6 @@ __all__ = [
     "FAMILIES",
     "MODEL_DEFAULTS",
     "fit",
-    "predict_one_step",
     "rolling_forecast",
     "save_forecaster",
     "load_forecaster",
@@ -107,7 +106,8 @@ def fit(config: ForecastModelConfig, train):
     Sequence form: `train` is a list of series, and the result a list with,
     per series, the fitted forecaster or the ContractError its fit raised.
     Each is the model a fit on that series alone gives; the family may share
-    work across the series (the networks train in lockstep)."""
+    work across the series (the dense and recurrent networks train in
+    lockstep)."""
     if isinstance(train, TimeSeries):
         (model,) = _fit_each(config, [train])
         if isinstance(model, ContractError):
@@ -131,10 +131,6 @@ def _fit_each(config: ForecastModelConfig, trains) -> list:
         model.train_tail = train.values[-model.min_context :].copy()
         model.train_rms = rms(train.values)
     return fitted
-
-
-def predict_one_step(model, context) -> float:
-    return model.predict_one_step(np.asarray(context, dtype=np.float64))
 
 
 def rolling_forecast(model, history, test_values) -> np.ndarray:

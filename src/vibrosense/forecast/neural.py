@@ -294,8 +294,12 @@ class AutoencoderForecaster(_WindowForecaster):
 
     @classmethod
     def fit_each(cls, models, trains) -> list:
-        out = super().fit_each(models, trains)
-        for model in models:
+        """One model at a time: a stacked conv step costs as much as its
+        members' steps together (the im2col copies, col2im adds and dropout
+        draws grow with the stack, and the GEMMs are already large)."""
+        out = []
+        for model, train in zip(models, trains):
+            out.extend(super().fit_each([model], [train]))
             if model.net is not None:
                 model.net.set_training(False)
         return out

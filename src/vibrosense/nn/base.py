@@ -75,8 +75,9 @@ class Model:
     A model may be a *stack* of k same-shaped models (see ``stack``): every
     parameter then carries a leading axis of length k, inputs and targets
     carry one too, and ``loss_and_grad`` returns the k members' losses. The
-    layer math is written over that optional axis, so a single model is the
-    unstacked case of the same code."""
+    dense and recurrent layer math is written over that optional axis, so a
+    single model is the unstacked case of the same code; the conv
+    autoencoder has no stack form and trains alone."""
 
     def parameters(self) -> List[np.ndarray]:
         raise NotImplementedError
@@ -114,6 +115,9 @@ class Model:
                 p[...] = s[j]
 
 
+# A diverging member overflows on its way to the non-finite loss that stops
+# it; that error is the report, not NumPy's warnings.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def sgd_epochs(
     model,
     x,

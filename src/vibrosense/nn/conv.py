@@ -20,43 +20,36 @@ def _same_padding(length: int, kernel: int, stride: int) -> Tuple[int, int, int]
 
 
 def _padded(x: np.ndarray, pad_left: int, pad_right: int) -> np.ndarray:
-    length = x.shape[-2]
-    xp = np.zeros(x.shape[:-2] + (pad_left + length + pad_right, x.shape[-1]))
-    xp[..., pad_left : pad_left + length, :] = x
+    n, length, c = x.shape
+    xp = np.zeros((n, pad_left + length + pad_right, c))
+    xp[:, pad_left : pad_left + length] = x
     return xp
 
 
 def _windows(xp: np.ndarray, count: int, kernel: int, stride: int) -> np.ndarray:
-    """im2col: the (..., n·count, kernel·c) matrix whose row (b, l) is the
-    window xp[..., b, l·stride : l·stride + kernel, :] of a padded
-    (..., n, length, c) array."""
-    *lead, s_n, s_l, s_c = xp.strides
-    shape = xp.shape[:-2] + (count, kernel, xp.shape[-1])
-    view = as_strided(xp, shape, (*lead, s_n, stride * s_l, s_l, s_c), writeable=False)
-    return np.ascontiguousarray(view).reshape(xp.shape[:-3] + (-1, kernel * xp.shape[-1]))
+    """im2col: the (n·count, kernel·c) matrix whose row (b, l) is the window
+    xp[b, l·stride : l·stride + kernel] of a padded (n, length, c) array."""
+    n, _, c = xp.shape
+    s0, s1, s2 = xp.strides
+    view = as_strided(xp, (n, count, kernel, c), (s0, stride * s1, s1, s2), writeable=False)
+    return np.ascontiguousarray(view).reshape(n * count, kernel * c)
 
 
 def _add_windows(cols: np.ndarray, xp: np.ndarray, count: int, kernel: int, stride: int) -> None:
     """col2im, the adjoint of ``_windows``: add every window row of ``cols``
     back into the padded array ``xp`` (one strided add per kernel tap)."""
-    taps = cols.reshape(xp.shape[:-2] + (count, kernel, xp.shape[-1]))
+    n, _, c = xp.shape
+    taps = cols.reshape(n, count, kernel, c)
     span = count * stride
     for u in range(kernel):
-        xp[..., u : u + span : stride, :] += taps[..., u, :]
-
-
-def _matrix(w: np.ndarray, cols: int) -> np.ndarray:
-    """A (..., kernel, a, cols) weight as the (..., kernel·a, cols) matrix
-    that multiplies im2col windows."""
-    return w.reshape(w.shape[:-3] + (-1, cols))
+        xp[:, u : u + span : stride] += taps[:, :, u]
 
 
 class _Conv1d:
     """Strided 'same'-padded 1-D convolution. Weight shape (kernel, c_in, c_out).
 
     Lowered to one matrix multiply over the im2col window matrix; the
-    backward pass is two multiplies plus the col2im scatter. Inputs are
-    (..., n, length, channels), the optional leading axis a model stack's."""
+    backward pass is two multiplies plus the col2im scatter."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int, rng):
         self.kernel = kernel
@@ -68,28 +61,26 @@ class _Conv1d:
         return [self.w, self.b]
 
     def forward(self, x):
-        length = x.shape[-2]
+        n, length, _ = x.shape
         out_len, pad_left, pad_right = _same_padding(length, self.kernel, self.stride)
         xp = _padded(x, pad_left, pad_right)
         cols = _windows(xp, out_len, self.kernel, self.stride)
-        c_out = self.b.shape[-1]
-        out = cols @ _matrix(self.w, c_out) + self.b[..., None, :]
-        return out.reshape(x.shape[:-2] + (out_len, c_out)), (cols, xp.shape, length, pad_left)
+        out = cols @ self.w.reshape(-1, self.b.size) + self.b
+        return out.reshape(n, out_len, -1), (cols, xp.shape, length, pad_left)
 
     def weight_grads(self, d_out, cache):
         """[dw, db] alone: the backward pass without the input's gradient."""
         cols = cache[0]
-        d = d_out.reshape(d_out.shape[:-3] + (-1, d_out.shape[-1]))
-        return [(cols.swapaxes(-1, -2) @ d).reshape(self.w.shape), d.sum(axis=-2)]
+        d = d_out.reshape(-1, self.b.size)
+        return [(cols.T @ d).reshape(self.w.shape), d.sum(axis=0)]
 
     def backward(self, d_out, cache):
         _, padded_shape, length, pad_left = cache
-        out_len, c_out = d_out.shape[-2:]
-        d = d_out.reshape(d_out.shape[:-3] + (-1, c_out))
-        dcols = d @ _matrix(self.w, c_out).swapaxes(-1, -2)
+        n, out_len, c_out = d_out.shape
+        dcols = d_out.reshape(n * out_len, c_out) @ self.w.reshape(-1, c_out).T
         dxp = np.zeros(padded_shape)
         _add_windows(dcols, dxp, out_len, self.kernel, self.stride)
-        return dxp[..., pad_left : pad_left + length, :], self.weight_grads(d_out, cache)
+        return dxp[:, pad_left : pad_left + length], self.weight_grads(d_out, cache)
 
 
 class _ConvTranspose1d:
@@ -108,25 +99,24 @@ class _ConvTranspose1d:
         return [self.w, self.b]
 
     def forward(self, x):
-        in_len, c_in = x.shape[-2:]
+        n, in_len, c_in = x.shape
         out_len = in_len * self.stride
         check_len, pad_left, pad_right = _same_padding(out_len, self.kernel, self.stride)
         if check_len != in_len:
             raise ContractError("transposed conv length mismatch")
-        rows = x.reshape(x.shape[:-3] + (-1, c_in))
-        cols = rows @ _matrix(self.w, c_in).swapaxes(-1, -2)
-        yp = np.zeros(x.shape[:-2] + (pad_left + out_len + pad_right, self.b.shape[-1]))
+        cols = x.reshape(n * in_len, c_in) @ self.w.reshape(-1, c_in).T
+        yp = np.zeros((n, pad_left + out_len + pad_right, self.b.size))
         _add_windows(cols, yp, in_len, self.kernel, self.stride)
-        out = yp[..., pad_left : pad_left + out_len, :] + self.b[..., None, None, :]
+        out = yp[:, pad_left : pad_left + out_len] + self.b
         return out, (x, pad_left, pad_right)
 
     def backward(self, d_out, cache):
         x, pad_left, pad_right = cache
-        in_len, c_in = x.shape[-2:]
-        db = d_out.sum(axis=(-3, -2))
+        n, in_len, c_in = x.shape
+        db = d_out.sum(axis=(0, 1))
         cols = _windows(_padded(d_out, pad_left, pad_right), in_len, self.kernel, self.stride)
-        dw = (cols.swapaxes(-1, -2) @ x.reshape(x.shape[:-3] + (-1, c_in))).reshape(self.w.shape)
-        dx = cols @ _matrix(self.w, c_in)
+        dw = (cols.T @ x.reshape(n * in_len, c_in)).reshape(self.w.shape)
+        dx = cols @ self.w.reshape(-1, c_in)
         return dx.reshape(x.shape), [dw, db]
 
 
@@ -173,23 +163,10 @@ class ConvAutoencoder(Model):
         self.train_mode = on
         self._dropout_rng = dropout_rng
 
-    @classmethod
-    def stack(cls, models):
-        """A stack draws each member's dropout masks from that member's own
-        generator, so a member sees the masks it would see alone."""
-        stacked = super().stack(models)
-        stacked._dropout_rng = [m._dropout_rng for m in models]
-        return stacked
-
-    def _keep_draws(self, shape):
-        if isinstance(self._dropout_rng, list):
-            return np.stack([g.random(shape[1:]) for g in self._dropout_rng])
-        return self._dropout_rng.random(shape)
-
     def _forward(self, x):
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == self.decoder[-1].b.ndim + 1:  # (..., n, window): one channel
-            x = x[..., None]
+        if x.ndim == 2:
+            x = x[:, :, None]
         caches = []
         a = x
         for layer in self.encoder:
@@ -198,7 +175,7 @@ class ConvAutoencoder(Model):
             mask = None
             if self.train_mode and self.dropout > 0:
                 keep = 1.0 - self.dropout
-                mask = (self._keep_draws(a.shape) < keep) / keep
+                mask = (self._dropout_rng.random(a.shape) < keep) / keep
                 a = a * mask
             caches.append((cache, z, mask))
         last = len(self.decoder) - 1
@@ -211,7 +188,7 @@ class ConvAutoencoder(Model):
 
     def reconstruct(self, x) -> np.ndarray:
         out, _, _, _ = self._forward(x)
-        return out[..., 0]
+        return out[:, :, 0]
 
     def loss_and_grad(self, x, y=None) -> Tuple[float, List[np.ndarray]]:
         out, x3, enc_caches, dec_caches = self._forward(x)

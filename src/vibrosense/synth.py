@@ -41,10 +41,12 @@ class SynthConfig:
     amp_rpm_exponent: float = 0.0
 
     def __post_init__(self):
-        if self.rpm <= 0 or self.sample_rate_hz <= 0 or self.duration_s <= 0:
-            raise ContractError("rpm, sample_rate_hz, duration_s must be positive")
-        if self.noise_sigma < 0:
-            raise ContractError("noise_sigma must be nonnegative")
+        if not all(0 < v < np.inf for v in (self.rpm, self.sample_rate_hz, self.duration_s)):
+            raise ContractError("rpm, sample_rate_hz, duration_s must be finite and positive")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ContractError("noise_sigma must be finite and nonnegative")
+        if not np.isfinite(self.amp_rpm_exponent):
+            raise ContractError("amp_rpm_exponent must be finite")
         if self.duration_s * self.sample_rate_hz < 8:
             raise ContractError("config must yield at least 8 samples")
 

@@ -120,6 +120,23 @@ class TestExitCodes:
         assert code == cli.USER_ERROR
         assert str(tmp_path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, detail", [
+        (["synth", "--emit", "triaxial", "--rate", "nan"], "sample_rate_hz"),
+        (["synth", "--emit", "triaxial", "--duration", "inf"], "duration_s"),
+        (["synth", "--emit", "triaxial", "--noise", "nan"], "noise_sigma"),
+        (["train", "--synth-rpms", "300,abc"], "'abc'"),
+        (["cross-rpm", "--synth-rpms", "100,2x0"], "'2x0'"),
+        (["cross-rpm", "--amp-rpm-exponent", "nan"], "amp_rpm_exponent"),
+        (["bench", "--datasets", "synth-a", "--models", "ar", "--lambda", "nan"], "lambda"),
+        (["bench", "--datasets", "synth-a", "--models", "ar", "--lambda", "inf"], "lambda"),
+    ])
+    def test_non_finite_or_non_numeric_flag_is_user_error(self, tmp_path, capsys, argv, detail):
+        out = tmp_path / "out.csv"
+        code = cli.main(argv + ["--out", str(out)])
+        assert code == cli.USER_ERROR
+        assert detail in capsys.readouterr().err
+        assert not out.exists()
+
 
 BENCH_CFG = """\
 [datasets]
@@ -221,6 +238,15 @@ class TestTrainingCommands:
                          "--binary", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["class_names"] == ["normal", "not_normal"]
+
+    def test_train_augment_adds_training_rows_only(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        totals = []
+        for extra in ([], ["--augment", "300"]):
+            assert cli.main(["train", "--duration", "0.5", "--epochs", "1",
+                             "--out", str(out)] + extra) == 0
+            totals.append(sum(map(sum, json.loads(out.read_text())["confusion"])))
+        assert totals[0] == totals[1]
 
     def test_transfer_smoke(self, tmp_path, capsys):
         out = tmp_path / "tr.json"
