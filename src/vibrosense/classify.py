@@ -206,6 +206,8 @@ def cross_rpm_matrix(
     rpms = sorted(per_rpm)
     if len(rpms) < 2:
         raise ContractError("cross-rpm grid needs >= 2 rpm datasets")
+    if augment_n_per_rpm < 0:
+        raise ContractError(f"augment_n_per_rpm must be >= 0, got {augment_n_per_rpm}")
     spec = SplitSpec(train_fraction, SplitMode.STRATIFIED_SHUFFLE, seed=cfg.seed)
     splits = {rpm: split_arrays(*per_rpm[rpm], spec) for rpm in rpms}
     grid: Dict[str, dict] = {}

@@ -45,6 +45,16 @@ CONFIG_SCHEMA = {
     "split": {"train_fraction": (float, 0.66)},
 }
 
+#: Flags that set a config key, by argparse dest, as (section, key).
+FLAG_KEYS = {"lam": ("detection", "lambda"), "split": ("split", "train_fraction"),
+             "seed": ("training", "seed"), "epochs": ("training", "epochs"),
+             "datasets": ("datasets", "names"), "models": ("models", "names")}
+
+
+def _did_you_mean(word: str, choices) -> str:
+    hint = difflib.get_close_matches(word, choices, n=1)
+    return f" (did you mean '{hint[0]}'?)" if hint else ""
+
 
 def load_config(path: Optional[str]) -> Dict[str, dict]:
     """Config file -> fully defaulted {section: {key: value}}; unknown keys
@@ -68,15 +78,15 @@ def load_config(path: Optional[str]) -> Dict[str, dict]:
         raise ContractError(f"config file not found: {path}")
     for section, items in sections.items():
         if section not in CONFIG_SCHEMA:
-            hint = difflib.get_close_matches(section, CONFIG_SCHEMA, n=1)
-            extra = f" (did you mean '{hint[0]}'?)" if hint else ""
-            raise ContractError(f"unknown config section '{section}'{extra}")
+            raise ContractError(
+                f"unknown config section '{section}'{_did_you_mean(section, CONFIG_SCHEMA)}"
+            )
         for key, raw in items:
             schema = CONFIG_SCHEMA[section]
             if key not in schema:
-                hint = difflib.get_close_matches(key, schema, n=1)
-                extra = f" (did you mean '{hint[0]}'?)" if hint else ""
-                raise ContractError(f"unknown config key '{key}' in [{section}]{extra}")
+                raise ContractError(
+                    f"unknown config key '{key}' in [{section}]{_did_you_mean(key, schema)}"
+                )
             kind, _ = schema[key]
             try:
                 if kind is bool:
@@ -87,34 +97,47 @@ def load_config(path: Optional[str]) -> Dict[str, dict]:
                 raise ContractError(
                     f"config file {path}: [{section}] {key} = {raw!r} is not a valid {kind.__name__}"
                 ) from None
+            if key == "names":
+                _comma_list(raw, f"config file {path}: [{section}] names")
     return resolved
 
 
-def _provenance(config: dict, seed: int, fingerprints: dict) -> dict:
+def resolve_config(args) -> Dict[str, dict]:
+    """The settings a command runs with and its report records: the defaults,
+    then the config file, then every FLAG_KEYS flag given on the command line."""
+    cfg = load_config(args.config)
+    for dest, (section, key) in FLAG_KEYS.items():
+        if getattr(args, dest, None) is not None:
+            cfg[section][key] = getattr(args, dest)
+    return cfg
+
+
+def _comma_list(text: str, name: str, kind=str) -> list:
+    """A comma-separated list, each token stripped and parsed by `kind`; an
+    empty, unparsable or repeated token is an error naming the list."""
+    values = []
+    for token in map(str.strip, text.split(",")):
+        try:
+            value = kind(token) if token else None
+        except ValueError:
+            raise ContractError(f"{name}: '{token}' is not a valid {kind.__name__}") from None
+        if value is None or value in values:
+            raise ContractError(f"{name}: {'repeated' if token else 'empty'} token '{token}'")
+        values.append(value)
+    return values
+
+
+def _provenance(config: dict, fingerprints: dict) -> dict:
     return {
         "artifact_version": report.ARTIFACT_VERSION,
         "resolved_config": config,
-        "seed": seed,
+        "seed": config["training"]["seed"],
         "dataset_fingerprints": fingerprints,
     }
 
 
-def _synthetic_anomaly_dataset(name: str, cfg: dict, seed: int) -> anomaly.AnomalyDataset:
-    spiked = synth.generate_spiked_series(
-        n=cfg["datasets"]["n_points"],
-        n_spikes=cfg["datasets"]["n_spikes"],
-        spike_rel=cfg["datasets"]["spike_rel"],
-        seed=seed,
-    )
-    return anomaly.AnomalyDataset(
-        name=name,
-        series=spiked.series,
-        truth_rule=anomaly.TruthRule.INJECTED_SPIKES,
-        spike_indices=spiked.spike_indices,
-    )
-
-
-def _resolve_datasets(tokens: List[str], cfg: dict, seed: int) -> List[anomaly.AnomalyDataset]:
+def _resolve_datasets(tokens: List[str], cfg: dict) -> List[anomaly.AnomalyDataset]:
+    """A token is a process .csv file or a synth-* series seeded by its sorted position."""
     datasets = []
     for i, token in enumerate(sorted(tokens)):
         if token.endswith(".csv"):
@@ -129,20 +152,25 @@ def _resolve_datasets(tokens: List[str], cfg: dict, seed: int) -> List[anomaly.A
                     abnormal_dates=frozenset(ingest.DEFAULT_ABNORMAL_DATES),
                 )
             )
+        elif token.startswith("synth-"):
+            spiked = synth.generate_spiked_series(
+                n=cfg["datasets"]["n_points"],
+                n_spikes=cfg["datasets"]["n_spikes"],
+                spike_rel=cfg["datasets"]["spike_rel"],
+                seed=cfg["training"]["seed"] + i,
+            )
+            datasets.append(
+                anomaly.AnomalyDataset(
+                    name=token,
+                    series=spiked.series,
+                    truth_rule=anomaly.TruthRule.INJECTED_SPIKES,
+                    spike_indices=spiked.spike_indices,
+                )
+            )
         else:
-            datasets.append(_synthetic_anomaly_dataset(token, cfg, seed + i))
+            raise ContractError(f"dataset '{token}' is neither a .csv path nor a synth-* name"
+                                f"{_did_you_mean(token, ['synth-a', 'synth-b'])}")
     return datasets
-
-
-def _parse_rpms(text: str) -> List[int]:
-    """The comma-separated --synth-rpms list of `train` and `cross-rpm`."""
-    rpms = []
-    for token in text.split(","):
-        try:
-            rpms.append(int(token))
-        except ValueError:
-            raise ContractError(f"--synth-rpms: '{token}' is not an integer rpm") from None
-    return rpms
 
 
 def _synth_per_rpm(rpms, duration_s, noise, seed, amp_rpm_exponent=0.0):
@@ -168,7 +196,7 @@ def _synth_per_rpm(rpms, duration_s, noise, seed, amp_rpm_exponent=0.0):
     return per_rpm
 
 
-def cmd_ingest(args, cfg) -> int:
+def cmd_ingest(args, cfg) -> dict:
     if args.format == "triaxial":
         records = ingest.parse_triaxial_csv(
             args.input,
@@ -186,24 +214,23 @@ def cmd_ingest(args, cfg) -> int:
         summary = {"format": "pharma", "records": len(records)}
     summary["input"] = args.input
     print(report.canonical_json(summary))
-    if args.out:
-        report.write_json_report(summary, args.out)
-    return 0
+    return summary
 
 
-def cmd_synth(args, cfg) -> int:
+def cmd_synth(args, cfg) -> None:
+    seed = cfg["training"]["seed"]
     if args.emit == "process":
-        labeled = synth.generate_process(days=args.days, seed=args.seed)
+        labeled = synth.generate_process(days=args.days, seed=seed)
         ingest.write_process_csv([r for r, _ in labeled], args.out)
         print(f"wrote {len(labeled)} process rows to {args.out}")
-        return 0
+        return
     config = synth.SynthConfig(
         rpm=args.rpm,
         sample_rate_hz=args.rate,
         duration_s=args.duration,
         imbalance_level=DefectLabel[args.level.upper()],
         noise_sigma=args.noise,
-        seed=args.seed,
+        seed=seed,
     )
     record = synth.generate_vibration(config)
     if args.emit == "triaxial":
@@ -222,33 +249,25 @@ def cmd_synth(args, cfg) -> int:
         )
         ingest.write_pharma_txt([rec], args.out)
         print(f"wrote 1 pharma record to {args.out}")
-    return 0
 
 
-def cmd_bench(args, cfg) -> int:
-    lam = args.lam if args.lam is not None else cfg["detection"]["lambda"]
-    seed = args.seed if args.seed is not None else cfg["training"]["seed"]
-    fraction = args.split if args.split is not None else cfg["split"]["train_fraction"]
-    dataset_tokens = (args.datasets or cfg["datasets"]["names"]).split(",")
-    model_tokens = (args.models or cfg["models"]["names"]).split(",")
-    datasets = _resolve_datasets(dataset_tokens, cfg, seed)
-    grid = {}
-    for token in model_tokens:
-        kind = token.strip()
-        grid[kind] = default_variants(kind, seed)
+def cmd_bench(args, cfg) -> dict:
+    seed = cfg["training"]["seed"]
+    datasets = _resolve_datasets(_comma_list(cfg["datasets"]["names"], "--datasets"), cfg)
+    grid = {kind: default_variants(kind, seed)
+            for kind in _comma_list(cfg["models"]["names"], "--models")}
     bench = anomaly.run_benchmark(
         datasets,
         grid,
-        SplitSpec(fraction, SplitMode.CHRONOLOGICAL, seed=seed),
-        anomaly.AnomalyRuleConfig(lam=lam, two_sided=cfg["detection"]["two_sided"]),
+        SplitSpec(cfg["split"]["train_fraction"], SplitMode.CHRONOLOGICAL, seed=seed),
+        anomaly.AnomalyRuleConfig(lam=cfg["detection"]["lambda"],
+                                  two_sided=cfg["detection"]["two_sided"]),
     )
     bench["provenance"] = _provenance(
-        cfg, seed, {d.name: report.data_fingerprint(d.series.values) for d in datasets}
+        cfg, {d.name: report.data_fingerprint(d.series.values) for d in datasets}
     )
     print(anomaly.benchmark_tables(bench))
-    if args.out:
-        report.write_json_report(bench, args.out)
-    return 0
+    return bench
 
 
 # Desk-scale grid per model family, one hyperparameter override per variant;
@@ -273,19 +292,9 @@ def default_variants(kind: str, seed: int) -> List[forecast.ForecastModelConfig]
     return [forecast.ForecastModelConfig(kind, dict(params), seed) for params in DEFAULT_VARIANTS[kind]]
 
 
-def _train_cfg(args, cfg) -> classify.TrainConfig:
-    t = cfg["training"]
-    return classify.TrainConfig(
-        epochs=args.epochs if args.epochs is not None else t["epochs"],
-        batch_size=t["batch_size"],
-        learning_rate=t["learning_rate"],
-        seed=args.seed if args.seed is not None else t["seed"],
-    )
-
-
-def cmd_train(args, cfg) -> int:
-    tcfg = _train_cfg(args, cfg)
-    rpms = _parse_rpms(args.synth_rpms)
+def cmd_train(args, cfg) -> dict:
+    tcfg = classify.TrainConfig(**cfg["training"])
+    rpms = _comma_list(args.synth_rpms, "--synth-rpms", int)
     per_rpm = _synth_per_rpm(rpms, args.duration, args.noise, tcfg.seed)
     feats = np.concatenate([per_rpm[r][0] for r in rpms])
     labels = np.concatenate([per_rpm[r][1] for r in rpms])
@@ -303,35 +312,29 @@ def cmd_train(args, cfg) -> int:
     enc = features.fit_encoder(ftr, tuple(f"f{i}" for i in range(ftr.shape[1])))
     model = classify.train_classifier(enc.transform(ftr), ltr, cfg=tcfg, class_names=class_names)
     acc, cm = classify.evaluate(model, enc.transform(fte), lte)
-    out = {
+    print(report.canonical_json({"accuracy": acc}))
+    if args.save_model:
+        classify.save_classifier(model, args.save_model)
+    return {
         "accuracy": acc,
         "confusion": cm.counts.tolist(),
         "class_names": list(class_names),
-        "provenance": _provenance(cfg, tcfg.seed, {"train": report.data_fingerprint(ftr)}),
+        "provenance": _provenance(cfg, {"train": report.data_fingerprint(ftr)}),
     }
-    print(report.canonical_json({"accuracy": acc}))
-    if args.out:
-        report.write_json_report(out, args.out)
-    if args.save_model:
-        classify.save_classifier(model, args.save_model)
-    return 0
 
 
-def cmd_transfer(args, cfg) -> int:
-    tcfg = _train_cfg(args, cfg)
+def cmd_transfer(args, cfg) -> dict:
     result = run_transfer_experiment(
         rpm=args.rpm,
         source_duration_s=args.source_duration,
         target_samples=args.target_samples,
         noise=args.noise,
         extra_noise=args.extra_noise,
-        cfg=tcfg,
+        cfg=classify.TrainConfig(**cfg["training"]),
     )
-    result["provenance"] = _provenance(cfg, tcfg.seed, {})
+    result["provenance"] = _provenance(cfg, {})
     print(report.canonical_json({k: result[k] for k in ("dnn_r_accuracy", "dnn_tl_accuracy")}))
-    if args.out:
-        report.write_json_report(result, args.out)
-    return 0
+    return result
 
 
 def run_transfer_experiment(
@@ -398,25 +401,23 @@ def run_transfer_experiment(
     }
 
 
-def cmd_cross_rpm(args, cfg) -> int:
-    tcfg = _train_cfg(args, cfg)
-    rpms = _parse_rpms(args.synth_rpms)
+def cmd_cross_rpm(args, cfg) -> dict:
+    tcfg = classify.TrainConfig(**cfg["training"])
+    rpms = _comma_list(args.synth_rpms, "--synth-rpms", int)
     per_rpm = _synth_per_rpm(rpms, args.duration, args.noise, tcfg.seed,
                              amp_rpm_exponent=args.amp_rpm_exponent)
     result = classify.cross_rpm_matrix(
         per_rpm, cfg=tcfg, augment_n_per_rpm=args.augment
     )
-    result["provenance"] = _provenance(cfg, tcfg.seed, {})
+    result["provenance"] = _provenance(cfg, {})
     rows = [[rpm] + [result["grid"][rpm][str(r)] for r in rpms] + [result["grid"][rpm]["average"]]
             for rpm in list(map(str, rpms)) + ["augmented"]]
     print(report.format_table(["train\\test"] + [str(r) for r in rpms] + ["average"], rows))
-    if args.out:
-        report.write_json_report(result, args.out)
-    return 0
+    return result
 
 
-def cmd_tune(args, cfg) -> int:
-    tcfg = _train_cfg(args, cfg)
+def cmd_tune(args, cfg) -> dict:
+    tcfg = classify.TrainConfig(**cfg["training"])
     per_rpm = _synth_per_rpm([args.rpm], args.duration, args.noise, tcfg.seed)
     feats, labels = per_rpm[args.rpm]
     steps = [
@@ -427,16 +428,13 @@ def cmd_tune(args, cfg) -> int:
     ]
     results = classify.tuning_sweep(feats, labels, steps, base_cfg=tcfg, mode=args.mode)
     print(report.format_table(["step", "accuracy"], [[r["step"], r["accuracy"]] for r in results]))
-    if args.out:
-        report.write_json_report(
-            {"sweep": results, "mode": args.mode,
-             "provenance": _provenance(cfg, tcfg.seed, {})}, args.out
-        )
-    return 0
+    return {"sweep": results, "mode": args.mode, "provenance": _provenance(cfg, {})}
 
 
-def cmd_autoenc(args, cfg) -> int:
-    tcfg = _train_cfg(args, cfg)
+def cmd_autoenc(args, cfg) -> dict:
+    if args.vibration_stride < 1:
+        raise ContractError(f"--vibration-stride must be >= 1, got {args.vibration_stride}")
+    tcfg = classify.TrainConfig(**cfg["training"])
     labeled = synth.generate_process(days=args.days, seed=tcfg.seed)
     vib = []
     for row, state in labeled[:: args.vibration_stride]:
@@ -459,35 +457,35 @@ def cmd_autoenc(args, cfg) -> int:
     )
     preds = np.argmax(model.predict_proba(enc.transform(aligned.features)), axis=1)
     acc = float(np.mean(preds == aligned.labels))
-    out = {"train_accuracy": acc, "alpha": args.alpha,
-           "recon_loss_curve": model.recon_loss_curve,
-           "class_loss_curve": model.class_loss_curve,
-           "provenance": _provenance(cfg, tcfg.seed, {})}
     print(report.canonical_json({"train_accuracy": acc}))
-    if args.out:
-        report.write_json_report(out, args.out)
-    return 0
+    return {"train_accuracy": acc, "alpha": args.alpha,
+            "recon_loss_curve": model.recon_loss_curve,
+            "class_loss_curve": model.class_loss_curve,
+            "provenance": _provenance(cfg, {})}
 
 
-def cmd_report(args, cfg) -> int:
+def cmd_report(args, cfg) -> None:
     if args.compare:
         a = report.load_json_report(args.compare[0])
         b = report.load_json_report(args.compare[1])
         for line in report.compare_reports(a, b):
             print(line)
-        return 0
+        return
     doc = report.load_json_report(args.show)
     if "best_rmse" in doc:
         print(anomaly.benchmark_tables(doc))
     else:
         print(report.canonical_json(doc))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vibrosense")
     parser.add_argument("--config", help="key-value config file")
     sub = parser.add_subparsers(dest="command", required=True)
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--epochs", type=int)
+    training.add_argument("--seed", type=int)
+    training.add_argument("--out")
 
     p = sub.add_parser("ingest", help="parse a dataset file")
     p.add_argument("--format", choices=["triaxial", "process", "pharma"], required=True)
@@ -519,57 +517,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("train", help="train a defect classifier on synthetic data")
+    p = sub.add_parser("train", parents=[training], help="train a defect classifier on synthetic data")
     p.add_argument("--synth-rpms", default="300")
     p.add_argument("--duration", type=float, default=2.0)
     p.add_argument("--noise", type=float, default=0.3)
     p.add_argument("--binary", action="store_true")
     p.add_argument("--augment", type=int, default=0)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
     p.add_argument("--save-model")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("transfer", help="source-to-target transfer experiment")
+    p = sub.add_parser("transfer", parents=[training], help="source-to-target transfer experiment")
     p.add_argument("--rpm", type=int, default=100)
     p.add_argument("--source-duration", type=float, default=5.0)
     p.add_argument("--target-samples", type=int, default=600)
     p.add_argument("--noise", type=float, default=0.3)
     p.add_argument("--extra-noise", type=float, default=0.1)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_transfer)
 
-    p = sub.add_parser("cross-rpm", help="cross-speed accuracy grid")
+    p = sub.add_parser("cross-rpm", parents=[training], help="cross-speed accuracy grid")
     p.add_argument("--synth-rpms", default="100,200,300,400")
     p.add_argument("--duration", type=float, default=1.0)
     p.add_argument("--noise", type=float, default=0.3)
     p.add_argument("--amp-rpm-exponent", type=float, default=1.0)
     p.add_argument("--augment", type=int, default=200)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_cross_rpm)
 
-    p = sub.add_parser("tune", help="cumulative tuning-ledger sweep")
+    p = sub.add_parser("tune", parents=[training], help="cumulative tuning-ledger sweep")
     p.add_argument("--rpm", type=int, default=300)
     p.add_argument("--duration", type=float, default=1.0)
     p.add_argument("--noise", type=float, default=0.3)
     p.add_argument("--mode", choices=["cumulative", "independent"], default="cumulative")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("autoenc", help="dual-loss autoencoder state classifier")
+    p = sub.add_parser("autoenc", parents=[training], help="dual-loss autoencoder state classifier")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--days", type=int, default=3)
     p.add_argument("--vibration-stride", type=int, default=1)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_autoenc)
 
     p = sub.add_parser("report", help="show or compare report files")
@@ -587,8 +570,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USER_ERROR if exc.code not in (0, None) else 0
     try:
-        cfg = load_config(args.config)
-        return args.func(args, cfg)
+        # a command returns the report that --out receives, or None
+        doc = args.func(args, resolve_config(args))
+        if doc is not None and args.out:
+            report.write_json_report(doc, args.out)
+        return 0
     except (ContractError, OSError) as exc:  # bad input, or a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return USER_ERROR

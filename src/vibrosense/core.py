@@ -138,6 +138,8 @@ class ConfusionMatrix:
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """Deterministic generator; extra ints derive independent per-task streams."""
+    if seed < 0:
+        raise ContractError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream)))
 
 

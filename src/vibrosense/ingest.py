@@ -120,12 +120,16 @@ def format_timestamp(timestamp_s: float, tz: str = DEFAULT_TIMEZONE) -> str:
 
 
 @contextmanager
-def _decoding(path):
+def _reading(path):
     """Turns a decoding error while reading `path` into a ContractError that
     names the file and the byte offset of its first undecodable byte (the
-    error's own offset counts from the start of a read buffer, not the file)."""
+    error's own offset counts from the start of a read buffer, not the file),
+    and a CSV reader's error (a field over csv.field_size_limit) into one
+    that names the file."""
     try:
         yield
+    except csv.Error as exc:
+        raise ContractError(f"{path}: malformed CSV ({exc})") from exc
     except UnicodeDecodeError as exc:
         try:
             Path(path).read_bytes().decode(exc.encoding)
@@ -150,10 +154,12 @@ def parse_triaxial_csv(
     Returns one record for the whole file, or fixed-length bursts when
     burst_len is given (a short trailing remainder is kept as its own burst).
     """
-    if not sample_rate_hz > 0:
-        raise ContractError(f"sample rate must be positive, got {sample_rate_hz}")
+    if not 0 < sample_rate_hz < np.inf:
+        raise ContractError(f"sample rate must be positive and finite, got {sample_rate_hz}")
+    if burst_len is not None and burst_len < 1:
+        raise ContractError(f"burst_len must be >= 1, got {burst_len}")
     xs, ys, zs = [], [], []
-    with open(path, newline="") as fh, _decoding(path):
+    with open(path, newline="") as fh, _reading(path):
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -211,7 +217,7 @@ def write_triaxial_csv(records: Sequence[VibrationRecord], path, header: bool = 
 def parse_process_csv(path, tz: str = DEFAULT_TIMEZONE) -> List[ProcessRow]:
     """Header must carry the timestamp plus the seven measurement columns.
     Rows come back sorted by ascending timestamp."""
-    with open(path, newline="") as fh, _decoding(path):
+    with open(path, newline="") as fh, _reading(path):
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -255,7 +261,7 @@ def write_process_csv(rows: Sequence[ProcessRow], path, tz: str = DEFAULT_TIMEZO
 def parse_pharma_txt(path, tz: str = DEFAULT_TIMEZONE) -> List[PharmaRecord]:
     """Repeating 5-line groups: datetime, x/y/z axes of 3200 points each, and
     the per-point time delta. Axis tokens may be whitespace- or comma-separated."""
-    with open(path) as fh, _decoding(path):
+    with open(path) as fh, _reading(path):
         lines = [line.rstrip("\n") for line in fh]
     while lines and not lines[-1].strip():
         lines.pop()

@@ -98,6 +98,8 @@ def decimate_to_mems(
     prefilter over each decimation block, then independent extra noise."""
     if target_rate_hz <= 0 or target_rate_hz > record.sample_rate_hz:
         raise ContractError("target rate must be positive and <= source rate")
+    if not 0 <= extra_noise_sigma < np.inf:
+        raise ContractError(f"extra_noise_sigma must be finite and nonnegative, got {extra_noise_sigma}")
     factor = int(round(record.sample_rate_hz / target_rate_hz))
     n_out = len(record) // factor
     if n_out < 1:

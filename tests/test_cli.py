@@ -138,6 +138,94 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("argv, detail", [
+        (["ingest", "--format", "triaxial", "--input", "{v}", "--burst-len", "0"], "burst_len"),
+        (["ingest", "--format", "triaxial", "--input", "{v}", "--burst-len", "-1"], "burst_len"),
+        (["ingest", "--format", "triaxial", "--input", "{v}", "--sample-rate", "inf"],
+         "sample rate"),
+        (["autoenc", "--days", "1", "--vibration-stride", "0"], "--vibration-stride"),
+        (["transfer", "--extra-noise", "nan"], "extra_noise_sigma"),
+        (["transfer", "--extra-noise", "-1"], "extra_noise_sigma"),
+        (["cross-rpm", "--synth-rpms", "100,200", "--duration", "0.1", "--augment", "-1"],
+         "augment_n_per_rpm"),
+    ])
+    def test_bad_count_or_noise_level_is_user_error(self, tmp_path, capsys, argv, detail):
+        data = tmp_path / "v.csv"
+        assert cli.main(["synth", "--emit", "triaxial", "--out", str(data),
+                         "--duration", "0.1"]) == 0
+        out = tmp_path / "out.json"
+        code = cli.main([a.format(v=data) for a in argv] + ["--out", str(out)])
+        assert code == cli.USER_ERROR
+        assert detail in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--models", "ar", "--datasets", "synth-a", "--seed", "-1"],
+        ["train", "--duration", "0.2", "--seed", "-1"],
+        ["synth", "--emit", "process", "--days", "1", "--seed", "-1"],
+    ])
+    def test_negative_seed_flag_is_user_error(self, tmp_path, capsys, argv):
+        code = cli.main(argv + ["--out", str(tmp_path / "out")])
+        assert code == cli.USER_ERROR
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--models", "ar", "--datasets", "synth-a"],
+        ["train", "--duration", "0.2"],
+    ])
+    def test_negative_seed_in_config_is_user_error(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, "[training]\nseed = -1\n")
+        assert cli.main(["--config", cfg] + argv) == cli.USER_ERROR
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+class TestCommaLists:
+    @pytest.mark.parametrize("argv, detail", [
+        (["bench", "--models", "ar", "--datasets", "synth-a,synth-a"],
+         "--datasets: repeated token 'synth-a'"),
+        (["bench", "--models", "ar, ar", "--datasets", "synth-a"], "--models: repeated token 'ar'"),
+        (["bench", "--models", "ar,,mlp", "--datasets", "synth-a"], "--models: empty token"),
+        (["bench", "--models", "ar", "--datasets", "synth-a,"], "--datasets: empty token"),
+        (["train", "--synth-rpms", "300,300"], "--synth-rpms: repeated token '300'"),
+        (["train", "--synth-rpms", "300,0300"], "--synth-rpms: repeated token '0300'"),
+        (["cross-rpm", "--synth-rpms", "100,100,200"], "--synth-rpms: repeated token '100'"),
+    ])
+    def test_empty_or_repeated_token_is_user_error(self, tmp_path, capsys, argv, detail):
+        out = tmp_path / "out.json"
+        assert cli.main(argv + ["--out", str(out)]) == cli.USER_ERROR
+        assert detail in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, detail", [
+        ("[models]\nnames = ar,ar\n", "[models] names: repeated token 'ar'"),
+        ("[datasets]\nnames = synth-a,,synth-b\n", "[datasets] names: empty token"),
+    ])
+    def test_config_list_error_names_file_and_key(self, tmp_path, capsys, text, detail):
+        path = write_config(tmp_path, text)
+        assert cli.main(["--config", path, "bench"]) == cli.USER_ERROR
+        err = capsys.readouterr().err
+        assert f"config file {path}" in err and detail in err
+
+    def test_tokens_are_stripped(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BENCH_CFG)
+        out = tmp_path / "r.json"
+        assert cli.main(["--config", cfg, "bench", "--models", " seasonal_naive , ar",
+                         "--datasets", "synth-b, synth-a", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert sorted(doc["datasets"]) == ["synth-a", "synth-b"]
+        assert {c["model"] for c in doc["grid"]} == {"seasonal_naive", "ar"}
+
+    @pytest.mark.parametrize("token, hint", [
+        ("synth_a", " (did you mean 'synth-a'?)"), ("synthb", " (did you mean 'synth-b'?)"),
+        ("nope", ""), ("x.cvs", ""),
+    ])
+    def test_unknown_dataset_is_user_error(self, capsys, token, hint):
+        code = cli.main(["bench", "--models", "ar", "--datasets", f"synth-a,{token}"])
+        assert code == cli.USER_ERROR
+        err = capsys.readouterr().err
+        assert f"dataset '{token}' is neither a .csv path nor a synth-* name{hint}\n" in err
+
+
 BENCH_CFG = """\
 [datasets]
 names = synth-a
@@ -181,6 +269,30 @@ class TestBench:
         assert prov["seed"] == 3
         assert prov["resolved_config"]["datasets"]["n_points"] == 120
         assert "synth-a" in prov["dataset_fingerprints"]
+
+    def test_resolved_config_records_the_flags(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert cli.main(["bench", "--models", "ar", "--datasets", "synth-a", "--seed", "11",
+                         "--lambda", "0.3", "--split", "0.5", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        resolved = doc["provenance"]["resolved_config"]
+        assert resolved["training"]["seed"] == doc["provenance"]["seed"] == 11
+        assert resolved["detection"]["lambda"] == doc["rule"]["lambda"] == 0.3
+        assert resolved["split"]["train_fraction"] == 0.5
+        assert resolved["models"]["names"] == "ar"
+        assert resolved["datasets"]["names"] == "synth-a"
+
+    def test_resolved_config_takes_file_values_without_flags(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BENCH_CFG + "[training]\nseed = 4\nepochs = 3\n"
+                           "[split]\ntrain_fraction = 0.6\n")
+        out = tmp_path / "r.json"
+        assert cli.main(["--config", cfg, "bench", "--out", str(out)]) == 0
+        prov = json.loads(out.read_text())["provenance"]
+        assert prov["seed"] == 4
+        assert prov["resolved_config"]["training"] == {
+            "epochs": 3, "batch_size": 64, "learning_rate": 0.05, "seed": 4}
+        assert prov["resolved_config"]["split"]["train_fraction"] == 0.6
+        assert prov["resolved_config"]["models"]["names"] == "seasonal_naive"
 
     def test_tables_printed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BENCH_CFG)
@@ -247,6 +359,14 @@ class TestTrainingCommands:
                              "--out", str(out)] + extra) == 0
             totals.append(sum(map(sum, json.loads(out.read_text())["confusion"])))
         assert totals[0] == totals[1]
+
+    def test_train_records_flags_over_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[training]\nepochs = 4\nseed = 3\nlearning_rate = 0.04\n")
+        out = tmp_path / "t.json"
+        assert cli.main(["--config", cfg, "train", "--duration", "0.3", "--seed", "5",
+                         "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["provenance"]["resolved_config"]["training"] == {
+            "epochs": 4, "batch_size": 64, "learning_rate": 0.04, "seed": 5}
 
     def test_transfer_smoke(self, tmp_path, capsys):
         out = tmp_path / "tr.json"

@@ -166,3 +166,7 @@ class TestDomainTypes:
         c = make_rng(7, 1).normal(size=4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_make_rng_refuses_negative_seed(self):
+        with pytest.raises(ContractError, match="seed must be a non-negative integer, got -1"):
+            make_rng(-1)
