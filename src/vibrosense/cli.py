@@ -196,12 +196,20 @@ def _synth_per_rpm(rpms, duration_s, noise, seed, amp_rpm_exponent=0.0):
     return per_rpm
 
 
+#: ingest flags that only a tri-axial file takes, by argparse dest.
+TRIAXIAL_FLAGS = {"sample_rate": "--sample-rate", "rpm": "--rpm", "burst_len": "--burst-len"}
+
+
 def cmd_ingest(args, cfg) -> dict:
+    given = [flag for dest, flag in TRIAXIAL_FLAGS.items() if getattr(args, dest) is not None]
+    if args.format != "triaxial" and given:
+        raise ContractError(f"only --format triaxial takes {', '.join(given)}; "
+                            f"got --format {args.format}")
     if args.format == "triaxial":
         records = ingest.parse_triaxial_csv(
             args.input,
-            sample_rate_hz=args.sample_rate,
-            operating_point=OperatingPoint(rpm=args.rpm),
+            sample_rate_hz=3200.0 if args.sample_rate is None else args.sample_rate,
+            operating_point=OperatingPoint(rpm=300 if args.rpm is None else args.rpm),
             burst_len=args.burst_len,
         )
         summary = {"format": "triaxial", "records": len(records),
@@ -323,7 +331,14 @@ def cmd_train(args, cfg) -> dict:
     }
 
 
+#: The fewest target samples transfer takes: two per defect class.
+MIN_TARGET_SAMPLES = 2 * len(DefectLabel)
+
+
 def cmd_transfer(args, cfg) -> dict:
+    if args.target_samples < MIN_TARGET_SAMPLES:
+        raise ContractError(
+            f"--target-samples must be >= {MIN_TARGET_SAMPLES}, got {args.target_samples}")
     result = run_transfer_experiment(
         rpm=args.rpm,
         source_duration_s=args.source_duration,
@@ -490,9 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse a dataset file")
     p.add_argument("--format", choices=["triaxial", "process", "pharma"], required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--sample-rate", type=float, default=3200.0)
-    p.add_argument("--rpm", type=int, default=300)
-    p.add_argument("--burst-len", type=int, default=None)
+    p.add_argument("--sample-rate", type=float, help="tri-axial only (default 3200)")
+    p.add_argument("--rpm", type=int, help="tri-axial only (default 300)")
+    p.add_argument("--burst-len", type=int, help="tri-axial only (default: one record)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_ingest)
 
@@ -505,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=["normal", "near_failure", "failure"], default="normal")
     p.add_argument("--noise", type=float, default=0.3)
     p.add_argument("--days", type=int, default=7)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("bench", help="dataset x model benchmark sweep")

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 from zoneinfo import ZoneInfo
@@ -46,17 +48,19 @@ class ProcessRow:
     outside_dewpoint: float
 
     def measurements(self) -> np.ndarray:
-        return np.array(
-            [
-                self.air_pressure_1,
-                self.air_pressure_2,
-                self.chiller1_supply_tmp,
-                self.chiller2_supply_tmp,
-                self.outside_air_temp,
-                self.outside_humidity,
-                self.outside_dewpoint,
-            ]
-        )
+        return np.array(_measurement_fields(self))
+
+
+#: The seven measurement fields of a ProcessRow, as a tuple, in column order.
+_measurement_fields = attrgetter(
+    "air_pressure_1",
+    "air_pressure_2",
+    "chiller1_supply_tmp",
+    "chiller2_supply_tmp",
+    "outside_air_temp",
+    "outside_humidity",
+    "outside_dewpoint",
+)
 
 
 @dataclass(frozen=True)
@@ -94,8 +98,25 @@ def _parse_float(token: str, where: str) -> float:
     return value
 
 
+def _parse_floats(tokens: Sequence[str], where: str) -> List[float]:
+    """A row's tokens as finite floats, converted and checked in one call
+    each. Only a row that fails goes through _parse_float token by token, so
+    the error names the row's first bad token, as a value-by-value parse would."""
+    try:
+        values = list(map(float, tokens))
+    except ValueError:
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        values = [_parse_float(token, where) for token in tokens]  # raises
+    return values
+
+
 def parse_timestamp(text: str, tz: str = DEFAULT_TIMEZONE) -> float:
     """Accepts ISO-8601 or M/D/YYYY H:MM[:SS]; interpreted as local wall time."""
+    return _parse_local(text, ZoneInfo(tz))
+
+
+def _parse_local(text: str, zone: ZoneInfo) -> float:
     text = text.strip()
     naive = None
     try:
@@ -110,13 +131,16 @@ def parse_timestamp(text: str, tz: str = DEFAULT_TIMEZONE) -> float:
     if naive is None:
         raise ContractError(f"unparseable timestamp '{text}'")
     if naive.tzinfo is None:
-        naive = naive.replace(tzinfo=ZoneInfo(tz))
+        naive = naive.replace(tzinfo=zone)
     return naive.timestamp()
 
 
 def format_timestamp(timestamp_s: float, tz: str = DEFAULT_TIMEZONE) -> str:
-    local = dt.datetime.fromtimestamp(timestamp_s, ZoneInfo(tz))
-    return local.replace(tzinfo=None).isoformat(sep=" ")
+    return _format_local(timestamp_s, ZoneInfo(tz))
+
+
+def _format_local(timestamp_s: float, zone: ZoneInfo) -> str:
+    return dt.datetime.fromtimestamp(timestamp_s, zone).replace(tzinfo=None).isoformat(sep=" ")
 
 
 @contextmanager
@@ -158,7 +182,7 @@ def parse_triaxial_csv(
         raise ContractError(f"sample rate must be positive and finite, got {sample_rate_hz}")
     if burst_len is not None and burst_len < 1:
         raise ContractError(f"burst_len must be >= 1, got {burst_len}")
-    xs, ys, zs = [], [], []
+    flat = []  # x, y, z of every row, in file order
     with open(path, newline="") as fh, _reading(path):
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
@@ -168,13 +192,12 @@ def parse_triaxial_csv(
                 continue  # header row
             if len(row) != 3:
                 raise ContractError(f"expected 3 columns, got {len(row)} (line {lineno})")
-            vals = [_parse_float(c, f"line {lineno}") for c in row]
-            xs.append(vals[0])
-            ys.append(vals[1])
-            zs.append(vals[2])
-    if not xs:
+            flat += _parse_floats(row, f"line {lineno}")
+    if not flat:
         raise ContractError(f"no data rows in {path}")
-    x, y, z = np.array(xs), np.array(ys), np.array(zs)
+    xyz = np.array(flat).reshape(-1, 3)
+    del flat  # free the floats before the per-axis copy
+    x, y, z = xyz.T.copy()
     n = len(x)
     if burst_len is None or burst_len >= n:
         bounds = [(0, n)]
@@ -204,14 +227,17 @@ def _looks_non_numeric(token: str) -> bool:
         return True
 
 
+# The CSV writers emit the lines csv.writer would: comma-separated, each ended
+# by "\r\n", no field quoted. Float reprs and ISO timestamps never hold a
+# comma, a quote or a line break, so no field needs quoting.
+
 def write_triaxial_csv(records: Sequence[VibrationRecord], path, header: bool = True) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         if header:
-            writer.writerow(["X", "Y", "Z"])
+            fh.write("X,Y,Z\r\n")
         for rec in records:
-            for xi, yi, zi in zip(rec.x.tolist(), rec.y.tolist(), rec.z.tolist()):
-                writer.writerow([repr(xi), repr(yi), repr(zi)])
+            fh.writelines(f"{x!r},{y!r},{z!r}\r\n"
+                          for x, y, z in zip(rec.x.tolist(), rec.y.tolist(), rec.z.tolist()))
 
 
 def parse_process_csv(path, tz: str = DEFAULT_TIMEZONE) -> List[ProcessRow]:
@@ -227,7 +253,9 @@ def parse_process_csv(path, tz: str = DEFAULT_TIMEZONE) -> List[ProcessRow]:
         for col in PROCESS_HEADER:
             if col not in header:
                 raise ContractError(f"process file missing column '{col}'")
-        index = {col: header.index(col) for col in PROCESS_HEADER}
+        timestamp_at = header.index("Timestamp")
+        measurements = itemgetter(*(header.index(col) for col in PROCESS_MEASUREMENT_COLUMNS))
+        zone = ZoneInfo(tz)
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -235,27 +263,24 @@ def parse_process_csv(path, tz: str = DEFAULT_TIMEZONE) -> List[ProcessRow]:
             if len(row) < len(header):
                 raise ContractError(f"short row (line {lineno})")
             try:
-                ts = parse_timestamp(row[index["Timestamp"]], tz=tz)
+                ts = _parse_local(row[timestamp_at], zone)
             except ContractError as exc:
                 raise ContractError(f"{exc} (line {lineno})") from exc
-            values = [
-                _parse_float(row[index[col]], f"line {lineno}")
-                for col in PROCESS_MEASUREMENT_COLUMNS
-            ]
-            rows.append(ProcessRow(ts, *values))
+            rows.append(ProcessRow(ts, *_parse_floats(measurements(row), f"line {lineno}")))
     rows.sort(key=lambda r: r.timestamp_s)
     return rows
 
 
 def write_process_csv(rows: Sequence[ProcessRow], path, tz: str = DEFAULT_TIMEZONE) -> None:
+    zone = ZoneInfo(tz)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PROCESS_HEADER)
-        for row in rows:
-            writer.writerow(
-                [format_timestamp(row.timestamp_s, tz=tz)]
-                + [repr(v) for v in row.measurements().tolist()]
-            )
+        fh.write(",".join(PROCESS_HEADER) + "\r\n")
+        # float() first: synth's rows hold np.float64, whose repr is not the number's
+        fh.writelines(
+            f"{_format_local(row.timestamp_s, zone)},"
+            f"{','.join(map(repr, map(float, _measurement_fields(row))))}\r\n"
+            for row in rows
+        )
 
 
 def parse_pharma_txt(path, tz: str = DEFAULT_TIMEZONE) -> List[PharmaRecord]:
@@ -269,32 +294,32 @@ def parse_pharma_txt(path, tz: str = DEFAULT_TIMEZONE) -> List[PharmaRecord]:
         raise ContractError(
             f"pharma file length must be a multiple of 5 lines, got {len(lines)}"
         )
+    zone = ZoneInfo(tz)
     records = []
     for g in range(len(lines) // 5):
         group = lines[5 * g : 5 * g + 5]
-        start = parse_timestamp(group[0], tz=tz)
-        axes = {}
-        for axis, line in zip(("x", "y", "z"), group[1:4]):
+        start = _parse_local(group[0], zone)
+        axes = []
+        for axis, line in zip("xyz", group[1:4]):
             tokens = line.replace(",", " ").split()
             if len(tokens) != PHARMA_POINTS_PER_AXIS:
                 raise ContractError(
                     f"{axis}-axis: expected {PHARMA_POINTS_PER_AXIS}, "
                     f"got {len(tokens)} (record {g + 1})"
                 )
-            axes[axis] = np.array(
-                [_parse_float(t, f"record {g + 1}, {axis}-axis") for t in tokens]
-            )
+            axes.append(np.array(_parse_floats(tokens, f"record {g + 1}, {axis}-axis")))
         dt_s = _parse_float(group[4].strip(), f"record {g + 1}, line 5")
-        records.append(PharmaRecord(start, axes["x"], axes["y"], axes["z"], dt_s))
+        records.append(PharmaRecord(start, *axes, dt_s))
     return records
 
 
 def write_pharma_txt(records: Sequence[PharmaRecord], path, tz: str = DEFAULT_TIMEZONE) -> None:
+    zone = ZoneInfo(tz)
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(format_timestamp(rec.start_s, tz=tz) + "\n")
+            fh.write(_format_local(rec.start_s, zone) + "\n")
             for axis in (rec.x, rec.y, rec.z):
-                fh.write(" ".join(repr(v) for v in axis.tolist()) + "\n")
+                fh.write(" ".join(map(repr, axis.tolist())) + "\n")
             fh.write(repr(rec.dt_s) + "\n")
 
 
@@ -313,7 +338,10 @@ class WeeklySchedule:
     tz: str = DEFAULT_TIMEZONE
 
     def is_off(self, timestamp_s: float) -> bool:
-        local = dt.datetime.fromtimestamp(timestamp_s, ZoneInfo(self.tz))
+        return self._is_off_local(dt.datetime.fromtimestamp(timestamp_s, ZoneInfo(self.tz)))
+
+    def _is_off_local(self, local: dt.datetime) -> bool:
+        """is_off for a time already converted to this schedule's zone."""
         pos = local.weekday() * 24.0 + local.hour + local.minute / 60.0 + local.second / 3600.0
         start = self.off_start_weekday * 24.0 + self.off_start_hour
         end = self.off_end_weekday * 24.0 + self.off_end_hour
@@ -333,10 +361,10 @@ def label_process_rows(
     zone = ZoneInfo(schedule.tz)
     out = []
     for row in rows:
-        local_date = dt.datetime.fromtimestamp(row.timestamp_s, zone).date()
-        if local_date in abnormal:
+        local = dt.datetime.fromtimestamp(row.timestamp_s, zone)
+        if local.date() in abnormal:
             state = MachineState.ABNORMAL
-        elif schedule.is_off(row.timestamp_s):
+        elif schedule._is_off_local(local):
             state = MachineState.OFF
         else:
             state = MachineState.ON

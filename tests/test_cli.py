@@ -115,6 +115,42 @@ class TestExitCodes:
         assert code == cli.USER_ERROR
         assert "sample rate must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["process", "pharma"])
+    @pytest.mark.parametrize("flag, value", [("--sample-rate", "3200"), ("--rpm", "300"),
+                                             ("--burst-len", "4")])
+    def test_triaxial_only_flag_with_other_format_is_user_error(self, tmp_path, capsys,
+                                                                fmt, flag, value):
+        path = tmp_path / fmt
+        assert cli.main(["synth", "--emit", fmt, "--out", str(path), "--days", "1"]) == 0
+        assert cli.main(["ingest", "--format", fmt, "--input", str(path)]) == 0
+        out = tmp_path / "out.json"
+        code = cli.main(["ingest", "--format", fmt, "--input", str(path), flag, value,
+                         "--out", str(out)])
+        assert code == cli.USER_ERROR
+        assert f"only --format triaxial takes {flag}; got --format {fmt}" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_triaxial_flag_defaults_unchanged(self, tmp_path, capsys):
+        path = tmp_path / "v.csv"
+        assert cli.main(["synth", "--emit", "triaxial", "--out", str(path),
+                         "--duration", "0.1"]) == 0
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        assert cli.main(["ingest", "--format", "triaxial", "--input", str(path),
+                         "--out", str(outs[0])]) == 0
+        assert cli.main(["ingest", "--format", "triaxial", "--input", str(path),
+                         "--sample-rate", "3200", "--rpm", "300", "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("value", ["5", "0", "-1"])
+    def test_target_samples_below_floor_is_user_error(self, tmp_path, capsys, value):
+        out = tmp_path / "out.json"
+        code = cli.main(["transfer", "--source-duration", "0.2", "--epochs", "1",
+                         "--target-samples", value, "--out", str(out)])
+        assert code == cli.USER_ERROR
+        assert f"--target-samples must be >= 6, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_directory_as_input_is_user_error(self, tmp_path, capsys):
         code = cli.main(["ingest", "--format", "process", "--input", str(tmp_path)])
         assert code == cli.USER_ERROR
@@ -325,6 +361,16 @@ class TestSynthIngestRoundTrips:
         assert cli.main(["ingest", "--format", "pharma", "--input", str(out)]) == 0
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["records"] == 1
+
+    @pytest.mark.parametrize("emit", ["triaxial", "process", "pharma"])
+    def test_synth_seed_from_config_file(self, tmp_path, capsys, emit):
+        cfg = write_config(tmp_path, "[training]\nseed = 5\n")
+        paths = [tmp_path / name for name in ("file", "flag", "default")]
+        argv = ["synth", "--emit", emit, "--days", "1", "--out"]
+        assert cli.main(["--config", cfg] + argv + [str(paths[0])]) == 0
+        assert cli.main(argv + [str(paths[1]), "--seed", "5"]) == 0
+        assert cli.main(argv + [str(paths[2])]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes() != paths[2].read_bytes()
 
     def test_pharma_too_short(self, capsys, tmp_path):
         code = cli.main(["synth", "--emit", "pharma", "--out",

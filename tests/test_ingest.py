@@ -1,8 +1,10 @@
 import datetime as dt
+import hashlib
 
 import numpy as np
 import pytest
 
+from vibrosense import synth
 from vibrosense.core import ContractError, DefectLabel, MachineState, OperatingPoint, VibrationRecord
 from vibrosense.ingest import (
     PHARMA_POINTS_PER_AXIS,
@@ -175,6 +177,110 @@ class TestPharma:
         vib = rec.to_vibration_record()
         assert vib.sample_rate_hz == pytest.approx(3200.0)
         assert len(vib) == PHARMA_POINTS_PER_AXIS
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestWriterBytes:
+    """The writers' output, pinned to digests of the bytes csv.writer and the
+    value-by-value writers produced: \r\n CSV lines, shortest round-trip float
+    reprs, ISO timestamps."""
+
+    # what `vibrosense synth --emit <format> --seed <seed>` writes with its defaults
+    SYNTH = {
+        ("triaxial", 0): "8355233faa193a6049f8c4f2a1adda1e959e02f8951a4c0240632b4f50cf1f44",
+        ("triaxial", 1): "290bb5833028961f421e4a28d5a1a483d94581ed36213e2e6902458c586daa6b",
+        ("triaxial", 2): "1eb318bfd43649e8e4eba8fec9a40bdb72f76258fa072326bece5dc7845a9bd1",
+        ("process", 0): "a598a1f915c29ebcbd06052f8ce0970c4be75bfba029bc27cfbcc4c105bc26e6",
+        ("process", 1): "0510e8ef34db914047c0f3e85a92912713d3f760ae60901807ee4e1c26b2c9a8",
+        ("process", 2): "26fc821dd290652565324148fc242667337ba9db1d12977293e9c3bca55ed4ef",
+        ("pharma", 0): "a4d29eab66d01fe5d6df4f65acb94771bb465ed473682203e51c5387a6ab9978",
+        ("pharma", 1): "5bec14fe23e905a862b495bd8550ba48161c5a24578a58c38dfc6d72691e1b06",
+        ("pharma", 2): "c8604207dde5bc8f3d61f301bdc3ba89531bed49dc0c1f133bc19e24109ffe66",
+    }
+    EDGE = [-0.0, 5e-324, 1e-05, 1e16, 0.1, -2.5, 1e300]
+
+    @pytest.mark.parametrize("fmt, seed", sorted(SYNTH))
+    def test_synth_output(self, tmp_path, fmt, seed):
+        p = tmp_path / fmt
+        if fmt == "process":
+            write_process_csv([r for r, _ in synth.generate_process(days=7, seed=seed)], p)
+        else:
+            rec = synth.generate_vibration(synth.SynthConfig(
+                rpm=300, sample_rate_hz=3200.0, duration_s=1.0,
+                imbalance_level=DefectLabel.NORMAL, noise_sigma=0.3, seed=seed))
+            if fmt == "triaxial":
+                write_triaxial_csv([rec], p)
+            else:
+                write_pharma_txt([PharmaRecord(rec.start_s, rec.x, rec.y, rec.z, 1 / 3200.0)], p)
+        assert _sha256(p) == self.SYNTH[fmt, seed]
+
+    def test_edge_values(self, tmp_path):
+        edge = self.EDGE
+        write_triaxial_csv([VibrationRecord(0.0, 3200.0, edge, edge[::-1], edge[3:] + edge[:3],
+                                            OP)], tmp_path / "t")
+        assert _sha256(tmp_path / "t") == (
+            "858fad5935c999ab2a5359c99f2d0665532e6434e51da6aff6b04a990af8fa5b")
+
+        # np.float64 fields, as synth makes them, across the spring-forward gap
+        t0 = parse_timestamp("2022-03-13 01:55:00")
+        rows = [ProcessRow(t0 + 300.0 * i, *map(np.float64, np.roll(edge, i))) for i in range(4)]
+        write_process_csv(rows, tmp_path / "p")
+        assert (tmp_path / "p").read_bytes().splitlines()[1] == (
+            b"2022-03-13 01:55:00,-0.0,5e-324,1e-05,1e+16,0.1,-2.5,1e+300")
+        assert _sha256(tmp_path / "p") == (
+            "049103aa024151c18297bac781f5d6d6bd646edd2a9bf971a348e8094a7ba055")
+
+        axis = np.resize(np.array(edge), PHARMA_POINTS_PER_AXIS)
+        write_pharma_txt([PharmaRecord(t0, axis, -axis, axis[::-1], 1 / 3200.0)], tmp_path / "h")
+        assert _sha256(tmp_path / "h") == (
+            "48501a87b324f558d1f1c53a8a47fdf7afc53ab0b4c0db2234a1bab162e9e486")
+
+
+class TestFirstErrorInFileOrder:
+    """Rows are converted whole, but the error still names the first bad
+    value of the file: its line (or record and axis) and its token."""
+
+    @pytest.mark.parametrize("fifth", ["1,2\n", "1,2,3,4\n"])
+    def test_triaxial_bad_number_before_bad_row(self, tmp_path, fifth):
+        p = tmp_path / "t.csv"
+        p.write_text("X,Y,Z\n1,2,3\n1,oops,3\n1,2,3\n" + fifth)
+        with pytest.raises(ContractError, match=r"^unparseable number 'oops' at line 3$"):
+            parse_triaxial_csv(p, 3200.0, OP)
+
+    def test_process_bad_number_before_short_row(self, tmp_path):
+        rows = make_process_rows(4)
+        p = tmp_path / "p.csv"
+        write_process_csv(rows, p)
+        lines = p.read_text().splitlines()
+        lines[2] = lines[2].replace("53.0", "oops")
+        lines[4] = lines[4].rsplit(",", 1)[0]
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractError, match=r"^unparseable number 'oops' at line 3$"):
+            parse_process_csv(p)
+
+    def test_non_finite_before_unparseable_in_one_row(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("1,2,3\n1,inf,x\n")
+        with pytest.raises(ContractError, match=r"^non-finite value 'inf' at line 2$"):
+            parse_triaxial_csv(p, 3200.0, OP)
+        p.write_text(",".join(PROCESS_HEADER) + "\n2022-01-04 10:00:00,1,nan,3,4,5,x,7\n")
+        with pytest.raises(ContractError, match=r"^non-finite value 'nan' at line 2$"):
+            parse_process_csv(p)
+
+    def test_pharma_y_axis_names_record_and_axis(self, tmp_path):
+        recs = [TestPharma().make_record(i) for i in range(2)]
+        p = tmp_path / "a.txt"
+        write_pharma_txt(recs, p)
+        lines = p.read_text().split("\n")
+        y = lines[7].split()  # record 2: timestamp on line 6, y on line 8
+        y[10], y[20] = "1e400", "oops"
+        lines[7] = " ".join(y)
+        p.write_text("\n".join(lines))
+        with pytest.raises(ContractError, match=r"^non-finite value '1e400' at record 2, y-axis$"):
+            parse_pharma_txt(p)
 
 
 class TestLabeling:

@@ -90,6 +90,25 @@ def test_mutated_file_parses_or_contract_error(path, valid_files, fmt):
     check()
 
 
+def _value_by_value(tokens, where):
+    """The reference: each token through _parse_float, the result or the error."""
+    try:
+        return [ingest._parse_float(token, where) for token in tokens]
+    except ContractError as exc:
+        return str(exc)
+
+
+@FEW
+@given(tokens=st.lists(st.sampled_from(TOKENS + ["-inf", "1e-400", "1_0", " 2 ", "NaN"])
+                       | finite.map(repr), min_size=1, max_size=6))
+def test_row_conversion_matches_value_by_value(tokens):
+    try:
+        got = ingest._parse_floats(tokens, "line 7")
+    except ContractError as exc:
+        got = str(exc)
+    assert repr(got) == repr(_value_by_value(tokens, "line 7"))  # repr tells -0.0 from 0.0
+
+
 @pytest.mark.parametrize("fmt", ["triaxial", "process"])
 def test_field_over_csv_limit_is_contract_error(path, fmt):
     path.write_bytes(b"1" * 200_000)
