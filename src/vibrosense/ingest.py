@@ -185,11 +185,12 @@ def parse_triaxial_csv(
     flat = []  # x, y, z of every row, in file order
     with open(path, newline="") as fh, _reading(path):
         reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
+        for row in reader:
+            lineno = reader.line_num  # a quoted line break makes records and lines differ
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if lineno == 1 and any(_looks_non_numeric(c) for c in row):
-                continue  # header row
+            if lineno == 1 and not any(map(_looks_numeric, row)):
+                continue  # header row: a numeric field makes it a (malformed) data row
             if len(row) != 3:
                 raise ContractError(f"expected 3 columns, got {len(row)} (line {lineno})")
             flat += _parse_floats(row, f"line {lineno}")
@@ -219,12 +220,12 @@ def parse_triaxial_csv(
     return records
 
 
-def _looks_non_numeric(token: str) -> bool:
+def _looks_numeric(token: str) -> bool:
     try:
         float(token)
-        return False
-    except ValueError:
         return True
+    except ValueError:
+        return False
 
 
 # The CSV writers emit the lines csv.writer would: comma-separated, each ended
@@ -257,7 +258,8 @@ def parse_process_csv(path, tz: str = DEFAULT_TIMEZONE) -> List[ProcessRow]:
         measurements = itemgetter(*(header.index(col) for col in PROCESS_MEASUREMENT_COLUMNS))
         zone = ZoneInfo(tz)
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) < len(header):

@@ -27,11 +27,11 @@ def relu_grad(z: np.ndarray) -> np.ndarray:
     return (z > 0.0).astype(np.float64)
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below: exp never sees a positive
     # argument, so it cannot overflow.
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -126,14 +126,12 @@ def sgd_epochs(
     batch_size: int,
     learning_rate: float,
     rng,
-    trainable: slice = slice(None),
     on_epoch: Optional[Callable[[], None]] = None,
 ):
     """Plain mini-batch SGD; returns the mean batch loss per epoch.
 
-    Only the `trainable` slice of the parameters (and of the gradients) is
-    updated; `on_epoch` is called after each epoch. Raises as soon as a
-    non-finite loss shows up, naming the epoch.
+    `on_epoch` is called after each epoch. Raises as soon as a non-finite
+    loss shows up, naming the epoch.
 
     Lockstep form: `model`, `x`, `y` and `rng` are equal-length lists, k
     same-shaped models with their own data (all of one row count) and their
@@ -158,7 +156,7 @@ def sgd_epochs(
         net = type(members[0]).stack(members)
     else:
         net = members[0]
-    params = net.parameters()[trainable]
+    params = net.parameters()
     results: List = [[] for _ in members]
     live = np.arange(len(members))
     for epoch in range(epochs):
@@ -190,8 +188,8 @@ def sgd_epochs(
                 epoch_losses = [losses[keep] for losses in epoch_losses]
                 grads = [g[keep] for g in grads]
                 net = type(members[0]).stack([members[j] for j in live])
-                params = net.parameters()[trainable]
-            for p, g in zip(params, grads[trainable]):
+                params = net.parameters()
+            for p, g in zip(params, grads):
                 p -= learning_rate * g
             epoch_losses.append(loss)
         # one row of batch losses per member, each contiguous like a lone run's list

@@ -8,15 +8,64 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..core import ContractError
-from .base import Model, glorot_uniform, mse_and_delta, relu, relu_grad, sigmoid, softplus
+from .base import Model, glorot_uniform, mse_and_delta, relu_grad, sigmoid, softplus
 from .dense import dense_backward, dense_forward, dense_init, dense_parameters
 
 SIGMA_FLOOR = 1e-6
 
 
+def _time_first(a):
+    """(..., n, time, f) -> (time, ..., n, f), a view (np.moveaxis does the
+    same, at several times the cost of this call on these small arrays)."""
+    nd = a.ndim
+    return a.transpose(nd - 2, *range(nd - 2), nd - 1)
+
+
+def _time_inner(a):
+    """(time, ..., n, f) -> (..., n, time, f), a view: _time_first undone."""
+    nd = a.ndim
+    return a.transpose(*range(1, nd - 1), 0, nd - 1)
+
+
+def _sum_steps_down(p):
+    """Sum of per-step terms (time leading) in the order a zeroed accumulator
+    takes them from the last step down: acc += p[t] for t = T-1, ..., 0."""
+    return np.add.reduce(p[::-1], axis=0, initial=0.0)
+
+
+def _input_products(x, wx):
+    """x @ wx for every step at once, time leading and contiguous: each step's
+    slice is where that step then adds h @ wh and the bias in place."""
+    xs = _time_first(x)
+    return np.matmul(xs, wx, out=np.empty(xs.shape[:-1] + wx.shape[-1:]))
+
+
+def _weight_grads(x, h_prev, dz, wx):
+    """The gradients at a layer's input and parameters once the time loop has
+    left every step's gate gradient in dz (time, ..., n, gates). x is the
+    layer input as forward got it, h_prev the state entering each step.
+
+    x stays a view of the caller's (..., n, time, d_in) array, so each step's
+    x^T is the strided slice a per-step loop multiplies. For the first layer
+    (d_in 1) that matters: NumPy takes a different route for a contiguous
+    (1, n) operand, and its products differ in the last bit."""
+    xs_t = _time_first(x).swapaxes(-1, -2)
+    dwx = _sum_steps_down(xs_t @ dz)
+    dwh = _sum_steps_down(h_prev.swapaxes(-1, -2) @ dz)
+    db = _sum_steps_down(dz.sum(axis=-2))
+    dx = _time_inner(dz @ wx.swapaxes(-1, -2))
+    return dx, [dwx, dwh, db]
+
+
 class _RnnLayer:
-    """Simple recurrent cell. Inputs are (..., n, time, features); the leading
-    axis, when present, is the stack axis of ``Model.stack``."""
+    """Simple recurrent cell. Inputs and outputs are (..., n, time, features);
+    the leading axis, when present, is the stack axis of ``Model.stack``.
+
+    Inside, time is the leading axis of preallocated buffers, and the time
+    loops keep only the recurrence: the input products are one matmul before
+    the forward loop, the weight and input gradients come after the backward
+    one. Every element is the same product or sum, in the same order, as a
+    loop doing all of it step by step."""
 
     def __init__(self, d_in: int, hidden: int, activation: str, rng):
         self.activation = activation
@@ -28,43 +77,40 @@ class _RnnLayer:
         return [self.wx, self.wh, self.b]
 
     def forward(self, x):
-        h = np.zeros(x.shape[:-2] + (self.b.shape[-1],))
+        pre = _input_products(x, self.wx)
+        states = np.zeros((pre.shape[0] + 1,) + pre.shape[1:])  # states[0]: the zero start
+        hw = np.empty(pre.shape[1:])
         b = self.b[..., None, :]
-        pre, states = [], []
-        for t in range(x.shape[-2]):
-            z = x[..., t, :] @ self.wx + h @ self.wh + b
-            h = relu(z) if self.activation == "relu" else np.tanh(z)
-            pre.append(z)
-            states.append(h)
-        cache = (x, pre, states)
-        return np.stack(states, axis=-2), cache
+        for t in range(pre.shape[0]):
+            z = pre[t]
+            z += np.matmul(states[t], self.wh, out=hw)
+            z += b
+            if self.activation == "relu":
+                np.maximum(z, 0.0, out=states[t + 1])
+            else:
+                np.tanh(z, out=states[t + 1])
+        return _time_inner(states[1:]), (x, pre, states)
 
     def backward(self, d_out, cache):
         x, pre, states = cache
-        wx_t = self.wx.swapaxes(-1, -2)
+        d_out = _time_first(d_out)
+        if self.activation == "relu":
+            act_grad = relu_grad(pre)
+        else:
+            act_grad = 1.0 - states[1:] ** 2
         wh_t = self.wh.swapaxes(-1, -2)
-        dwx = np.zeros_like(self.wx)
-        dwh = np.zeros_like(self.wh)
-        db = np.zeros_like(self.b)
-        dx = np.zeros_like(x)
-        dh = np.zeros_like(states[0])
-        for t in range(x.shape[-2] - 1, -1, -1):
-            dh_total = d_out[..., t, :] + dh
-            if self.activation == "relu":
-                dz = dh_total * relu_grad(pre[t])
-            else:
-                dz = dh_total * (1.0 - states[t] ** 2)
-            h_prev = states[t - 1] if t > 0 else np.zeros_like(dh)
-            dwx += x[..., t, :].swapaxes(-1, -2) @ dz
-            dwh += h_prev.swapaxes(-1, -2) @ dz
-            db += dz.sum(axis=-2)
-            dx[..., t, :] = dz @ wx_t
-            dh = dz @ wh_t
-        return dx, [dwx, dwh, db]
+        dz = np.empty_like(pre)
+        dh = np.zeros(pre.shape[1:])
+        for t in range(pre.shape[0] - 1, -1, -1):
+            np.multiply(d_out[t] + dh, act_grad[t], out=dz[t])
+            if t:
+                dh = dz[t] @ wh_t
+        return _weight_grads(x, states[:-1], dz, self.wx)
 
 
 class _LstmLayer:
-    """LSTM cell over (..., n, time, features) inputs, like ``_RnnLayer``."""
+    """LSTM cell over (..., n, time, features) inputs, laid out inside like
+    ``_RnnLayer``. The gate buffer holds i, f, g, o side by side."""
 
     def __init__(self, d_in: int, hidden: int, rng):
         self.hidden = hidden
@@ -77,60 +123,62 @@ class _LstmLayer:
 
     def forward(self, x):
         hdim = self.hidden
-        h = np.zeros(x.shape[:-2] + (hdim,))
-        c = np.zeros_like(h)
+        z = _input_products(x, self.wx)
+        t_len = z.shape[0]
+        states = np.zeros((t_len + 1,) + z.shape[1:-1] + (hdim,))  # [0]: the zero start
+        cells = np.zeros_like(states)
+        tanh_c = np.empty_like(states[1:])
+        gates = np.empty_like(z)
+        hw = np.empty(z.shape[1:])
         b = self.b[..., None, :]
-        gates, cells, states = [], [], []
-        for t in range(x.shape[-2]):
-            z = x[..., t, :] @ self.wx + h @ self.wh + b
-            s = sigmoid(z)  # the g block of s is unused; tanh covers it
+        for t in range(t_len):
+            zt = z[t]
+            zt += np.matmul(states[t], self.wh, out=hw)
+            zt += b
+            s = sigmoid(zt, out=gates[t])  # its g block is then overwritten by tanh
             i = s[..., :hdim]
             f = s[..., hdim : 2 * hdim]
-            g = np.tanh(z[..., 2 * hdim : 3 * hdim])
+            g = np.tanh(zt[..., 2 * hdim : 3 * hdim], out=s[..., 2 * hdim : 3 * hdim])
             o = s[..., 3 * hdim :]
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            gates.append((i, f, g, o))
-            cells.append(c)
-            states.append(h)
-        cache = (x, gates, cells, states)
-        return np.stack(states, axis=-2), cache
+            c = np.multiply(f, cells[t], out=cells[t + 1])
+            c += i * g
+            np.multiply(o, np.tanh(c, out=tanh_c[t]), out=states[t + 1])
+        return _time_inner(states[1:]), (x, gates, cells, tanh_c, states)
 
     def backward(self, d_out, cache):
-        x, gates, cells, states = cache
+        x, gates, cells, tanh_c, states = cache
         hdim = self.hidden
-        wx_t = self.wx.swapaxes(-1, -2)
+        d_out = _time_first(d_out)
+        by_gate = gates.reshape(gates.shape[:-1] + (4, hdim))
+        i, f, g, o = (by_gate[..., k, :] for k in range(4))
+        # Gate gradients are ((e * m1) * m2) * m3 with e = [dct, dct, dct, dh]:
+        # di*i*(1-i), df*f*(1-f), dg*(1-g^2) (times 1.0, which is exact) and
+        # do*o*(1-o), each in its step-by-step order; only e is per step.
+        m1 = np.concatenate([g, cells[:-1], i, tanh_c], axis=-1)
+        m2 = np.concatenate([i, f, 1.0 - g * g, o], axis=-1)
+        m3 = 1.0 - gates
+        m3[..., 2 * hdim : 3 * hdim] = 1.0
+        dtanh_c = 1.0 - tanh_c * tanh_c
         wh_t = self.wh.swapaxes(-1, -2)
-        dwx = np.zeros_like(self.wx)
-        dwh = np.zeros_like(self.wh)
-        db = np.zeros_like(self.b)
-        dx = np.zeros_like(x)
-        dh = np.zeros_like(states[0])
+        e = np.empty(by_gate.shape[1:])
+        e_flat = e.reshape(gates.shape[1:])
+        dct = e[..., 0, :]
+        dz = np.empty_like(gates)
+        dh = np.zeros(e.shape[:-2] + (hdim,))
         dc = np.zeros_like(dh)
-        dz = np.empty(dh.shape[:-1] + (4 * hdim,))
-        for t in range(x.shape[-2] - 1, -1, -1):
-            i, f, g, o = gates[t]
-            c = cells[t]
-            c_prev = cells[t - 1] if t > 0 else np.zeros_like(c)
-            h_prev = states[t - 1] if t > 0 else np.zeros_like(dh)
-            dh_total = d_out[..., t, :] + dh
-            tc = np.tanh(c)
-            do = dh_total * tc
-            dct = dc + dh_total * o * (1.0 - tc * tc)
-            di = dct * g
-            df = dct * c_prev
-            dg = dct * i
-            dz[..., :hdim] = di * i * (1.0 - i)
-            dz[..., hdim : 2 * hdim] = df * f * (1.0 - f)
-            dz[..., 2 * hdim : 3 * hdim] = dg * (1.0 - g * g)
-            dz[..., 3 * hdim :] = do * o * (1.0 - o)
-            dwx += x[..., t, :].swapaxes(-1, -2) @ dz
-            dwh += h_prev.swapaxes(-1, -2) @ dz
-            db += dz.sum(axis=-2)
-            dx[..., t, :] = dz @ wx_t
-            dh = dz @ wh_t
-            dc = dct * f
-        return dx, [dwx, dwh, db]
+        for t in range(gates.shape[0] - 1, -1, -1):
+            dh_total = np.add(d_out[t], dh, out=e[..., 3, :])
+            np.multiply(dh_total, o[t], out=dct)
+            dct *= dtanh_c[t]
+            dct += dc
+            e[..., 1:3, :] = dct[..., None, :]
+            dzt = np.multiply(e_flat, m1[t], out=dz[t])
+            dzt *= m2[t]
+            dzt *= m3[t]
+            if t:
+                dh = dzt @ wh_t
+                dc = dct * f[t]
+        return _weight_grads(x, states[:-1], dz, self.wx)
 
 
 class RecurrentNet(Model):

@@ -58,6 +58,19 @@ class TestTriaxialCsv:
         with pytest.raises(ContractError, match=r"line 2"):
             parse_triaxial_csv(p, 3200.0, OP)
 
+    def test_first_line_with_a_number_is_data_not_header(self, tmp_path):
+        # a header has no numeric field; this first row is a malformed data row
+        p = tmp_path / "t.csv"
+        p.write_text("1,oops,3\n4,5,6\n")
+        with pytest.raises(ContractError, match=r"^unparseable number 'oops' at line 1$"):
+            parse_triaxial_csv(p, 3200.0, OP)
+
+    def test_error_line_counts_quoted_line_breaks(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text('1,2,3\n"4\n",5,6\n7,x,9\n')
+        with pytest.raises(ContractError, match=r"^unparseable number 'x' at line 4$"):
+            parse_triaxial_csv(p, 3200.0, OP)
+
     def test_bursts(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("".join(f"{i},{i},{i}\n" for i in range(10)))
@@ -259,6 +272,19 @@ class TestFirstErrorInFileOrder:
         lines[4] = lines[4].rsplit(",", 1)[0]
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ContractError, match=r"^unparseable number 'oops' at line 3$"):
+            parse_process_csv(p)
+
+    def test_process_error_line_counts_quoted_line_breaks(self, tmp_path):
+        rows = make_process_rows(3)
+        p = tmp_path / "p.csv"
+        write_process_csv(rows, p)
+        lines = p.read_text().splitlines()
+        first = lines[1].split(",")
+        first[1] = f'"{first[1]}\n"'  # a quoted field spanning lines 2 and 3
+        lines[1] = ",".join(first)
+        lines[3] = lines[3].replace("53.0", "oops")
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractError, match=r"^unparseable number 'oops' at line 5$"):
             parse_process_csv(p)
 
     def test_non_finite_before_unparseable_in_one_row(self, tmp_path):
