@@ -3,6 +3,7 @@ cross-speed evaluation grids, binary relaxation, and the tuning sweep."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,8 +36,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ContractError("train config values must be positive")
+        if self.epochs < 0:
+            raise ContractError(f"train config epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ContractError(f"train config batch_size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ContractError(
+                f"train config learning_rate must be positive and finite, got {self.learning_rate}")
 
 
 @dataclass
@@ -66,22 +72,10 @@ def train_classifier(
 ) -> ClassifierModel:
     """Mini-batch SGD on softmax cross-entropy; deterministic given the seed.
     `init_net` warm-starts from existing weights (the transfer path)."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    if features.ndim != 2 or features.shape[0] != labels.size:
-        raise ContractError("features must be 2-d and row-parallel with labels")
-    if labels.size == 0:
-        raise ContractError("cannot train a classifier on zero rows")
-    n_classes = int(labels.max()) + 1 if class_names is None else len(class_names)
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ContractError("labels out of range for the class count")
-    if class_names is None:
-        class_names = DEFAULT_CLASS_NAMES[:n_classes] if n_classes <= 3 else tuple(
-            f"class_{i}" for i in range(n_classes)
-        )
+    features, labels, class_names = _training_data(features, labels, class_names)
     rng = make_rng(cfg.seed)
     if init_net is None:
-        net = Mlp([features.shape[1], *hidden_sizes, n_classes], loss="ce", rng=rng)
+        net = Mlp([features.shape[1], *hidden_sizes, len(class_names)], loss="ce", rng=rng)
     else:
         net = init_net.clone()
         if net.layer_sizes[0] != features.shape[1]:
@@ -95,7 +89,58 @@ def train_classifier(
         else:
             losses = sgd_epochs(net, features, labels, cfg.epochs, cfg.batch_size,
                                 cfg.learning_rate, rng)
-    return ClassifierModel(net=net, class_names=tuple(class_names), training_loss=losses)
+    return ClassifierModel(net=net, class_names=class_names, training_loss=losses)
+
+
+def _training_data(features, labels, class_names):
+    """train_classifier's input checks: float features, row-parallel int
+    labels in range, and the class names (the defaults for the label count
+    when None), as a tuple."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    if features.ndim != 2 or features.shape[0] != labels.size:
+        raise ContractError("features must be 2-d and row-parallel with labels")
+    if labels.size == 0:
+        raise ContractError("cannot train a classifier on zero rows")
+    n_classes = int(labels.max()) + 1 if class_names is None else len(class_names)
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ContractError("labels out of range for the class count")
+    if class_names is None:
+        class_names = DEFAULT_CLASS_NAMES[:n_classes] if n_classes <= 3 else tuple(
+            f"class_{i}" for i in range(n_classes)
+        )
+    return features, labels, tuple(class_names)
+
+
+def _train_each(trains, hidden_sizes, cfg: TrainConfig, class_names) -> List[ClassifierModel]:
+    """One fresh classifier per (features, labels) in trains, the i-th trained
+    as train_classifier trains it with seed cfg.seed + i. Those of one
+    training shape and class count train in lockstep, as one stacked net (a
+    group of one trains alone); each ends bit for bit where it would alone.
+    The first failure in trains' order raises the error that training them
+    one at a time raises."""
+    out: list = [None] * len(trains)
+    groups: dict = {}
+    for i, (features, labels) in enumerate(trains):
+        try:
+            x, y, names = _training_data(features, labels, class_names)
+        except ContractError as exc:
+            out[i] = exc
+            continue
+        groups.setdefault((x.shape, len(names)), []).append((i, x, y, names))
+    for group in groups.values():
+        index, xs, ys, names = (list(column) for column in zip(*group))
+        rngs = [make_rng(cfg.seed + i) for i in index]
+        nets = [Mlp([x.shape[1], *hidden_sizes, len(n)], loss="ce", rng=rng)
+                for x, n, rng in zip(xs, names, rngs)]
+        curves = sgd_epochs(nets, xs, ys, cfg.epochs, cfg.batch_size, cfg.learning_rate, rngs) \
+            if cfg.epochs > 0 else [[] for _ in index]
+        for i, net, n, curve in zip(index, nets, names, curves):
+            out[i] = curve if isinstance(curve, ContractError) else ClassifierModel(net, n, curve)
+    for result in out:
+        if isinstance(result, ContractError):
+            raise result
+    return out
 
 
 class _OutputLayer(Model):
@@ -231,10 +276,8 @@ def cross_rpm_matrix(
     spec = SplitSpec(train_fraction, SplitMode.STRATIFIED_SHUFFLE, seed=cfg.seed)
     splits = {rpm: split_arrays(*per_rpm[rpm], spec) for rpm in rpms}
     grid: Dict[str, dict] = {}
-    for i, train_rpm in enumerate(rpms):
-        (ftr, ltr), _ = splits[train_rpm]
-        row_cfg = replace(cfg, seed=cfg.seed + i)
-        model = train_classifier(ftr, ltr, hidden_sizes, row_cfg, class_names=class_names)
+    models = _train_each([splits[rpm][0] for rpm in rpms], hidden_sizes, cfg, class_names)
+    for train_rpm, model in zip(rpms, models):
         row = {}
         for test_rpm in rpms:
             _, (fte, lte) = splits[test_rpm]

@@ -24,7 +24,9 @@ def relu(z: np.ndarray) -> np.ndarray:
 
 
 def relu_grad(z: np.ndarray) -> np.ndarray:
-    return (z > 0.0).astype(np.float64)
+    """The ReLU derivative as a boolean mask: a float times it is the same
+    product as a float times 1.0 or 0.0, without a float mask to build."""
+    return z > 0.0
 
 
 def sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -59,11 +61,11 @@ def cross_entropy_and_delta(logits: np.ndarray, labels):
     classes = logits.shape[-1]
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     rows = np.arange(labels.size)
-    probs = softmax(logits)
-    delta = probs.copy()
+    delta = softmax(logits)  # a new array, so the gradient is built in it
     flat = delta.reshape(-1, classes)  # a view: writes land in delta
-    picked = flat[rows, labels].reshape(logits.shape[:-1])
-    loss = -np.mean(np.log(picked + 1e-300), axis=-1)
+    picked = flat[rows, labels].reshape(logits.shape[:-1])  # a copy, taken before the -= 1
+    # the sum and divide np.mean does, without its Python layers
+    loss = -(np.add.reduce(np.log(picked + 1e-300), axis=-1) / logits.shape[-2])
     flat[rows, labels] -= 1.0
     delta /= logits.shape[-2]
     return loss, delta
@@ -154,6 +156,7 @@ def sgd_epochs(
         if any(a.shape != xs[0].shape for a in xs) or any(b.shape != ys[0].shape for b in ys):
             raise ContractError("lockstep training needs equal-shaped data for every model")
         net = type(members[0]).stack(members)
+        xs, ys = np.stack(xs), np.stack(ys)  # a step's batches are then one gather
     else:
         net = members[0]
     params = net.parameters()
@@ -164,9 +167,8 @@ def sgd_epochs(
         epoch_losses = []
         for lo in range(0, n, batch_size):
             if stacked:  # each member's batch comes from its own data
-                rows = orders[:, lo : lo + batch_size]
-                loss, grads = net.loss_and_grad(np.stack([xs[j][r] for j, r in zip(live, rows)]),
-                                                np.stack([ys[j][r] for j, r in zip(live, rows)]))
+                at = (live[:, None], orders[:, lo : lo + batch_size])
+                loss, grads = net.loss_and_grad(xs[at], ys[at])
                 diverged = not all(map(math.isfinite, loss))
             else:
                 rows = orders[0, lo : lo + batch_size]

@@ -51,7 +51,7 @@ def dense_backward(weights, acts, pre, delta, relu_last: bool = False, input_gra
     for i in range(last, -1, -1):
         if relu_last or i < last:
             delta = delta * relu_grad(pre[i])
-        grads.append(np.sum(delta, axis=-2))
+        grads.append(delta.sum(axis=-2))
         grads.append(acts[i].swapaxes(-1, -2) @ delta)
         if i > 0 or input_grad:
             delta = delta @ weights[i].swapaxes(-1, -2)

@@ -40,10 +40,11 @@ def _input_products(x, wx):
     return np.matmul(xs, wx, out=np.empty(xs.shape[:-1] + wx.shape[-1:]))
 
 
-def _weight_grads(x, h_prev, dz, wx):
-    """The gradients at a layer's input and parameters once the time loop has
-    left every step's gate gradient in dz (time, ..., n, gates). x is the
-    layer input as forward got it, h_prev the state entering each step.
+def _weight_grads(x, h_prev, dz, wx, input_grad):
+    """The gradients at a layer's input (None unless input_grad) and
+    parameters once the time loop has left every step's gate gradient in dz
+    (time, ..., n, gates). x is the layer input as forward got it, h_prev the
+    state entering each step.
 
     x stays a view of the caller's (..., n, time, d_in) array, so each step's
     x^T is the strided slice a per-step loop multiplies. For the first layer
@@ -53,7 +54,7 @@ def _weight_grads(x, h_prev, dz, wx):
     dwx = _sum_steps_down(xs_t @ dz)
     dwh = _sum_steps_down(h_prev.swapaxes(-1, -2) @ dz)
     db = _sum_steps_down(dz.sum(axis=-2))
-    dx = _time_inner(dz @ wx.swapaxes(-1, -2))
+    dx = _time_inner(dz @ wx.swapaxes(-1, -2)) if input_grad else None
     return dx, [dwx, dwh, db]
 
 
@@ -65,10 +66,12 @@ class _RnnLayer:
     loops keep only the recurrence: the input products are one matmul before
     the forward loop, the weight and input gradients come after the backward
     one. Every element is the same product or sum, in the same order, as a
-    loop doing all of it step by step."""
+    loop doing all of it step by step. Without input_grad, backward returns
+    None for the input gradient and skips its product."""
 
-    def __init__(self, d_in: int, hidden: int, activation: str, rng):
+    def __init__(self, d_in: int, hidden: int, activation: str, rng, input_grad: bool = True):
         self.activation = activation
+        self.input_grad = input_grad
         self.wx = glorot_uniform(rng, d_in, hidden)
         self.wh = glorot_uniform(rng, hidden, hidden)
         self.b = np.zeros(hidden)
@@ -105,15 +108,16 @@ class _RnnLayer:
             np.multiply(d_out[t] + dh, act_grad[t], out=dz[t])
             if t:
                 dh = dz[t] @ wh_t
-        return _weight_grads(x, states[:-1], dz, self.wx)
+        return _weight_grads(x, states[:-1], dz, self.wx, self.input_grad)
 
 
 class _LstmLayer:
     """LSTM cell over (..., n, time, features) inputs, laid out inside like
     ``_RnnLayer``. The gate buffer holds i, f, g, o side by side."""
 
-    def __init__(self, d_in: int, hidden: int, rng):
+    def __init__(self, d_in: int, hidden: int, rng, input_grad: bool = True):
         self.hidden = hidden
+        self.input_grad = input_grad
         self.wx = glorot_uniform(rng, d_in, 4 * hidden, shape=(d_in, 4 * hidden))
         self.wh = glorot_uniform(rng, hidden, 4 * hidden, shape=(hidden, 4 * hidden))
         self.b = np.zeros(4 * hidden)
@@ -178,7 +182,7 @@ class _LstmLayer:
             if t:
                 dh = dzt @ wh_t
                 dc = dct * f[t]
-        return _weight_grads(x, states[:-1], dz, self.wx)
+        return _weight_grads(x, states[:-1], dz, self.wx, self.input_grad)
 
 
 class RecurrentNet(Model):
@@ -207,10 +211,11 @@ class RecurrentNet(Model):
         self.layers = []
         d_in = 1
         for hdim in hidden_sizes:
+            input_grad = bool(self.layers)  # nothing reads the gradient at the network's input
             if cell == "lstm":
-                self.layers.append(_LstmLayer(d_in, hdim, rng))
+                self.layers.append(_LstmLayer(d_in, hdim, rng, input_grad))
             else:
-                self.layers.append(_RnnLayer(d_in, hdim, activation, rng))
+                self.layers.append(_RnnLayer(d_in, hdim, activation, rng, input_grad))
             d_in = hdim
         out_dim = 2 if loss == "gaussian_nll" else 1
         self.head_weights, self.head_biases = dense_init([d_in, *head_sizes, out_dim], rng)

@@ -89,6 +89,19 @@ class TestTraining:
         with pytest.raises(ContractError, match="zero rows"):
             train_classifier(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("learning_rate", float("nan"), "learning_rate must be positive and finite, got nan"),
+        ("learning_rate", float("inf"), "learning_rate must be positive and finite, got inf"),
+        ("learning_rate", -0.1, "learning_rate must be positive and finite, got -0.1"),
+        ("learning_rate", 0.0, "learning_rate must be positive and finite, got 0.0"),
+        ("epochs", -1, "epochs must be >= 0, got -1"),
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+    ])
+    def test_train_config_error_names_the_field_and_value(self, field, value, message):
+        with pytest.raises(ContractError) as exc:
+            TrainConfig(**{field: value})
+        assert str(exc.value) == f"train config {message}"
+
     def test_width_guard_at_predict(self):
         feats, labels = blobs()
         model = train_classifier(feats, labels, cfg=TrainConfig(epochs=1))

@@ -75,6 +75,17 @@ class TestLoadConfig:
         assert err.startswith(f"error: config file {path}:") and detail in err
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.1"])
+    def test_bad_learning_rate_in_config_file_is_user_error(self, tmp_path, capsys, value):
+        # rejected where it is read, not reported later as a diverged training
+        path = write_config(tmp_path, f"[training]\nlearning_rate = {value}\nepochs = 1\n")
+        code = cli.main(["--config", path, "train", "--duration", "0.3"])
+        assert code == cli.USER_ERROR
+        err = capsys.readouterr().err
+        assert f"train config learning_rate must be positive and finite, got {float(value)}" in err
+        assert "non-finite training loss" not in err
+
+
 class TestExitCodes:
     def test_missing_input_file_is_user_error(self, capsys):
         code = cli.main(["ingest", "--format", "process", "--input", "absent.csv"])

@@ -17,11 +17,17 @@ from vibrosense.classify import TrainConfig, make_bundle, train_classifier, trai
 from vibrosense.core import ContractError, make_rng
 from vibrosense.features import fit_encoder
 from vibrosense.nn import Mlp, RecurrentNet, sgd_epochs, softmax
-from vibrosense.nn.base import glorot_uniform, relu, relu_grad, sigmoid, softplus
+from vibrosense.nn.base import glorot_uniform, relu, sigmoid, softplus
 from vibrosense.nn.recurrent import SIGMA_FLOOR, _LstmLayer, _RnnLayer
 
 
 # --- references -------------------------------------------------------------
+
+def relu_grad(z):
+    """The ReLU derivative as a float 0/1 mask, written out here so that the
+    references do not depend on the library's own (a boolean mask)."""
+    return (z > 0.0).astype(np.float64)
+
 
 def _ref_dense_init(rng, sizes):
     ws, bs = [], []

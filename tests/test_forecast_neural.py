@@ -14,7 +14,7 @@ from vibrosense.forecast import (
     make_windows,
 )
 from vibrosense.nn import ConvAutoencoder, Mlp, RecurrentNet, gradient_check
-from vibrosense.nn.base import relu_grad, sigmoid, softplus
+from vibrosense.nn.base import sigmoid, softplus
 from vibrosense.nn.conv import _Conv1d, _ConvTranspose1d, _same_padding
 from vibrosense.nn.recurrent import _LstmLayer
 
@@ -359,6 +359,12 @@ def _ref_lstm_backward(self, d_out, cache):
         dh = dz @ self.wh.T
         dc = dct * f
     return dx, [dwx, dwh, db]
+
+
+def relu_grad(z):
+    """The ReLU derivative as a float 0/1 mask, written out here so that the
+    reference does not depend on the library's own (a boolean mask)."""
+    return (z > 0.0).astype(np.float64)
 
 
 def _ref_autoencoder_loss_and_grad(net, x):

@@ -4,13 +4,15 @@ would end trained alone: parameters compared with `tobytes()`, loss curves
 and error messages with `==`."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vibrosense import forecast
+from vibrosense import classify, forecast
 from vibrosense.anomaly import AnomalyDataset, TruthRule, run_benchmark
-from vibrosense.core import ContractError, SplitSpec, TimeSeries, make_rng
+from vibrosense.classify import TrainConfig, cross_rpm_matrix, train_classifier
+from vibrosense.core import ContractError, SplitMode, SplitSpec, TimeSeries, make_rng, split_arrays
 from vibrosense.forecast import ForecastModelConfig
 from vibrosense.nn import Mlp, RecurrentNet, sgd_epochs
 from vibrosense.synth import generate_spiked_series
@@ -191,3 +193,120 @@ def test_conv_autoencoders_train_one_at_a_time(monkeypatch):
     for kind in ("autoencoder", "lstm"):
         forecast.fit(ForecastModelConfig(kind, SMALL[kind], seed=9), trains)
     assert calls == [("ConvAutoencoder", 1), ("ConvAutoencoder", 1), ("RecurrentNet", 2)]
+
+
+# --- the cross-speed grid: its single-speed models train in lockstep ---------
+
+GRID_RPMS = (100, 200, 300, 400)
+
+
+def _per_rpm(seed, rows=(60, 60, 60, 60), scales=(1.0, 1.0, 1.0, 1.0)):
+    gen = np.random.default_rng(seed)
+    per_rpm = {}
+    for i, (rpm, n, scale) in enumerate(zip(GRID_RPMS, rows, scales)):
+        labels = np.arange(n) % 3
+        feats = gen.normal(size=(n, 4)) * 0.6 + labels[:, None] * (1.0 + 0.4 * i)
+        per_rpm[rpm] = (scale * feats, labels)
+    return per_rpm
+
+
+def _one_at_a_time(trains, hidden_sizes, cfg, class_names):
+    """The grid's single-speed models as one train_classifier call each."""
+    return [train_classifier(x, y, hidden_sizes, replace(cfg, seed=cfg.seed + i),
+                             class_names=class_names) for i, (x, y) in enumerate(trains)]
+
+
+def _grid_and_models(monkeypatch, per_rpm, cfg, augment):
+    """The grid, the models it evaluated (single-speed first, in rpm order)
+    and the member counts of its training calls."""
+    models, groups = [], []
+
+    def evaluate(model, *args):
+        if not any(m is model for m in models):
+            models.append(model)
+        return real_evaluate(model, *args)
+
+    def sgd(model, *args, **kwargs):
+        groups.append(1 if hasattr(model, "parameters") else len(model))
+        return real_sgd(model, *args, **kwargs)
+
+    real_evaluate, real_sgd = classify.evaluate, classify.sgd_epochs
+    with monkeypatch.context() as patch:
+        patch.setattr(classify, "evaluate", evaluate)
+        patch.setattr(classify, "sgd_epochs", sgd)
+        result = cross_rpm_matrix(per_rpm, hidden_sizes=(8, 8), cfg=cfg,
+                                  augment_n_per_rpm=augment)
+    return result, models, groups
+
+
+def _single_speed_references(per_rpm, cfg):
+    spec = SplitSpec(0.7, SplitMode.STRATIFIED_SHUFFLE, seed=cfg.seed)
+    trains = [split_arrays(*per_rpm[rpm], spec)[0] for rpm in sorted(per_rpm)]
+    return _one_at_a_time(trains, (8, 8), cfg, None)
+
+
+def _assert_same_models(models, refs):
+    assert len(models) == len(refs)
+    for model, ref in zip(models, refs):
+        assert _weights(model.net) == _weights(ref.net)
+        assert model.training_loss == ref.training_loss and len(ref.training_loss) == 4
+        assert model.class_names == ref.class_names
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("augment", [0, 200])
+def test_cross_rpm_grid_matches_one_training_per_speed(monkeypatch, seed, augment):
+    per_rpm = _per_rpm(seed)
+    cfg = TrainConfig(epochs=4, batch_size=16, learning_rate=0.05, seed=seed)
+    result, models, groups = _grid_and_models(monkeypatch, per_rpm, cfg, augment)
+    assert groups == [4, 1]  # the four speeds in one stacked run, then the augmented row
+    _assert_same_models(models[:4], _single_speed_references(per_rpm, cfg))
+    monkeypatch.setattr(classify, "_train_each", _one_at_a_time)
+    expected = cross_rpm_matrix(per_rpm, hidden_sizes=(8, 8), cfg=cfg, augment_n_per_rpm=augment)
+    assert result == expected
+
+
+def test_cross_rpm_grid_groups_speeds_by_training_rows(monkeypatch):
+    # 100 and 400 rpm share a training shape; 200 and 300 each train alone
+    per_rpm = _per_rpm(5, rows=(60, 45, 75, 60))
+    cfg = TrainConfig(epochs=4, batch_size=16, learning_rate=0.05, seed=5)
+    result, models, groups = _grid_and_models(monkeypatch, per_rpm, cfg, 200)
+    assert groups == [2, 1, 1, 1]
+    _assert_same_models(models[:4], _single_speed_references(per_rpm, cfg))
+    monkeypatch.setattr(classify, "_train_each", _one_at_a_time)
+    assert result == cross_rpm_matrix(per_rpm, hidden_sizes=(8, 8), cfg=cfg, augment_n_per_rpm=200)
+
+
+def test_grid_models_group_by_class_count():
+    # equal rows, but one speed has two classes: it trains on its own
+    gen = np.random.default_rng(4)
+    trains = [(gen.normal(size=(30, 3)), np.arange(30) % k) for k in (3, 2, 3)]
+    cfg = TrainConfig(epochs=3, batch_size=8, seed=6)
+    models = classify._train_each(trains, (5,), cfg, None)
+    refs = _one_at_a_time(trains, (5,), cfg, None)
+    assert [m.n_classes for m in models] == [3, 2, 3]
+    for model, ref in zip(models, refs):
+        assert _weights(model.net) == _weights(ref.net)
+        assert model.training_loss == ref.training_loss
+
+
+def test_cross_rpm_grid_raises_the_first_speeds_divergence(monkeypatch):
+    # one training step an epoch at a huge rate: 200 rpm overflows at epoch 3
+    # and 300 rpm, with larger inputs, at epoch 2; training one speed at a time
+    # stops at 200 rpm, so its error is the one raised
+    per_rpm = _per_rpm(5, rows=(40, 40, 40, 40), scales=(1.0, 1e10, 1e30, 1.0))
+    cfg = TrainConfig(epochs=8, batch_size=64, learning_rate=1e10, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError) as grouped:
+            cross_rpm_matrix(per_rpm, hidden_sizes=(8, 8), cfg=cfg)
+        monkeypatch.setattr(classify, "_train_each", _one_at_a_time)
+        with pytest.raises(ContractError) as alone:
+            cross_rpm_matrix(per_rpm, hidden_sizes=(8, 8), cfg=cfg)
+        spec = SplitSpec(0.7, SplitMode.STRATIFIED_SHUFFLE, seed=cfg.seed)
+        (x, y), _ = split_arrays(*per_rpm[300], spec)
+        with pytest.raises(ContractError) as later_speed:
+            train_classifier(x, y, (8, 8), replace(cfg, seed=cfg.seed + 2))
+    assert str(alone.value) == "non-finite training loss at epoch 3"
+    assert str(later_speed.value) == "non-finite training loss at epoch 2"
+    assert str(grouped.value) == str(alone.value)

@@ -16,11 +16,17 @@ import pytest
 
 from vibrosense.core import ContractError, make_rng
 from vibrosense.nn import RecurrentNet, sgd_epochs
-from vibrosense.nn.base import glorot_uniform, relu, relu_grad, sigmoid
+from vibrosense.nn.base import glorot_uniform, relu, sigmoid
 from vibrosense.nn.recurrent import _LstmLayer, _RnnLayer
 
 
 # --- references: the per-step layers, verbatim ---------------------------------
+
+def relu_grad(z):
+    """The ReLU derivative as a float 0/1 mask, written out here so that the
+    references do not depend on the library's own (a boolean mask)."""
+    return (z > 0.0).astype(np.float64)
+
 
 class _RefRnnLayer:
     """Simple recurrent cell. Inputs are (..., n, time, features); the leading
