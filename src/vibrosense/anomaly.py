@@ -4,6 +4,7 @@ dataset x model benchmark harness."""
 from __future__ import annotations
 
 import datetime as dt
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -184,6 +185,127 @@ def _cell(dataset: str, family: str, variant, model, test: TimeSeries, truth_tes
     return cell
 
 
+def _fit_unit(family: str, variant, datasets, splits, cfg: AnomalyRuleConfig) -> List[dict]:
+    """One grid unit: `variant` fitted on every dataset in one call, so the
+    family can train same-shaped networks together, and its cell on each."""
+    fitted = forecast.fit(variant, [train for train, _, _, _ in splits])
+    return [_cell(ds.name, family, variant, model, test, truth_test, mask_test, cfg)
+            for ds, model, (_, test, truth_test, mask_test) in zip(datasets, fitted, splits)]
+
+
+def _take_units(work, counter, n_units: int, deliver) -> None:
+    """Run the next unstarted unit and `deliver` its outcome, until none is
+    left. A unit that raises stops every process from starting another; the
+    units already running finish, so every unit before it has an outcome."""
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= n_units:
+            return
+        try:
+            outcome = (True, work(i))
+        except Exception as exc:
+            with counter.get_lock():
+                counter.value = n_units
+            outcome = (False, exc)
+        deliver(i, outcome)
+
+
+def _worker(work, counter, n_units: int, conn) -> None:
+    import pickle
+    import signal
+    import traceback
+
+    # an interrupt reaches the whole process group; the caller handles it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    def send(i, outcome):
+        ok, value = outcome
+        if not ok:
+            tb = "".join(traceback.format_exception(type(value), value, value.__traceback__))
+            try:
+                pickle.loads(pickle.dumps(value))
+            except Exception:
+                value = RuntimeError(f"{type(value).__name__}: {value}")
+            value = (value, tb)
+        conn.send((i, ok, value))
+
+    _take_units(work, counter, n_units, send)
+
+
+def _receive(conn, results: dict, block: bool) -> bool:
+    """Move the outcomes waiting on a worker's pipe into `results`, or all
+    of them up to the worker's exit when `block`. False once it has exited."""
+    try:
+        while block or conn.poll():
+            i, ok, value = conn.recv()
+            if not ok:
+                value, tb = value
+                value.__cause__ = RuntimeError(f"raised in a worker process:\n{tb}")
+            results[i] = (ok, value)
+    except EOFError:
+        return False
+    return True
+
+
+def _spread(work, n_units: int, describe) -> list:
+    """`[work(i) for i in range(n_units)]`, spread over the cores in the
+    process's affinity mask: one forked worker per further core, at most one
+    per unit beyond the first, and the calling process takes units too. Each
+    process takes the next unstarted unit from a shared counter; a worker
+    sends back each unit's outcome as it finishes. Where several units
+    raise, the lowest one's exception is raised, as a serial loop would
+    raise it; a worker that dies is an error naming its unit. With one core,
+    or without the `fork` start method, the caller runs every unit itself."""
+    import multiprocessing
+
+    forkable = "fork" in multiprocessing.get_all_start_methods()
+    cores = len(os.sched_getaffinity(0)) if forkable and hasattr(os, "sched_getaffinity") else 1
+    ctx = multiprocessing.get_context("fork" if forkable else None)
+    counter = ctx.Value("l", 0)
+    results: Dict[int, tuple] = {}
+    workers = []
+    try:
+        for _ in range(min(cores, n_units) - 1):
+            conn, child_end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker, args=(work, counter, n_units, child_end),
+                               daemon=True)
+            proc.start()
+            # closed before the next fork, so only this worker holds the
+            # sending end and its exit shows as the end of the pipe
+            child_end.close()
+            workers.append((proc, conn))
+        open_conns = [conn for _, conn in workers]
+
+        def keep(i, outcome):
+            results[i] = outcome
+            open_conns[:] = [c for c in open_conns if _receive(c, results, block=False)]
+
+        _take_units(work, counter, n_units, keep)
+        for conn in open_conns:
+            _receive(conn, results, block=True)
+        for proc, _ in workers:
+            proc.join()
+    finally:
+        for proc, conn in workers:
+            if proc.exitcode is None:
+                proc.terminate()
+            proc.join()
+            conn.close()
+    out = []
+    for i in range(n_units):
+        if i not in results:
+            codes = sorted({proc.exitcode for proc, _ in workers if proc.exitcode})
+            raise RuntimeError(f"a worker process ended (exit code {', '.join(map(str, codes))}) "
+                               f"while fitting {describe(i)}")
+        ok, value = results[i]
+        if not ok:
+            raise value
+        out.append(value)
+    return out
+
+
 def run_benchmark(
     datasets: Sequence[AnomalyDataset],
     model_grid: Dict[str, Sequence[forecast.ForecastModelConfig]],
@@ -195,6 +317,8 @@ def run_benchmark(
     Per model family the best variant by RMSE feeds the RMSE table and the
     best by F1 feeds the detection table; the full grid is retained. A model
     erroring on a dataset records an error cell and the sweep continues.
+    The (family, variant) units are fitted on every core in the process's
+    affinity mask (`_spread`); the report does not depend on how many.
     """
     if not datasets or not model_grid:
         raise ContractError("need at least one dataset and one model family")
@@ -216,17 +340,14 @@ def run_benchmark(
             mask_test = np.asarray(ds.eval_mask, dtype=bool)[len(train) :]
         splits.append((train, test, truth_test, mask_test))
 
-    # Each variant is fitted on every dataset in one call, so the family can
-    # train same-shaped networks together; the cells are laid out afterwards
-    # in dataset-major order.
+    units = [(family, v, variant) for family, variants in model_grid.items()
+             for v, variant in enumerate(variants)]
+    fitted = _spread(lambda i: _fit_unit(units[i][0], units[i][2], datasets, splits, cfg),
+                     len(units), lambda i: f"model family '{units[i][0]}' variant {units[i][1]}")
     cells: Dict[tuple, dict] = {}
-    for family, variants in model_grid.items():
-        for v, variant in enumerate(variants):
-            fitted = forecast.fit(variant, [train for train, _, _, _ in splits])
-            for d, (ds, model, (_, test, truth_test, mask_test)) in enumerate(
-                    zip(datasets, fitted, splits)):
-                cells[d, family, v] = _cell(ds.name, family, variant, model, test, truth_test,
-                                            mask_test, cfg)
+    for (family, v, _), unit_cells in zip(units, fitted):
+        for d, cell in enumerate(unit_cells):
+            cells[d, family, v] = cell
 
     grid_rows: List[dict] = []
     best_rmse: Dict[str, dict] = {}

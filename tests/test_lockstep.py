@@ -3,6 +3,7 @@ model (the list form of `nn.sgd_epochs`) must end bit for bit where each
 would end trained alone: parameters compared with `tobytes()`, loss curves
 and error messages with `==`."""
 
+import os
 import warnings
 from dataclasses import replace
 
@@ -171,6 +172,8 @@ def test_run_benchmark_groups_series_by_window_count(monkeypatch):
         return sgd_epochs(model, *args, **kwargs)
 
     monkeypatch.setattr(forecast.neural, "sgd_epochs", recording)
+    # a forked worker's calls would not reach the recorder
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     bench = run_benchmark(datasets, grid, SplitSpec(0.66))
     assert sorted(group_sizes) == [1, 2]  # the 150-point series trains on its own
     alone = [run_benchmark([ds], grid, SplitSpec(0.66))["grid"] for ds in datasets]
