@@ -249,25 +249,40 @@ def _receive(conn, results: dict, block: bool) -> bool:
     return True
 
 
+def _blas_threads(cores: int) -> int:
+    """The threads OpenBLAS gives each matrix product, from the variables it
+    reads when it loads, in its order: the first positive one, at most
+    `cores`; with none set, one thread per core."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), cores)
+    return cores
+
+
 def _spread(work, n_units: int, describe) -> list:
     """`[work(i) for i in range(n_units)]`, spread over the cores in the
-    process's affinity mask: one forked worker per further core, at most one
-    per unit beyond the first, and the calling process takes units too. Each
-    process takes the next unstarted unit from a shared counter; a worker
-    sends back each unit's outcome as it finishes. Where several units
-    raise, the lowest one's exception is raised, as a serial loop would
-    raise it; a worker that dies is an error naming its unit. With one core,
-    or without the `fork` start method, the caller runs every unit itself."""
+    process's affinity mask that BLAS leaves free: as many processes as
+    BLAS thread pools fit in the mask, at most one per unit. With BLAS on
+    every core (its default) the caller runs alone; with one BLAS thread
+    there is one process per core. The calling process takes units too, and
+    the others are forked workers. Each process takes the next unstarted
+    unit from a shared counter; a worker sends back each unit's outcome as
+    it finishes. Where several units raise, the lowest one's exception is
+    raised, as a serial loop would raise it; a worker that dies is an error
+    naming its unit. With one core, or without the `fork` start method, the
+    caller runs every unit itself."""
     import multiprocessing
 
     forkable = "fork" in multiprocessing.get_all_start_methods()
     cores = len(os.sched_getaffinity(0)) if forkable and hasattr(os, "sched_getaffinity") else 1
+    processes = cores // _blas_threads(cores)
     ctx = multiprocessing.get_context("fork" if forkable else None)
     counter = ctx.Value("l", 0)
     results: Dict[int, tuple] = {}
     workers = []
     try:
-        for _ in range(min(cores, n_units) - 1):
+        for _ in range(min(processes, n_units) - 1):
             conn, child_end = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_worker, args=(work, counter, n_units, child_end),
                                daemon=True)
@@ -317,8 +332,9 @@ def run_benchmark(
     Per model family the best variant by RMSE feeds the RMSE table and the
     best by F1 feeds the detection table; the full grid is retained. A model
     erroring on a dataset records an error cell and the sweep continues.
-    The (family, variant) units are fitted on every core in the process's
-    affinity mask (`_spread`); the report does not depend on how many.
+    The (family, variant) units are fitted on the cores of the process's
+    affinity mask that BLAS leaves free (`_spread`); the report does not
+    depend on how many.
     """
     if not datasets or not model_grid:
         raise ContractError("need at least one dataset and one model family")

@@ -1,6 +1,8 @@
 """The bench grid spread over cores: `run_benchmark` fits its (family,
-variant) units in the calling process and in one forked worker per further
-core of the affinity mask. The grid and the `--out` bytes must not depend on
+variant) units in the calling process and in forked workers, one process per
+BLAS thread pool that fits in the affinity mask. Most tests pin BLAS to one
+thread, so each core of the mask gets a process. The grid and the `--out`
+bytes must not depend on
 the number of cores, a unit's exception must reach the caller as a serial
 loop would raise it, and no worker may outlive the call.
 
@@ -21,8 +23,12 @@ from vibrosense.forecast import ForecastModelConfig
 from vibrosense.synth import generate_spiked_series
 
 
-def _cores(monkeypatch, n):
+def _cores(monkeypatch, n, blas_threads="1"):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    if blas_threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
 
 
 def _until(done, timeout=30.0):
@@ -201,4 +207,42 @@ def test_every_unit_runs_once_with_more_workers_than_cores(monkeypatch, tmp_path
     assert anomaly._spread(work, 400, str) == [i * i for i in range(400)]
     assert time.monotonic() - t0 < 60
     assert sorted(int(i) for i in log.read_text().split()) == list(range(400))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("env, threads", [
+    ({}, 4),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "2"}, 2),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "3", "GOTO_NUM_THREADS": "1"}, 3),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "many"}, 4),
+])
+def test_blas_threads_are_read_as_openblas_reads_them(monkeypatch, env, threads):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert anomaly._blas_threads(4) == threads
+
+
+@pytest.mark.parametrize("n_cores, blas_threads, processes", [(2, None, 1), (4, "2", 2), (3, "1", 3)])
+def test_one_process_per_blas_pool_that_fits_in_the_mask(monkeypatch, tmp_path, n_cores,
+                                                         blas_threads, processes):
+    log = tmp_path / "pids"
+
+    def work(i):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        # held until every expected process has started a unit; long enough
+        # that a process too many would take one too
+        _until(lambda: len(set(log.read_text().split())) >= processes)
+        time.sleep(0.02)
+        return i
+
+    _cores(monkeypatch, n_cores, blas_threads)
+    assert anomaly._spread(work, 12, str) == list(range(12))
+    assert len(set(log.read_text().split())) == processes
     assert multiprocessing.active_children() == []
