@@ -263,26 +263,28 @@ def _blas_threads(cores: int) -> int:
 def _spread(work, n_units: int, describe) -> list:
     """`[work(i) for i in range(n_units)]`, spread over the cores in the
     process's affinity mask that BLAS leaves free: as many processes as
-    BLAS thread pools fit in the mask, at most one per unit. With BLAS on
-    every core (its default) the caller runs alone; with one BLAS thread
-    there is one process per core. The calling process takes units too, and
-    the others are forked workers. Each process takes the next unstarted
+    BLAS thread pools fit in the mask, at most one per unit: one per core
+    with one BLAS thread. The calling process takes units too, and the
+    others are forked workers. Each process takes the next unstarted
     unit from a shared counter; a worker sends back each unit's outcome as
     it finishes. Where several units raise, the lowest one's exception is
     raised, as a serial loop would raise it; a worker that dies is an error
-    naming its unit. With one core, or without the `fork` start method, the
-    caller runs every unit itself."""
+    naming its unit. Where fewer than two processes would run (BLAS on
+    every core, one core, one unit, or no affinity mask to read) it is a
+    plain loop that imports and forks nothing."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    processes = min(cores // _blas_threads(cores), n_units)
+    if processes < 2:
+        return [work(i) for i in range(n_units)]
     import multiprocessing
 
-    forkable = "fork" in multiprocessing.get_all_start_methods()
-    cores = len(os.sched_getaffinity(0)) if forkable and hasattr(os, "sched_getaffinity") else 1
-    processes = cores // _blas_threads(cores)
-    ctx = multiprocessing.get_context("fork" if forkable else None)
+    # every system with sched_getaffinity can fork
+    ctx = multiprocessing.get_context("fork")
     counter = ctx.Value("l", 0)
     results: Dict[int, tuple] = {}
     workers = []
     try:
-        for _ in range(min(processes, n_units) - 1):
+        for _ in range(processes - 1):
             conn, child_end = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_worker, args=(work, counter, n_units, child_end),
                                daemon=True)

@@ -11,6 +11,7 @@ import numpy as np
 from .core import ContractError, MachineState, make_rng
 from .classify import TrainConfig
 from .nn import Model, sgd_epochs, softmax
+from .nn.base import cross_entropy_and_delta, mse_and_delta
 from .nn.dense import dense_backward, dense_forward, dense_init, dense_parameters
 
 DEFAULT_ENCODER_WIDTHS = (128, 64)
@@ -45,17 +46,13 @@ class AutoencClassifier(Model):
         rng = rng if rng is not None else make_rng(0)
         enc_sizes = [input_width, *encoder_widths]
         dec_sizes = [*reversed(encoder_widths), input_width]
-        head_in = encoder_widths[-1] if head_on_latent else encoder_widths[0]
-        head_sizes = [head_in, *head_widths]
+        # the encoder activation the head reads: the latent code or the first hidden layer
+        self.head_at = len(encoder_widths) if head_on_latent else 1
         self.enc_w, self.enc_b = dense_init(enc_sizes, rng)
         self.dec_w, self.dec_b = dense_init(dec_sizes, rng)
-        self.head_w, self.head_b = dense_init(head_sizes, rng)
+        self.head_w, self.head_b = dense_init([encoder_widths[self.head_at - 1], *head_widths], rng)
         self.recon_loss_curve: List[float] = []
         self.class_loss_curve: List[float] = []
-
-    @property
-    def n_classes(self) -> int:
-        return self.head_w[-1].shape[1]
 
     def parameters(self) -> List[np.ndarray]:
         return (dense_parameters(self.enc_w, self.enc_b)
@@ -68,8 +65,8 @@ class AutoencClassifier(Model):
             raise ContractError(f"expected input width {self.input_width}, got {x.shape[1]}")
         enc_acts, enc_pre = dense_forward(self.enc_w, self.enc_b, x, relu_last=True)
         dec = dense_forward(self.dec_w, self.dec_b, enc_acts[-1])
-        head_in = enc_acts[-1] if self.head_on_latent else enc_acts[1]
-        return (enc_acts, enc_pre), dec, dense_forward(self.head_w, self.head_b, head_in)
+        head = dense_forward(self.head_w, self.head_b, enc_acts[self.head_at])
+        return (enc_acts, enc_pre), dec, head
 
     def predict_proba(self, x) -> np.ndarray:
         _, _, (head_acts, _) = self._forward(x)
@@ -81,44 +78,28 @@ class AutoencClassifier(Model):
 
     def component_losses(self, x, y) -> Tuple[float, float]:
         (enc_acts, _), (dec_acts, _), (head_acts, _) = self._forward(x)
-        x2 = enc_acts[0]
-        diff = dec_acts[-1] - x2
-        recon = float(np.mean(diff * diff))
-        y = np.asarray(y, dtype=np.int64).ravel()
-        probs = softmax(head_acts[-1])
-        ce = float(-np.mean(np.log(probs[np.arange(len(y)), y] + 1e-300)))
-        return recon, ce
+        recon, _ = mse_and_delta(dec_acts[-1], enc_acts[0], 2)
+        ce, _ = cross_entropy_and_delta(head_acts[-1], y)
+        return float(recon), float(ce)
 
     def loss_and_grad(self, x, y) -> Tuple[float, List[np.ndarray]]:
         (enc_acts, enc_pre), (dec_acts, dec_pre), (head_acts, head_pre) = self._forward(x)
-        x2 = enc_acts[0]
-        n = x2.shape[0]
-        y = np.asarray(y, dtype=np.int64).ravel()
-
-        diff = dec_acts[-1] - x2
-        recon_loss = float(np.mean(diff * diff))
-        probs = softmax(head_acts[-1])
-        ce_loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
-        total = self.alpha * recon_loss + (1.0 - self.alpha) * ce_loss
-
-        dec_grads, d_latent = dense_backward(
-            self.dec_w, dec_acts, dec_pre, self.alpha * 2.0 * diff / diff.size, input_grad=True)
-        head_grads, d_head_in = dense_backward(
-            self.head_w, head_acts, head_pre,
-            (1.0 - self.alpha) * (probs - np.eye(self.n_classes)[y]) / n, input_grad=True)
-
-        # encoder: the decoder gradient lands on the latent; the head gradient
-        # lands on the latent or on the first hidden layer per the switch
-        if self.head_on_latent:
-            enc_grads, _ = dense_backward(self.enc_w, enc_acts, enc_pre, d_latent + d_head_in,
-                                          relu_last=True)
-        else:
-            upper_grads, d_first = dense_backward(self.enc_w[1:], enc_acts[1:], enc_pre[1:],
-                                                  d_latent, relu_last=True, input_grad=True)
-            enc_grads, _ = dense_backward(self.enc_w[:1], enc_acts, enc_pre, d_head_in + d_first,
-                                          relu_last=True)
-            enc_grads += upper_grads
-        return total, enc_grads + dec_grads + head_grads
+        recon, d_recon = mse_and_delta(dec_acts[-1], enc_acts[0], 2, weight=self.alpha)
+        ce, d_logits = cross_entropy_and_delta(head_acts[-1], y, weight=1.0 - self.alpha)
+        total = self.alpha * float(recon) + (1.0 - self.alpha) * float(ce)
+        dec_grads, d_latent = dense_backward(self.dec_w, dec_acts, dec_pre, d_recon,
+                                             input_grad=True)
+        head_grads, d_head_in = dense_backward(self.head_w, head_acts, head_pre, d_logits,
+                                               input_grad=True)
+        # encoder: the decoder gradient runs down the layers above the one the
+        # head reads (none when the head is on the latent), then the head
+        # gradient joins it there
+        k = self.head_at
+        upper_grads, d_k = dense_backward(self.enc_w[k:], enc_acts[k:], enc_pre[k:], d_latent,
+                                          relu_last=True, input_grad=True)
+        lower_grads, _ = dense_backward(self.enc_w[:k], enc_acts, enc_pre, d_head_in + d_k,
+                                        relu_last=True)
+        return total, lower_grads + upper_grads + dec_grads + head_grads
 
 
 def train_autoenc_classifier(

@@ -571,8 +571,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_autoenc)
 
     p = sub.add_parser("report", help="show or compare report files")
-    p.add_argument("--compare", nargs=2, metavar=("A", "B"))
-    p.add_argument("--show")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    mode.add_argument("--show")
     p.set_defaults(func=cmd_report)
 
     return parser

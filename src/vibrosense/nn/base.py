@@ -46,18 +46,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def mse_and_delta(out: np.ndarray, target: np.ndarray, member_ndim: int):
-    """Mean squared error and its gradient at `out`. The last `member_ndim`
-    axes hold one model's outputs; the loss is per model (an array over any
+def mse_and_delta(out: np.ndarray, target: np.ndarray, member_ndim: int, weight: float = 1.0):
+    """Mean squared error and its gradient at `out`, the gradient scaled by
+    `weight` (a term of a weighted loss sum). The last `member_ndim` axes
+    hold one model's outputs; the loss is per model (an array over any
     leading stack axis, a scalar otherwise)."""
     diff = out - target
     loss = np.mean(diff * diff, axis=tuple(range(-member_ndim, 0)))
-    return loss, 2.0 * diff / math.prod(diff.shape[-member_ndim:])
+    return loss, 2.0 * weight * diff / math.prod(diff.shape[-member_ndim:])
 
 
-def cross_entropy_and_delta(logits: np.ndarray, labels):
+def cross_entropy_and_delta(logits: np.ndarray, labels, weight: float = 1.0):
     """Mean softmax cross-entropy over the rows of (..., rows, classes) logits
-    and its gradient at the logits; the loss is per model."""
+    and its gradient at the logits, scaled by `weight` before the division
+    by the row count; the loss is per model."""
     classes = logits.shape[-1]
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     rows = np.arange(labels.size)
@@ -67,6 +69,8 @@ def cross_entropy_and_delta(logits: np.ndarray, labels):
     # the sum and divide np.mean does, without its Python layers
     loss = -(np.add.reduce(np.log(picked + 1e-300), axis=-1) / logits.shape[-2])
     flat[rows, labels] -= 1.0
+    if weight != 1.0:
+        delta *= weight
     delta /= logits.shape[-2]
     return loss, delta
 

@@ -189,6 +189,18 @@ class TestBenchmark:
         assert cell["error"] is not None
         assert cell["rmse"] is None
 
+    def test_a_network_sgd_rejects_is_an_error_cell_on_every_dataset(self):
+        # the datasets share one training shape, so both fits fail as one
+        # lockstep group, and the sweep goes on to the next family
+        grid = {"mlp": [ForecastModelConfig("mlp", {"epochs": 0})], **self.grid()}
+        bench = run_benchmark(self.make_datasets(), grid, SplitSpec(0.66))
+        mlp = [c for c in bench["grid"] if c["model"] == "mlp"]
+        assert [c["dataset"] for c in mlp] == ["d0", "d1"]
+        for cell in mlp:
+            assert cell["error"] == "epochs, batch_size, learning_rate must be positive"
+            assert cell["rmse"] is None
+        assert all(c["error"] is None for c in bench["grid"] if c["model"] != "mlp")
+
     def test_eval_mask_excludes_points(self):
         sp = generate_spiked_series(120, 4, seed=1)
         mask = np.zeros(120, dtype=bool)

@@ -8,7 +8,8 @@ from vibrosense.autoenc import (
 )
 from vibrosense.classify import TrainConfig, evaluate, train_classifier
 from vibrosense.core import ContractError, MachineState, make_rng
-from vibrosense.nn import gradient_check
+from vibrosense.nn import gradient_check, softmax
+from vibrosense.nn.base import cross_entropy_and_delta, mse_and_delta
 
 
 def blobs(n_per_class=50, spread=0.2, seed=0, width=4):
@@ -50,6 +51,21 @@ class TestDualLossGradients:
         for g in grads[n_enc : n_enc + n_dec]:
             assert np.all(g == 0.0)  # bit-exact
         assert any(np.any(g != 0.0) for g in grads[:n_enc])
+
+    @pytest.mark.parametrize("weight", [0.0, 0.3, 0.7, 1.0])
+    def test_loss_weight_scales_the_gradient_only(self, weight):
+        rng = make_rng(5)
+        out, target = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+        logits, y = rng.normal(size=(6, 3)), np.array([0, 1, 2, 2, 1, 0])
+        mse, d_mse = mse_and_delta(out, target, 2, weight=weight)
+        ce, d_ce = cross_entropy_and_delta(logits, y, weight=weight)
+        # the losses are the unweighted ones; the gradients are multiplied
+        # out left to right, weight * 2 * diff / N and weight * (p - onehot) / n
+        assert mse == mse_and_delta(out, target, 2)[0]
+        assert ce == cross_entropy_and_delta(logits, y)[0]
+        diff = out - target
+        assert d_mse.tobytes() == (weight * 2.0 * diff / diff.size).tobytes()
+        assert d_ce.tobytes() == (weight * (softmax(logits) - np.eye(3)[y]) / 6).tobytes()
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7, 1.0])
     def test_joint_gradient_check(self, alpha):

@@ -193,6 +193,18 @@ def test_a_worker_that_dies_is_an_error_naming_its_unit(monkeypatch, tmp_path):
     fits.assert_no_worker_left()
 
 
+@pytest.mark.parametrize("n_cores, blas_threads, n_units", [(2, None, 5), (1, "1", 5), (2, "1", 1)])
+def test_one_process_is_a_plain_loop(monkeypatch, n_cores, blas_threads, n_units):
+    def no_context(*args, **kwargs):
+        raise AssertionError("a one-process run asked for a multiprocessing context")
+
+    _cores(monkeypatch, n_cores, blas_threads)
+    monkeypatch.setattr(multiprocessing, "get_context", no_context)
+    caller = os.getpid()
+    assert anomaly._spread(lambda i: (i * i, os.getpid()), n_units, str) == [
+        (i * i, caller) for i in range(n_units)]
+
+
 def test_every_unit_runs_once_with_more_workers_than_cores(monkeypatch, tmp_path):
     # a lost update on the shared counter would run a unit twice or never
     log = tmp_path / "units"

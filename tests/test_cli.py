@@ -341,6 +341,24 @@ class TestBench:
         assert prov["resolved_config"]["split"]["train_fraction"] == 0.6
         assert prov["resolved_config"]["models"]["names"] == "seasonal_naive"
 
+    def test_process_csv_beside_a_synth_series(self, tmp_path, capsys):
+        # a process file is a dataset scored by date ranges; its series and
+        # the synth one differ in length, so the mlp trains as two groups
+        data = tmp_path / "plant.csv"
+        assert cli.main(["synth", "--emit", "process", "--days", "2", "--out", str(data)]) == 0
+        cfg = write_config(tmp_path, "[datasets]\nn_points = 120\n")
+        argv = ["--config", cfg, "bench", "--datasets", f"{data},synth-a",
+                "--models", "seasonal_naive,ar,mlp", "--seed", "5", "--out"]
+        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert cli.main(argv + [str(out1)]) == 0
+        assert cli.main(argv + [str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        doc = json.loads(out1.read_text())
+        assert doc["datasets"][str(data)]["truth_rule"] == "date_ranges"
+        assert doc["datasets"]["synth-a"]["truth_rule"] == "injected_spikes"
+        assert doc["datasets"][str(data)]["n_points"] != doc["datasets"]["synth-a"]["n_points"]
+        assert all(c["error"] is None for c in doc["grid"])
+
     def test_tables_printed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BENCH_CFG)
         assert cli.main(["--config", cfg, "bench"]) == 0
@@ -480,6 +498,14 @@ class TestReportCommand:
         assert cli.main(["report", "--show", str(path)]) == cli.USER_ERROR
         err = capsys.readouterr().err
         assert str(path) in err and detail in err
+
+    @pytest.mark.parametrize("argv, detail", [
+        (["report"], "one of the arguments --compare --show is required"),
+        (["report", "--show", "a.json", "--compare", "a.json", "b.json"], "not allowed with"),
+    ])
+    def test_no_mode_or_both_modes_is_user_error(self, capsys, argv, detail):
+        assert cli.main(argv) == cli.USER_ERROR
+        assert detail in capsys.readouterr().err
 
     def test_compare_with_malformed_file_is_user_error(self, tmp_path, capsys):
         good, bad = tmp_path / "a.json", tmp_path / "b.json"

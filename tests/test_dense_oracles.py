@@ -431,7 +431,8 @@ class TestRecurrentHeadOracle:
         assert_same_bytes(net.parameters(), ref.parameters())
 
 
-AUTOENC_CASES = [(alpha, on_latent) for alpha in (0.0, 0.3, 1.0) for on_latent in (True, False)]
+AUTOENC_CASES = [(alpha, on_latent) for alpha in (0.0, 0.3, 0.5, 0.7, 1.0)
+                 for on_latent in (True, False)]
 
 
 class TestAutoencOracle:
