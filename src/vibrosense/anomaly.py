@@ -3,16 +3,14 @@ dataset x model benchmark harness."""
 
 from __future__ import annotations
 
-import datetime as dt
 import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence
-from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from . import forecast, report
+from . import forecast, ingest, report
 from .core import ContractError, SplitSpec, TimeSeries, precision_recall_f1, rms, rmse, split_series
 from .ingest import DEFAULT_TIMEZONE
 
@@ -128,12 +126,8 @@ def ground_truth_labels(dataset: AnomalyDataset) -> np.ndarray:
     if dataset.truth_rule == TruthRule.DATE_RANGES:
         if dataset.abnormal_dates is None:
             raise ContractError("DateRanges rule needs abnormal_dates")
-        zone = ZoneInfo(dataset.tz)
-        stamps = dataset.series.timestamps()
-        dates = {d for d in dataset.abnormal_dates}
-        return np.array(
-            [dt.datetime.fromtimestamp(t, zone).date() in dates for t in stamps], dtype=bool
-        )
+        wall = ingest.to_wall_us(dataset.series.timestamps(), dataset.tz)
+        return ingest.falls_on(wall, dataset.abnormal_dates)
     if dataset.spike_indices is None:
         raise ContractError("InjectedSpikes rule needs the generator's injection log")
     flags = np.zeros(n, dtype=bool)

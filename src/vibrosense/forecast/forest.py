@@ -3,7 +3,7 @@ samples, random feature subsets of size ceil(features/3) per split."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List
 
 import numpy as np
@@ -22,19 +22,42 @@ class TreeNodes:
     right: np.ndarray
     value: np.ndarray
 
+    def __post_init__(self):
+        # The walk's own arrays, derived from the fields (state() saves only
+        # those): a leaf splits on column 0 into itself on either side, so a
+        # row may take as many steps as the deepest leaf needs. Node i sends a
+        # row to _children[2 * i + 1] when its value is <= the threshold, to
+        # _children[2 * i] otherwise (NaN included).
+        leaf = self.feature < 0
+        nodes = np.arange(self.feature.size)
+        self._walk_feature = np.where(leaf, 0, self.feature)
+        self._children = np.stack(
+            [np.where(leaf, nodes, self.right), np.where(leaf, nodes, self.left)], axis=1).ravel()
+        self._depth = _depth(self.feature, self.left, self.right)
+
     def predict(self, rows: np.ndarray) -> np.ndarray:
-        """Walk all rows down the tree together, one level per step, until
-        every row sits at a leaf."""
-        at = np.arange(rows.shape[0])
+        """Walk all rows down the tree together, one level per step, as many
+        steps as the tree is deep."""
+        flat = rows.ravel()
+        row_start = np.arange(rows.shape[0]) * rows.shape[1]
         node = np.zeros(rows.shape[0], dtype=np.int64)
-        inner = self.feature[node] >= 0
-        while inner.any():
-            # a leaf's feature -1 reads the last column; the leaf's row stays put
-            f = self.feature[node]
-            step = np.where(rows[at, f] <= self.threshold[node], self.left[node], self.right[node])
-            node = np.where(inner, step, node)
-            inner = self.feature[node] >= 0
+        for _ in range(self._depth):
+            goes_left = flat[row_start + self._walk_feature[node]] <= self.threshold[node]
+            node = self._children[2 * node + goes_left]
         return self.value[node]
+
+
+def _depth(feature, left, right) -> int:
+    """Number of splits on the longest path from the root to a leaf."""
+    level = np.zeros(1, dtype=np.int64)
+    for depth in range(feature.size):
+        level = level[feature[level] >= 0]
+        if not level.size:
+            return depth
+        level = np.concatenate([left[level], right[level]])
+        if level.size > feature.size:  # a tree's level holds distinct nodes
+            break
+    raise ContractError("tree nodes do not form a tree")
 
 
 def _best_splits(block: np.ndarray, targets: np.ndarray):
@@ -155,7 +178,8 @@ class RandomForestForecaster(OneStepForecaster):
         return self
 
     def predict_batch(self, contexts) -> np.ndarray:
-        rows = np.asarray(contexts, dtype=np.float64)[:, -self.lag_window :]
+        # contiguous, so each tree's walk reads it without a copy
+        rows = np.ascontiguousarray(np.asarray(contexts, dtype=np.float64)[:, -self.lag_window :])
         # one contiguous row of tree outputs per point, averaged as one
         # point's list of tree outputs was
         per_tree = np.empty((rows.shape[0], len(self.trees)))
@@ -164,7 +188,7 @@ class RandomForestForecaster(OneStepForecaster):
         return per_tree.mean(axis=1)
 
     def state(self) -> dict:
-        return {"trees": [vars(t) for t in self.trees]}
+        return {"trees": [{f.name: getattr(t, f.name) for f in fields(t)} for t in self.trees]}
 
     def load_state(self, state) -> None:
         self.trees = [

@@ -117,6 +117,14 @@ def parse_timestamp(text: str, tz: str = DEFAULT_TIMEZONE) -> float:
 
 
 def _parse_local(text: str, zone: ZoneInfo) -> float:
+    stamp = _parse_datetime(text)
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=zone)
+    return stamp.timestamp()
+
+
+def _parse_datetime(text: str) -> dt.datetime:
+    """The datetime a timestamp text spells, naive unless it names an offset."""
     text = text.strip()
     naive = None
     try:
@@ -130,9 +138,7 @@ def _parse_local(text: str, zone: ZoneInfo) -> float:
                 continue
     if naive is None:
         raise ContractError(f"unparseable timestamp '{text}'")
-    if naive.tzinfo is None:
-        naive = naive.replace(tzinfo=zone)
-    return naive.timestamp()
+    return naive
 
 
 def format_timestamp(timestamp_s: float, tz: str = DEFAULT_TIMEZONE) -> str:
@@ -141,6 +147,79 @@ def format_timestamp(timestamp_s: float, tz: str = DEFAULT_TIMEZONE) -> str:
 
 def _format_local(timestamp_s: float, zone: ZoneInfo) -> str:
     return dt.datetime.fromtimestamp(timestamp_s, zone).replace(tzinfo=None).isoformat(sep=" ")
+
+
+# Array conversions between UTC and a zone's local wall time. A wall time is
+# an int64 count of microseconds since 1970-01-01 00:00 on the zone's clock.
+# A zone's offset changes only at its transitions, which fall on whole seconds
+# but not always on the hour, so the offset is looked up at the start and the
+# end of every distinct hour the stamps fall in (an hour's end is the next
+# one's start), and once per stamp only in an hour where those two differ.
+
+_US = 1_000_000
+_HOUR_US = 3600 * _US
+DAY_US = 86400 * _US
+_ONE_S = dt.timedelta(seconds=1)
+_ONE_US = dt.timedelta(microseconds=1)
+_NAIVE_EPOCH = dt.datetime(1970, 1, 1)
+_EPOCH_ORDINAL = _NAIVE_EPOCH.toordinal()
+# UTC seconds whose local time is a datetime in any zone: a day inside
+# datetime's range at either end, as no offset reaches a day
+_FIRST_S = (dt.datetime(1, 1, 2) - _NAIVE_EPOCH) / _ONE_S
+_LAST_S = (dt.datetime(9999, 12, 31) - _NAIVE_EPOCH) / _ONE_S
+# int64 microseconds convert to float64 exactly up to this magnitude
+_EXACT_US = 2**53
+
+
+def _hourly_offsets_us(clock_us: np.ndarray, offset_s) -> np.ndarray:
+    """offset_s(second), the zone's offset in whole seconds at a whole second
+    of the clock that `clock_us` counts, for every stamp, in microseconds."""
+    hours, inverse = np.unique(clock_us // _HOUR_US, return_inverse=True)
+    first = np.array([offset_s(h * 3600) for h in hours.tolist()], dtype=np.int64)
+    last = np.empty_like(first)
+    last[:-1] = first[1:]  # the next hour's start, right where that hour is this one's end
+    alone = np.flatnonzero(np.diff(hours, append=hours[-1:] + 2) != 1)  # the last of a run
+    last[alone] = [offset_s((h + 1) * 3600) for h in hours[alone].tolist()]
+    offsets = first[inverse]
+    mixed = np.flatnonzero((first != last)[inverse])
+    offsets[mixed] = [offset_s(s) for s in (clock_us[mixed] // _US).tolist()]
+    return offsets * _US
+
+
+def to_wall_us(timestamps_s, tz: str = DEFAULT_TIMEZONE) -> np.ndarray:
+    """Local wall times of UTC timestamps (seconds). A fraction rounds
+    half-even to the microsecond, as datetime.fromtimestamp rounds it."""
+    zone = ZoneInfo(tz)
+    stamps = np.asarray(timestamps_s, dtype=np.float64)
+    out_of_range = ~((stamps >= _FIRST_S) & (stamps < _LAST_S))  # NaN included
+    if out_of_range.any():
+        bad = float(stamps[out_of_range][0])
+        dt.datetime.fromtimestamp(bad, zone)  # raises for NaN, infinity, years past 9999
+        raise ValueError(f"timestamp {bad} is out of range")
+    frac, whole = np.modf(stamps)
+    utc = whole.astype(np.int64) * _US + np.rint(frac * _US).astype(np.int64)
+    return utc + _hourly_offsets_us(
+        utc, lambda s: dt.datetime.fromtimestamp(s, zone).utcoffset() // _ONE_S)
+
+
+def from_wall_us(wall_us, tz: str = DEFAULT_TIMEZONE) -> np.ndarray:
+    """UTC timestamps (seconds) of local wall times, as aware datetimes'
+    .timestamp() gives them: a time the clocks skip or repeat reads with
+    fold=0 (PEP 495), and the quotient is the correctly rounded one."""
+    zone = ZoneInfo(tz)
+    wall = np.asarray(wall_us, dtype=np.int64)
+    # ZoneInfo.utcoffset reads a naive datetime as wall time, with its fold
+    utc = wall - _hourly_offsets_us(
+        wall, lambda s: zone.utcoffset(_NAIVE_EPOCH + dt.timedelta(seconds=s)) // _ONE_S)
+    out = utc / _US
+    wide = np.flatnonzero(np.abs(utc) > _EXACT_US)
+    out[wide] = [us / _US for us in utc[wide].tolist()]  # Python ints divide exactly
+    return out
+
+
+def falls_on(wall_us: np.ndarray, dates: Iterable[dt.date]) -> np.ndarray:
+    """Whether each local wall time falls on one of the calendar dates."""
+    return np.isin(wall_us // DAY_US, [d.toordinal() - _EPOCH_ORDINAL for d in dates])
 
 
 @contextmanager
@@ -241,6 +320,20 @@ def write_triaxial_csv(records: Sequence[VibrationRecord], path, header: bool = 
                           for x, y, z in zip(rec.x.tolist(), rec.y.tolist(), rec.z.tolist()))
 
 
+# Process files convert their timestamps this many rows at a time, which
+# bounds what a file's conversion holds at once.
+_BLOCK_ROWS = 1024
+
+
+def _process_rows(block, tz: str) -> List[ProcessRow]:
+    """ProcessRows of (datetime, measurements) pairs; a naive datetime is
+    wall time in tz, an aware one names its own UTC offset."""
+    utc = from_wall_us([(stamp - _NAIVE_EPOCH) // _ONE_US if stamp.tzinfo is None else 0
+                        for stamp, _ in block], tz)
+    return [ProcessRow(ts if stamp.tzinfo is None else stamp.timestamp(), *values)
+            for ts, (stamp, values) in zip(utc.tolist(), block)]
+
+
 def parse_process_csv(path, tz: str = DEFAULT_TIMEZONE) -> List[ProcessRow]:
     """Header must carry the timestamp plus the seven measurement columns.
     Rows come back sorted by ascending timestamp."""
@@ -256,8 +349,7 @@ def parse_process_csv(path, tz: str = DEFAULT_TIMEZONE) -> List[ProcessRow]:
                 raise ContractError(f"process file missing column '{col}'")
         timestamp_at = header.index("Timestamp")
         measurements = itemgetter(*(header.index(col) for col in PROCESS_MEASUREMENT_COLUMNS))
-        zone = ZoneInfo(tz)
-        rows = []
+        rows, block = [], []
         for row in reader:
             lineno = reader.line_num
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -265,24 +357,33 @@ def parse_process_csv(path, tz: str = DEFAULT_TIMEZONE) -> List[ProcessRow]:
             if len(row) < len(header):
                 raise ContractError(f"short row (line {lineno})")
             try:
-                ts = _parse_local(row[timestamp_at], zone)
+                stamp = _parse_datetime(row[timestamp_at])
             except ContractError as exc:
                 raise ContractError(f"{exc} (line {lineno})") from exc
-            rows.append(ProcessRow(ts, *_parse_floats(measurements(row), f"line {lineno}")))
+            block.append((stamp, _parse_floats(measurements(row), f"line {lineno}")))
+            if len(block) == _BLOCK_ROWS:
+                rows += _process_rows(block, tz)
+                block = []
+        rows += _process_rows(block, tz)
     rows.sort(key=lambda r: r.timestamp_s)
     return rows
 
 
 def write_process_csv(rows: Sequence[ProcessRow], path, tz: str = DEFAULT_TIMEZONE) -> None:
-    zone = ZoneInfo(tz)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(PROCESS_HEADER) + "\r\n")
-        # float() first: synth's rows hold np.float64, whose repr is not the number's
-        fh.writelines(
-            f"{_format_local(row.timestamp_s, zone)},"
-            f"{','.join(map(repr, map(float, _measurement_fields(row))))}\r\n"
-            for row in rows
-        )
+        for lo in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[lo : lo + _BLOCK_ROWS]
+            wall = to_wall_us([row.timestamp_s for row in block], tz)
+            # "YYYY-MM-DDTHH:MM:SS.ffffff"; isoformat drops a zero fraction
+            texts = np.datetime_as_string(wall.astype("datetime64[us]"), unit="us").tolist()
+            whole = (wall % _US == 0).tolist()
+            # float() first: synth's rows hold np.float64, whose repr is not the number's
+            fh.writelines(
+                f"{text[:10]} {text[11:19] if whole_s else text[11:]},"
+                f"{','.join(map(repr, map(float, _measurement_fields(row))))}\r\n"
+                for text, whole_s, row in zip(texts, whole, block)
+            )
 
 
 def parse_pharma_txt(path, tz: str = DEFAULT_TIMEZONE) -> List[PharmaRecord]:
@@ -340,16 +441,23 @@ class WeeklySchedule:
     tz: str = DEFAULT_TIMEZONE
 
     def is_off(self, timestamp_s: float) -> bool:
-        return self._is_off_local(dt.datetime.fromtimestamp(timestamp_s, ZoneInfo(self.tz)))
+        return bool(self.off_at(to_wall_us([timestamp_s], self.tz))[0])
 
-    def _is_off_local(self, local: dt.datetime) -> bool:
-        """is_off for a time already converted to this schedule's zone."""
-        pos = local.weekday() * 24.0 + local.hour + local.minute / 60.0 + local.second / 3600.0
+    def off_at(self, wall_us: np.ndarray) -> np.ndarray:
+        """is_off for local wall times in this schedule's zone."""
+        days, us = np.divmod(wall_us, DAY_US)
+        hour, second = np.divmod(us // _US, 3600)
+        minute, second = np.divmod(second, 60)
+        weekday = (days + 3) % 7  # 1970-01-01 was a Thursday
+        pos = weekday * 24.0 + hour + minute / 60.0 + second / 3600.0
         start = self.off_start_weekday * 24.0 + self.off_start_hour
         end = self.off_end_weekday * 24.0 + self.off_end_hour
         if start <= end:
-            return start <= pos < end
-        return pos >= start or pos < end
+            return (start <= pos) & (pos < end)
+        return (pos >= start) | (pos < end)
+
+
+_STATES = tuple(MachineState)  # indexed by value
 
 
 def label_process_rows(
@@ -359,19 +467,10 @@ def label_process_rows(
 ) -> List[Tuple[ProcessRow, MachineState]]:
     """Abnormal on listed calendar days (whole day), Off inside the weekly
     shutdown window, On otherwise."""
-    abnormal = set(abnormal_dates)
-    zone = ZoneInfo(schedule.tz)
-    out = []
-    for row in rows:
-        local = dt.datetime.fromtimestamp(row.timestamp_s, zone)
-        if local.date() in abnormal:
-            state = MachineState.ABNORMAL
-        elif schedule._is_off_local(local):
-            state = MachineState.OFF
-        else:
-            state = MachineState.ON
-        out.append((row, state))
-    return out
+    wall = to_wall_us([row.timestamp_s for row in rows], schedule.tz)
+    states = np.where(falls_on(wall, abnormal_dates), MachineState.ABNORMAL,
+                      np.where(schedule.off_at(wall), MachineState.OFF, MachineState.ON))
+    return list(zip(rows, map(_STATES.__getitem__, states.tolist())))
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
-from zoneinfo import ZoneInfo
 
 import numpy as np
 
+from . import ingest
 from .core import ContractError, DefectLabel, MachineState, OperatingPoint, TimeSeries, VibrationRecord, make_rng
 from .ingest import DEFAULT_TIMEZONE, ProcessRow, WeeklySchedule
 
@@ -147,16 +147,19 @@ def generate_process(
         raise ContractError("days must be >= 1")
     failure = set(failure_days)
     rng = make_rng(seed)
-    zone = ZoneInfo(schedule.tz)
-    start_local = dt.datetime.combine(start_date, dt.time(0, 0), tzinfo=zone)
     per_day = int(round(86400 / interval_s))
+    # row k of a day sits timedelta(seconds=k * interval_s) after local
+    # midnight, rounded to the microsecond as timedelta rounds it
+    within_day = [dt.timedelta(seconds=k * interval_s) // dt.timedelta(microseconds=1)
+                  for k in range(per_day)]
+    midnights = ((start_date - dt.date(1970, 1, 1)).days + np.arange(days)) * ingest.DAY_US
+    stamps = ingest.from_wall_us((midnights[:, None] + within_day).ravel(), schedule.tz)
+    offs = schedule.off_at(ingest.to_wall_us(stamps, schedule.tz)).reshape(days, -1).tolist()
     rows = []
-    for day_i in range(days):
+    for day_i, day_stamps in enumerate(stamps.reshape(days, -1).tolist()):
         day = start_date + dt.timedelta(days=day_i)
         is_failure_day = day in failure
-        for k in range(per_day):
-            ts = (start_local + dt.timedelta(days=day_i, seconds=k * interval_s)).timestamp()
-            off = schedule.is_off(ts)
+        for k, (ts, off) in enumerate(zip(day_stamps, offs[day_i])):
             frac = k / per_day
             if is_failure_day:
                 state = MachineState.ABNORMAL

@@ -370,9 +370,37 @@ class TestBatchedPrediction:
         ref_mean = [np.mean([ref[i] for ref in per_tree]) for i in range(probe.shape[0])]
         assert np.array_equal(forest.predict_batch(probe), ref_mean)
 
+    def test_tree_walk_one_row_and_nan_match_per_row_reference(self):
+        rng = make_rng(33)
+        rows = rng.normal(size=(200, 5))
+        targets = rows[:, 1] + rng.normal(size=200)
+        trees = [fit_regression_tree(rows, targets, depth, make_rng(depth)) for depth in (1, 3, 8)]
+        probe = rng.normal(size=(40, 5))
+        probe[::3, 1] = np.nan  # NaN <= threshold is False: the row goes right
+        probe[5] = np.nan
+        for tree in trees:
+            for row in (probe[1:2], probe[3:4], probe[5:6]):  # none, one, all NaN
+                assert np.array_equal(tree.predict(row), _ref_tree_predict(tree, row))
+            assert np.array_equal(tree.predict(probe), _ref_tree_predict(tree, probe))
+        # the walk's arrays are derived from the fields, and state() saves only those
+        forest = RandomForestForecaster(n_trees=3, max_depth=4, lag_window=5, seed=1)
+        forest.trees = trees
+        assert [list(t) for t in forest.state()["trees"]] == [
+            ["feature", "threshold", "left", "right", "value"]] * 3
+
     def test_single_leaf_tree(self):
         leaf = TreeNodes(*(np.array([v]) for v in (-1, 0.0, 0, 0, 2.5)))
         assert np.array_equal(leaf.predict(np.zeros((3, 2))), [2.5, 2.5, 2.5])
+
+    @pytest.mark.parametrize("feature,children", [
+        ([0], [0]),  # the root is its own child
+        ([0, 0, 0, -1], [1, 2, 3, 0]),  # each node's two children are one node
+    ])
+    def test_nodes_that_do_not_form_a_tree_are_rejected(self, feature, children):
+        # as a corrupted model file would hold them; the walk needs a depth
+        with pytest.raises(ContractError, match="do not form a tree"):
+            TreeNodes(np.array(feature), np.zeros(len(feature)), np.array(children),
+                      np.array(children), np.zeros(len(feature)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_split_search_matches_per_feature_reference(self, seed):
