@@ -7,9 +7,9 @@ import datetime as dt
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -36,8 +36,10 @@ DEFAULT_ABNORMAL_DATES = frozenset({dt.date(2022, 2, 1), dt.date(2022, 3, 8)})
 PHARMA_POINTS_PER_AXIS = 3200
 
 
-@dataclass(frozen=True)
-class ProcessRow:
+class ProcessRow(NamedTuple):
+    """One process reading: its UTC timestamp in seconds, then the seven
+    measurements in PROCESS_MEASUREMENT_COLUMNS order."""
+
     timestamp_s: float
     air_pressure_1: float
     air_pressure_2: float
@@ -48,19 +50,7 @@ class ProcessRow:
     outside_dewpoint: float
 
     def measurements(self) -> np.ndarray:
-        return np.array(_measurement_fields(self))
-
-
-#: The seven measurement fields of a ProcessRow, as a tuple, in column order.
-_measurement_fields = attrgetter(
-    "air_pressure_1",
-    "air_pressure_2",
-    "chiller1_supply_tmp",
-    "chiller2_supply_tmp",
-    "outside_air_temp",
-    "outside_humidity",
-    "outside_dewpoint",
-)
+        return np.array(self[1:])
 
 
 @dataclass(frozen=True)
@@ -330,7 +320,7 @@ def _process_rows(block, tz: str) -> List[ProcessRow]:
     wall time in tz, an aware one names its own UTC offset."""
     utc = from_wall_us([(stamp - _NAIVE_EPOCH) // _ONE_US if stamp.tzinfo is None else 0
                         for stamp, _ in block], tz)
-    return [ProcessRow(ts if stamp.tzinfo is None else stamp.timestamp(), *values)
+    return [ProcessRow._make([ts if stamp.tzinfo is None else stamp.timestamp(), *values])
             for ts, (stamp, values) in zip(utc.tolist(), block)]
 
 
@@ -378,10 +368,10 @@ def write_process_csv(rows: Sequence[ProcessRow], path, tz: str = DEFAULT_TIMEZO
             # "YYYY-MM-DDTHH:MM:SS.ffffff"; isoformat drops a zero fraction
             texts = np.datetime_as_string(wall.astype("datetime64[us]"), unit="us").tolist()
             whole = (wall % _US == 0).tolist()
-            # float() first: synth's rows hold np.float64, whose repr is not the number's
+            # float() first: a row may hold np.float64, whose repr is not the number's
             fh.writelines(
                 f"{text[:10]} {text[11:19] if whole_s else text[11:]},"
-                f"{','.join(map(repr, map(float, _measurement_fields(row))))}\r\n"
+                f"{','.join(map(repr, map(float, row[1:])))}\r\n"
                 for text, whole_s, row in zip(texts, whole, block)
             )
 

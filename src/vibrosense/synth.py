@@ -138,53 +138,52 @@ def generate_process(
     schedule: WeeklySchedule = WeeklySchedule(),
     interval_s: float = 300.0,
 ) -> List[Tuple[ProcessRow, MachineState]]:
-    """Labeled 5-minute process rows.
+    """Labeled process rows, `interval_s` (at most a day) apart from each
+    local midnight.
 
     Supply temperature sits at the 53 F setpoint while On, drifts toward
     ambient while Off, and ramps up to (at most) 65 F across a failure day.
+    The rows are built a column at a time, bit for bit as a row-at-a-time
+    loop drawing each row's seven normals in turn would build them.
     """
     if days < 1:
         raise ContractError("days must be >= 1")
+    if not 0 < interval_s <= 86400:  # NaN included
+        raise ContractError(f"interval_s must be positive and at most 86400 s, got {interval_s}")
     failure = set(failure_days)
     rng = make_rng(seed)
-    per_day = int(round(86400 / interval_s))
-    # row k of a day sits timedelta(seconds=k * interval_s) after local
-    # midnight, rounded to the microsecond as timedelta rounds it
-    within_day = [dt.timedelta(seconds=k * interval_s) // dt.timedelta(microseconds=1)
-                  for k in range(per_day)]
+    per_day = round(86400 / interval_s)
+    # row i is slot k[i] of its local day, timedelta(seconds=k * interval_s)
+    # after local midnight, rounded to the microsecond as timedelta rounds it
+    day = np.repeat(np.arange(days), per_day)
+    k = np.tile(np.arange(per_day), days)
+    within_day = np.array([dt.timedelta(seconds=j * interval_s) // dt.timedelta(microseconds=1)
+                           for j in range(per_day)])
     midnights = ((start_date - dt.date(1970, 1, 1)).days + np.arange(days)) * ingest.DAY_US
-    stamps = ingest.from_wall_us((midnights[:, None] + within_day).ravel(), schedule.tz)
-    offs = schedule.off_at(ingest.to_wall_us(stamps, schedule.tz)).reshape(days, -1).tolist()
-    rows = []
-    for day_i, day_stamps in enumerate(stamps.reshape(days, -1).tolist()):
-        day = start_date + dt.timedelta(days=day_i)
-        is_failure_day = day in failure
-        for k, (ts, off) in enumerate(zip(day_stamps, offs[day_i])):
-            frac = k / per_day
-            if is_failure_day:
-                state = MachineState.ABNORMAL
-                ramp = (CHILLER_FAILURE_PEAK_F - CHILLER_SETPOINT_F) * np.sin(np.pi * frac) ** 2
-                supply1 = CHILLER_SETPOINT_F + ramp + rng.normal(0.0, 0.2)
-                supply1 = min(supply1, CHILLER_FAILURE_PEAK_F)
-            elif off:
-                state = MachineState.OFF
-                supply1 = AMBIENT_F + rng.normal(0.0, 1.0)
-            else:
-                state = MachineState.ON
-                supply1 = CHILLER_SETPOINT_F + rng.normal(0.0, CHILLER_ON_SIGMA_F)
-            supply2 = supply1 + rng.normal(0.0, 0.3)
-            row = ProcessRow(
-                timestamp_s=ts,
-                air_pressure_1=90.0 + rng.normal(0.0, 1.5),
-                air_pressure_2=88.0 + rng.normal(0.0, 1.5),
-                chiller1_supply_tmp=float(supply1),
-                chiller2_supply_tmp=float(supply2),
-                outside_air_temp=AMBIENT_F + 10.0 * np.sin(2 * np.pi * frac) + rng.normal(0.0, 1.0),
-                outside_humidity=55.0 + rng.normal(0.0, 5.0),
-                outside_dewpoint=45.0 + rng.normal(0.0, 2.0),
-            )
-            rows.append((row, state))
-    return rows
+    stamps = ingest.from_wall_us(midnights[day] + within_day[k], schedule.tz)
+    off = schedule.off_at(ingest.to_wall_us(stamps, schedule.tz))
+    failing = np.array([start_date + dt.timedelta(days=i) in failure for i in range(days)])[day]
+    state = np.where(failing, MachineState.ABNORMAL, np.where(off, MachineState.OFF, MachineState.ON))
+    # A row's terms that depend only on its slot, each from the scalar
+    # expression: an array np.sin or ** may take another route and differ in
+    # the last bit.
+    fracs = [j / per_day for j in range(per_day)]
+    ramped = np.array([CHILLER_SETPOINT_F + (CHILLER_FAILURE_PEAK_F - CHILLER_SETPOINT_F)
+                       * np.sin(np.pi * frac) ** 2 for frac in fracs])
+    ambient = np.array([AMBIENT_F + 10.0 * np.sin(2 * np.pi * frac) for frac in fracs])
+    # One standard normal per draw, in the order a row takes them: supply 1,
+    # supply 2, air pressure 1 and 2, outside temperature, humidity, dewpoint.
+    # rng.normal(0.0, s) is 0.0 + s * z, and adding 0.0 to s * z before a
+    # nonzero level changes no bit of the sum.
+    z = rng.standard_normal((len(k), 7)).T
+    supply1 = (np.where(failing, ramped[k], np.where(off, AMBIENT_F, CHILLER_SETPOINT_F))
+               + np.where(failing, 0.2, np.where(off, 1.0, CHILLER_ON_SIGMA_F)) * z[0])
+    supply1 = np.where(failing, np.minimum(supply1, CHILLER_FAILURE_PEAK_F), supply1)
+    columns = np.stack([stamps, 90.0 + 1.5 * z[2], 88.0 + 1.5 * z[3], supply1,
+                        supply1 + 0.3 * z[1], ambient[k] + 1.0 * z[4], 55.0 + 5.0 * z[5],
+                        45.0 + 2.0 * z[6]], axis=1)
+    return list(zip(map(ProcessRow._make, columns.tolist()),
+                    map(ingest._STATES.__getitem__, state.tolist())))
 
 
 def chiller_series(labeled_rows) -> TimeSeries:

@@ -9,6 +9,7 @@ from vibrosense.core import ContractError, DefectLabel, MachineState, OperatingP
 from vibrosense.ingest import (
     PHARMA_POINTS_PER_AXIS,
     PROCESS_HEADER,
+    PROCESS_MEASUREMENT_COLUMNS,
     PharmaRecord,
     ProcessRow,
     WeeklySchedule,
@@ -112,6 +113,55 @@ def make_process_rows(n, start="2022-01-04 10:00:00", step_s=300.0):
         ProcessRow(t0 + i * step_s, 90.0, 88.0, 53.0, 53.5, 68.0, 55.0, 45.0)
         for i in range(n)
     ]
+
+
+class TestProcessRow:
+    FIELD_OF_COLUMN = {
+        "Air Pressure 1": "air_pressure_1",
+        "Air Pressure 2": "air_pressure_2",
+        "Chiller 1 Supply Tmp": "chiller1_supply_tmp",
+        "Chiller 2 Supply Tmp": "chiller2_supply_tmp",
+        "Outside Air Temp": "outside_air_temp",
+        "Outside Humidity": "outside_humidity",
+        "Outside Dewpoint": "outside_dewpoint",
+    }
+
+    def row(self):
+        return ProcessRow(1.5e9, 90.0, 88.0, 53.0, 53.5, 68.0, 55.0, 45.0)
+
+    def test_fields_cannot_be_assigned(self):
+        row = self.row()
+        with pytest.raises(AttributeError):
+            row.chiller1_supply_tmp = 60.0
+        with pytest.raises(AttributeError):
+            row.label = "on"
+
+    def test_keyword_and_positional_construction_agree(self):
+        by_keyword = ProcessRow(timestamp_s=1.5e9, air_pressure_1=90.0, air_pressure_2=88.0,
+                                chiller1_supply_tmp=53.0, chiller2_supply_tmp=53.5,
+                                outside_air_temp=68.0, outside_humidity=55.0,
+                                outside_dewpoint=45.0)
+        assert by_keyword == self.row()
+
+    def test_measurements_are_float64_in_column_order(self):
+        row = self.row()
+        values = row.measurements()
+        assert values.dtype == np.float64
+        assert list(self.FIELD_OF_COLUMN) == list(PROCESS_MEASUREMENT_COLUMNS)
+        assert values.tolist() == [getattr(row, f) for f in self.FIELD_OF_COLUMN.values()]
+
+    def test_is_a_tuple_of_its_eight_fields(self):
+        row = self.row()
+        assert len(row) == 8
+        assert list(row) == [1.5e9, 90.0, 88.0, 53.0, 53.5, 68.0, 55.0, 45.0]
+        assert row == (1.5e9, 90.0, 88.0, 53.0, 53.5, 68.0, 55.0, 45.0)
+
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_wrong_field_count_raises_type_error(self, n):
+        with pytest.raises(TypeError):
+            ProcessRow(*[0.0] * n)
+        with pytest.raises(TypeError):
+            ProcessRow._make([0.0] * n)
 
 
 class TestProcessCsv:

@@ -3,8 +3,14 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from vibrosense.core import ContractError, DefectLabel, MachineState
+from vibrosense import ingest
+from vibrosense.core import ContractError, DefectLabel, MachineState, make_rng
+from vibrosense.ingest import ProcessRow, WeeklySchedule
 from vibrosense.synth import (
+    AMBIENT_F,
+    CHILLER_FAILURE_PEAK_F,
+    CHILLER_ON_SIGMA_F,
+    CHILLER_SETPOINT_F,
     AMPLITUDE_BY_LABEL,
     HARMONIC_RATIO,
     SynthConfig,
@@ -145,6 +151,85 @@ class TestProcess:
         series = chiller_series(rows)
         assert len(series) == 288
         assert series.interval_s == pytest.approx(300.0)
+
+    @pytest.mark.parametrize("interval_s", [0.0, float("nan"), -300.0, 172800.0],
+                             ids=["zero", "nan", "negative", "two-days"])
+    def test_bad_interval_names_interval_s(self, interval_s):
+        with pytest.raises(ContractError, match="interval_s"):
+            generate_process(days=2, interval_s=interval_s)
+
+
+def _reference_generate_process(days, failure_days=(), seed=0, start_date=dt.date(2022, 1, 3),
+                                schedule=WeeklySchedule(), interval_s=300.0):
+    """The row-at-a-time generator the column one replaced, kept verbatim:
+    seven scalar draws per row, in the order the row takes them."""
+    failure = set(failure_days)
+    rng = make_rng(seed)
+    per_day = int(round(86400 / interval_s))
+    within_day = [dt.timedelta(seconds=k * interval_s) // dt.timedelta(microseconds=1)
+                  for k in range(per_day)]
+    midnights = ((start_date - dt.date(1970, 1, 1)).days + np.arange(days)) * ingest.DAY_US
+    stamps = ingest.from_wall_us((midnights[:, None] + within_day).ravel(), schedule.tz)
+    offs = schedule.off_at(ingest.to_wall_us(stamps, schedule.tz)).reshape(days, -1).tolist()
+    rows = []
+    for day_i, day_stamps in enumerate(stamps.reshape(days, -1).tolist()):
+        day = start_date + dt.timedelta(days=day_i)
+        is_failure_day = day in failure
+        for k, (ts, off) in enumerate(zip(day_stamps, offs[day_i])):
+            frac = k / per_day
+            if is_failure_day:
+                state = MachineState.ABNORMAL
+                ramp = (CHILLER_FAILURE_PEAK_F - CHILLER_SETPOINT_F) * np.sin(np.pi * frac) ** 2
+                supply1 = CHILLER_SETPOINT_F + ramp + rng.normal(0.0, 0.2)
+                supply1 = min(supply1, CHILLER_FAILURE_PEAK_F)
+            elif off:
+                state = MachineState.OFF
+                supply1 = AMBIENT_F + rng.normal(0.0, 1.0)
+            else:
+                state = MachineState.ON
+                supply1 = CHILLER_SETPOINT_F + rng.normal(0.0, CHILLER_ON_SIGMA_F)
+            supply2 = supply1 + rng.normal(0.0, 0.3)
+            row = ProcessRow(
+                timestamp_s=ts,
+                air_pressure_1=90.0 + rng.normal(0.0, 1.5),
+                air_pressure_2=88.0 + rng.normal(0.0, 1.5),
+                chiller1_supply_tmp=float(supply1),
+                chiller2_supply_tmp=float(supply2),
+                outside_air_temp=AMBIENT_F + 10.0 * np.sin(2 * np.pi * frac) + rng.normal(0.0, 1.0),
+                outside_humidity=55.0 + rng.normal(0.0, 5.0),
+                outside_dewpoint=45.0 + rng.normal(0.0, 2.0),
+            )
+            rows.append((row, state))
+    return rows
+
+
+@pytest.mark.parametrize("kwargs", [
+    # New York springs forward on 2022-03-13, a failure day here
+    dict(days=14, seed=5, start_date=dt.date(2022, 3, 7),
+         failure_days=[dt.date(2022, 3, 9), dt.date(2022, 3, 13)]),
+    # and falls back on 2022-11-06
+    dict(days=14, seed=6, start_date=dt.date(2022, 10, 31), failure_days=[dt.date(2022, 11, 4)]),
+    dict(days=9, seed=7, start_date=dt.date(2022, 3, 10), interval_s=299.7,
+         failure_days=[dt.date(2022, 3, 13)]),
+    dict(days=9, seed=8, start_date=dt.date(2022, 10, 31), interval_s=86400 / 7),
+    # Lord Howe moves its clocks by half an hour, on 2022-10-02 and 2022-04-03
+    dict(days=9, seed=9, start_date=dt.date(2022, 9, 29),
+         schedule=WeeklySchedule(tz="Australia/Lord_Howe"), failure_days=[dt.date(2022, 10, 2)]),
+    dict(days=9, seed=10, start_date=dt.date(2022, 3, 31), interval_s=299.7,
+         schedule=WeeklySchedule(tz="Australia/Lord_Howe")),
+    dict(days=365, seed=11, failure_days=sorted(ingest.DEFAULT_ABNORMAL_DATES)),
+], ids=["ny-spring-failure", "ny-fall", "interval-299.7", "interval-day/7",
+        "lord-howe-spring", "lord-howe-fall", "year"])
+def test_generate_process_matches_row_at_a_time_reference_bit_for_bit(kwargs):
+    got = generate_process(**kwargs)
+    want = _reference_generate_process(**kwargs)
+    assert len(got) == len(want) > 0
+    for field in ProcessRow._fields:
+        assert (np.array([getattr(row, field) for row, _ in got]).tobytes()
+                == np.array([getattr(row, field) for row, _ in want], dtype=np.float64).tobytes()), field
+    assert [state for _, state in got] == [state for _, state in want]
+    assert all(type(state) is MachineState for _, state in got)
+    assert all(type(value) is float for row, _ in got for value in row)
 
 
 class TestSpikedSeries:
