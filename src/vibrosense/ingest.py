@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
@@ -64,6 +63,8 @@ class PharmaRecord:
     def __post_init__(self):
         for name in ("x", "y", "z"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        for name in ("start_s", "dt_s"):  # a NumPy scalar's repr is not the number's
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.dt_s <= 0:
             raise ContractError("dt_s must be positive")
 
@@ -88,16 +89,27 @@ def _parse_float(token: str, where: str) -> float:
     return value
 
 
-def _parse_floats(tokens: Sequence[str], where: str) -> List[float]:
-    """A row's tokens as finite floats, converted and checked in one call
-    each. Only a row that fails goes through _parse_float token by token, so
-    the error names the row's first bad token, as a value-by-value parse would."""
+# The parsers convert the numbers of this many rows per call. An error a row
+# raises for itself or its reading first converts the rows above it, so a bad
+# number above it is still the first error; a full block's lists are emptied
+# before it is converted, so a block that fails is not converted twice.
+_BLOCK_ROWS = 1024
+_ROW_ERRORS = (ContractError, csv.Error, UnicodeDecodeError)
+
+
+def _parse_floats(tokens: Sequence[str], places: Sequence, where: str = "line {}") -> np.ndarray:
+    """The tokens of len(places) rows of equal width as finite float64s,
+    converted and checked in one call each. A block that fails goes through
+    _parse_float token by token, so the error names its first bad token and
+    where.format(that row's place), as a value-by-value parse would."""
     try:
-        values = list(map(float, tokens))
+        values = np.fromiter(map(float, tokens), np.float64, count=len(tokens))
     except ValueError:
         values = None
-    if values is None or not all(map(math.isfinite, values)):
-        values = [_parse_float(token, where) for token in tokens]  # raises
+    if values is None or not np.isfinite(values).all():
+        width = len(tokens) // len(places)
+        for i, token in enumerate(tokens):
+            _parse_float(token, where.format(places[i // width]))  # raises at a bad token
     return values
 
 
@@ -251,22 +263,29 @@ def parse_triaxial_csv(
         raise ContractError(f"sample rate must be positive and finite, got {sample_rate_hz}")
     if burst_len is not None and burst_len < 1:
         raise ContractError(f"burst_len must be >= 1, got {burst_len}")
-    flat = []  # x, y, z of every row, in file order
+    blocks, tokens, lines = [], [], []  # converted blocks; the next block's tokens and lines
     with open(path, newline="") as fh, _reading(path):
         reader = csv.reader(fh)
-        for row in reader:
-            lineno = reader.line_num  # a quoted line break makes records and lines differ
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if lineno == 1 and not any(map(_looks_numeric, row)):
-                continue  # header row: a numeric field makes it a (malformed) data row
-            if len(row) != 3:
-                raise ContractError(f"expected 3 columns, got {len(row)} (line {lineno})")
-            flat += _parse_floats(row, f"line {lineno}")
-    if not flat:
+        try:
+            for row in reader:
+                lineno = reader.line_num  # a quoted line break makes records and lines differ
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if lineno == 1 and not any(map(_looks_numeric, row)):
+                    continue  # header row: a numeric field makes it a (malformed) data row
+                if len(row) != 3:
+                    raise ContractError(f"expected 3 columns, got {len(row)} (line {lineno})")
+                tokens += row
+                lines.append(lineno)
+                if len(lines) == _BLOCK_ROWS:
+                    block, tokens, lines = (tokens, lines), [], []
+                    blocks.append(_parse_floats(*block))
+        except _ROW_ERRORS:
+            _parse_floats(tokens, lines)  # raises for a bad number above the row
+            raise
+    xyz = np.concatenate([*blocks, _parse_floats(tokens, lines)]).reshape(-1, 3)
+    if not len(xyz):
         raise ContractError(f"no data rows in {path}")
-    xyz = np.array(flat).reshape(-1, 3)
-    del flat  # free the floats before the per-axis copy
     x, y, z = xyz.T.copy()
     n = len(x)
     if burst_len is None or burst_len >= n:
@@ -310,18 +329,14 @@ def write_triaxial_csv(records: Sequence[VibrationRecord], path, header: bool = 
                           for x, y, z in zip(rec.x.tolist(), rec.y.tolist(), rec.z.tolist()))
 
 
-# Process files convert their timestamps this many rows at a time, which
-# bounds what a file's conversion holds at once.
-_BLOCK_ROWS = 1024
-
-
-def _process_rows(block, tz: str) -> List[ProcessRow]:
-    """ProcessRows of (datetime, measurements) pairs; a naive datetime is
-    wall time in tz, an aware one names its own UTC offset."""
+def _process_rows(stamps, values: np.ndarray, tz: str) -> List[ProcessRow]:
+    """ProcessRows of datetimes and their rows of measurements; a naive
+    datetime is wall time in tz, an aware one names its own UTC offset."""
     utc = from_wall_us([(stamp - _NAIVE_EPOCH) // _ONE_US if stamp.tzinfo is None else 0
-                        for stamp, _ in block], tz)
-    return [ProcessRow._make([ts if stamp.tzinfo is None else stamp.timestamp(), *values])
-            for ts, (stamp, values) in zip(utc.tolist(), block)]
+                        for stamp in stamps], tz)
+    values = values.reshape(-1, len(PROCESS_MEASUREMENT_COLUMNS)).tolist()
+    return [ProcessRow._make([ts if stamp.tzinfo is None else stamp.timestamp(), *row])
+            for ts, stamp, row in zip(utc.tolist(), stamps, values)]
 
 
 def parse_process_csv(path, tz: str = DEFAULT_TIMEZONE) -> List[ProcessRow]:
@@ -339,22 +354,28 @@ def parse_process_csv(path, tz: str = DEFAULT_TIMEZONE) -> List[ProcessRow]:
                 raise ContractError(f"process file missing column '{col}'")
         timestamp_at = header.index("Timestamp")
         measurements = itemgetter(*(header.index(col) for col in PROCESS_MEASUREMENT_COLUMNS))
-        rows, block = [], []
-        for row in reader:
-            lineno = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < len(header):
-                raise ContractError(f"short row (line {lineno})")
-            try:
-                stamp = _parse_datetime(row[timestamp_at])
-            except ContractError as exc:
-                raise ContractError(f"{exc} (line {lineno})") from exc
-            block.append((stamp, _parse_floats(measurements(row), f"line {lineno}")))
-            if len(block) == _BLOCK_ROWS:
-                rows += _process_rows(block, tz)
-                block = []
-        rows += _process_rows(block, tz)
+        rows, stamps, tokens, lines = [], [], [], []  # the block's stamps, measurements, lines
+        try:
+            for row in reader:
+                lineno = reader.line_num
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) < len(header):
+                    raise ContractError(f"short row (line {lineno})")
+                try:
+                    stamps.append(_parse_datetime(row[timestamp_at]))
+                except ContractError as exc:
+                    raise ContractError(f"{exc} (line {lineno})") from exc
+                tokens += measurements(row)
+                lines.append(lineno)
+                if len(lines) == _BLOCK_ROWS:
+                    block, tokens, lines = (tokens, lines), [], []
+                    rows += _process_rows(stamps, _parse_floats(*block), tz)
+                    stamps = []
+        except _ROW_ERRORS:
+            _parse_floats(tokens, lines)  # raises for a bad number above the row
+            raise
+        rows += _process_rows(stamps, _parse_floats(tokens, lines), tz)
     rows.sort(key=lambda r: r.timestamp_s)
     return rows
 
@@ -400,7 +421,7 @@ def parse_pharma_txt(path, tz: str = DEFAULT_TIMEZONE) -> List[PharmaRecord]:
                     f"{axis}-axis: expected {PHARMA_POINTS_PER_AXIS}, "
                     f"got {len(tokens)} (record {g + 1})"
                 )
-            axes.append(np.array(_parse_floats(tokens, f"record {g + 1}, {axis}-axis")))
+            axes.append(_parse_floats(tokens, [f"record {g + 1}, {axis}-axis"], "{}"))
         dt_s = _parse_float(group[4].strip(), f"record {g + 1}, line 5")
         records.append(PharmaRecord(start, *axes, dt_s))
     return records

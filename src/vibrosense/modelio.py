@@ -48,7 +48,7 @@ def from_jsonable(obj: Any) -> Any:
         if "~f" in obj:
             return float.fromhex(obj["~f"])
         if "~a" in obj:
-            flat = np.array([float.fromhex(t) for t in obj["~a"]], dtype=np.float64)
+            flat = np.fromiter(map(float.fromhex, obj["~a"]), np.float64, count=len(obj["~a"]))
             return flat.reshape(obj["shape"])
         if "~ai" in obj:
             return np.array(obj["~ai"], dtype=np.int64).reshape(obj["shape"])
@@ -66,8 +66,36 @@ def save_model(kind: str, payload: dict, path) -> None:
         "payload": to_jsonable(payload),
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.writelines(_encode(doc, ""))
         fh.write("\n")
+
+
+def _encode(value, indent: str):
+    """The text json.dump(value, fh, sort_keys=True, indent=1) writes,
+    `indent` deep, in chunks (no file's whole text is held at once). json
+    never uses its C encoder when indent is set, so a list of only strings or
+    only ints (a ~a or ~ai array) goes through it here in one call."""
+    inner = indent + " "
+    if value and isinstance(value, dict):
+        head = "{"
+        for key in sorted(value):
+            yield f"{head}\n{inner}{json.dumps(key)}: "
+            yield from _encode(value[key], inner)
+            head = ","
+        yield f"\n{indent}}}"
+    elif value and isinstance(value, list):
+        if {*map(type, value)} in ({str}, {int}):
+            yield "[\n" + inner
+            yield json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]
+        else:
+            head = "["
+            for item in value:
+                yield f"{head}\n{inner}"
+                yield from _encode(item, inner)
+                head = ","
+        yield f"\n{indent}]"
+    else:  # a scalar, an empty list or an empty dict
+        yield json.dumps(value)
 
 
 def read_json_object(path) -> dict:

@@ -219,6 +219,16 @@ class TestPharma:
         write_pharma_txt(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_numpy_scalar_fields_write_as_floats(self, tmp_path):
+        rec = self.make_record()
+        as_numpy = PharmaRecord(np.float64(rec.start_s), rec.x, rec.y, rec.z, np.float64(rec.dt_s))
+        assert type(as_numpy.start_s) is float and type(as_numpy.dt_s) is float
+        write_pharma_txt([as_numpy], tmp_path / "numpy.txt")
+        write_pharma_txt([rec], tmp_path / "float.txt")
+        assert (tmp_path / "numpy.txt").read_bytes() == (tmp_path / "float.txt").read_bytes()
+        (back,) = parse_pharma_txt(tmp_path / "numpy.txt")
+        assert back.start_s == rec.start_s and back.dt_s == rec.dt_s
+
     def test_short_axis_error(self, tmp_path):
         rec = self.make_record()
         p = tmp_path / "a.txt"
@@ -358,6 +368,127 @@ class TestFirstErrorInFileOrder:
         with pytest.raises(ContractError, match=r"^non-finite value '1e400' at record 2, y-axis$"):
             parse_pharma_txt(p)
 
+
+
+class TestFirstErrorAcrossBlocks:
+    """Files of more than one 1024-row conversion block: whichever block a
+    bad number and a bad row fall in, the error names the first of them in
+    the file, with its line and token."""
+
+    N = 1100  # data rows, so the second block holds rows 1024 to 1099
+
+    def triaxial(self, tmp_path, edits, blank_after=None):
+        """A header and N data rows; edits maps a 0-based data row to its
+        replacement line, and a blank line may follow one data row."""
+        lines = ["X,Y,Z"] + [edits.get(i, f"{i}.5,-{i}.25,0.125") for i in range(self.N)]
+        if blank_after is not None:
+            lines.insert(blank_after + 2, "")
+        p = tmp_path / "t.csv"
+        p.write_text("\n".join(lines) + "\n")
+        return p
+
+    def process(self, tmp_path, edits, blank_after=None):
+        """What write_process_csv writes for N rows, edits applied to data
+        rows as functions of the written line."""
+        p = tmp_path / "p.csv"
+        write_process_csv(make_process_rows(self.N), p)
+        lines = p.read_text().splitlines()
+        for i, edit in edits.items():
+            lines[i + 1] = edit(lines[i + 1])
+        if blank_after is not None:
+            lines.insert(blank_after + 2, "")
+        p.write_text("\n".join(lines) + "\n")
+        return p
+
+    @staticmethod
+    def message(token, line):
+        kind = "unparseable number" if token == "oops" else "non-finite value"
+        return rf"^{kind} '{token}' at line {line}$"
+
+    BAD = ["oops", "inf", "1e999"]
+    TRIAXIAL_ROWS = {"1,2": "expected 3 columns, got 2", "1,2,3,4": "expected 3 columns, got 4"}
+
+    @pytest.mark.parametrize("token", BAD)
+    @pytest.mark.parametrize("bad_row", sorted(TRIAXIAL_ROWS))
+    def test_triaxial_bad_number_then_bad_row(self, tmp_path, token, bad_row):
+        p = self.triaxial(tmp_path, {500: f"1,{token},3", 1050: bad_row})
+        with pytest.raises(ContractError, match=self.message(token, 502)):
+            parse_triaxial_csv(p, 3200.0, OP)
+
+    @pytest.mark.parametrize("token", BAD)
+    @pytest.mark.parametrize("bad_row", sorted(TRIAXIAL_ROWS))
+    def test_triaxial_bad_row_then_bad_number(self, tmp_path, token, bad_row):
+        p = self.triaxial(tmp_path, {500: bad_row, 1050: f"1,{token},3"})
+        with pytest.raises(ContractError, match=rf"^{self.TRIAXIAL_ROWS[bad_row]} \(line 502\)$"):
+            parse_triaxial_csv(p, 3200.0, OP)
+
+    @pytest.mark.parametrize("row", [1023, 1024, 1025])
+    def test_triaxial_bad_number_at_the_block_edge(self, tmp_path, row):
+        p = self.triaxial(tmp_path, {row: "1,2,oops", row + 1: "1e999,2,3", 1090: "1,2"})
+        with pytest.raises(ContractError, match=self.message("oops", row + 2)):
+            parse_triaxial_csv(p, 3200.0, OP)
+
+    def test_triaxial_blank_line_inside_a_block(self, tmp_path):
+        p = self.triaxial(tmp_path, {1030: "1,inf,3"}, blank_after=100)
+        with pytest.raises(ContractError, match=self.message("inf", 1033)):
+            parse_triaxial_csv(p, 3200.0, OP)
+        good = self.triaxial(tmp_path, {}, blank_after=100)
+        (rec,) = parse_triaxial_csv(good, 3200.0, OP)
+        assert len(rec) == self.N and rec.x[1099] == 1099.5
+
+    @pytest.mark.parametrize("unreadable", [b"1,\xff,3", b"1," + b"2" * 200_000 + b",3"])
+    def test_triaxial_bad_number_then_unreadable_row(self, tmp_path, unreadable):
+        """A row the reader cannot decode or split, past the first block and
+        well past the read buffer, comes after the bad number."""
+        p = self.triaxial(tmp_path, {500: "1,oops,3"})
+        lines = p.read_bytes().split(b"\n")
+        lines[1052] = unreadable
+        p.write_bytes(b"\n".join(lines))
+        with pytest.raises(ContractError, match=self.message("oops", 502)):
+            parse_triaxial_csv(p, 3200.0, OP)
+        p = self.triaxial(tmp_path, {})
+        p.write_bytes(b"\n".join(p.read_bytes().split(b"\n")[:1052] + [unreadable]))
+        with pytest.raises(ContractError, match="not utf-8 text|malformed CSV"):
+            parse_triaxial_csv(p, 3200.0, OP)
+
+    PROCESS_ROWS = {
+        "short": (lambda line: line.rsplit(",", 4)[0], "short row"),
+        "timestamp": (lambda line: "2022-13-01" + line[19:], "unparseable timestamp '2022-13-01'"),
+    }
+
+    @staticmethod
+    def number(token):
+        return lambda line: line.replace("53.0", token)
+
+    @pytest.mark.parametrize("token", BAD)
+    @pytest.mark.parametrize("bad_row", sorted(PROCESS_ROWS))
+    def test_process_bad_number_then_bad_row(self, tmp_path, token, bad_row):
+        p = self.process(tmp_path, {500: self.number(token), 1050: self.PROCESS_ROWS[bad_row][0]})
+        with pytest.raises(ContractError, match=self.message(token, 502)):
+            parse_process_csv(p)
+
+    @pytest.mark.parametrize("token", BAD)
+    @pytest.mark.parametrize("bad_row", sorted(PROCESS_ROWS))
+    def test_process_bad_row_then_bad_number(self, tmp_path, token, bad_row):
+        edit, error = self.PROCESS_ROWS[bad_row]
+        p = self.process(tmp_path, {500: edit, 1050: self.number(token)})
+        with pytest.raises(ContractError, match=rf"^{error} \(line 502\)$"):
+            parse_process_csv(p)
+
+    @pytest.mark.parametrize("row", [1023, 1024, 1025])
+    def test_process_bad_number_at_the_block_edge(self, tmp_path, row):
+        p = self.process(tmp_path, {row: self.number("oops"), row + 1: self.number("1e999"),
+                                    1090: self.PROCESS_ROWS["short"][0]})
+        with pytest.raises(ContractError, match=self.message("oops", row + 2)):
+            parse_process_csv(p)
+
+    def test_process_blank_line_inside_a_block(self, tmp_path):
+        p = self.process(tmp_path, {1030: self.number("inf")}, blank_after=100)
+        with pytest.raises(ContractError, match=self.message("inf", 1033)):
+            parse_process_csv(p)
+        good = self.process(tmp_path, {}, blank_after=100)
+        rows = parse_process_csv(good)
+        assert rows == make_process_rows(self.N)
 
 class TestLabeling:
     def test_saturday_off(self):

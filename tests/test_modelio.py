@@ -1,11 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from vibrosense.anomaly import AnomalyRuleConfig, detect_series
+from vibrosense.classify import TrainConfig, save_classifier, train_classifier
 from vibrosense.cli import DEFAULT_VARIANTS, default_variants
 from vibrosense.core import ContractError, SplitSpec, TimeSeries, make_rng, split_series
 from vibrosense.forecast import ForecastModelConfig, fit, load_forecaster, rolling_forecast, save_forecaster
+from vibrosense.features import fit_encoder, save_encoder
 from vibrosense.modelio import from_jsonable, load_model, save_model, to_jsonable
+from vibrosense.synth import generate_spiked_series
 
 
 class TestJsonableCodec:
@@ -172,3 +177,85 @@ class TestMalformedForecasterState:
         with pytest.raises(ContractError, match="malformed forecaster file") as info:
             load_forecaster(path)
         assert str(path) in str(info.value)
+
+class TestModelFileBytes:
+    """The bytes of real model files, pinned as save_model wrote them when it
+    called json.dump(doc, fh, sort_keys=True, indent=1). A fitted state
+    depends on the GEMM kernel OpenBLAS picks for the host, so a family
+    fitted with BLAS has one pin per kernel class (AVX-512, AVX2, AVX, SSE:
+    SkylakeX, Haswell, SandyBridge and Nehalem, as OPENBLAS_CORETYPE names
+    them); the file of any one fit must match one of them byte for byte."""
+
+    SHA256 = {
+        "seasonal_naive": ("dd3932f99f79d1d1f3dbb325026bd66780c96b9f6ccad80a83eda33e9a5a274a",),
+        "ar": (
+            "88faf08626bd4ad81ef52b55561802bce1f558dbdf6d0ce0dbca11bbed759f6c",
+            "92c14d6394de14cfd0a8472342135cde5e23967714b80f2d9d163b34699a5077",
+            "d478c3292bf54a655aee1fe0cb5f5dad5bff0cc1b46d8b01d4acc457105770c5",
+            "dbbed87168f0fd2553ff705370b19d0136d3016351795241bb1205933876d993",
+        ),
+        "arima": (
+            "6fec12aab75845d6a6b4c02fabdf2a8da44d9dcbbf94ab068fa9e160a08a3041",
+            "470536a99dec9d1aa5ea7f020152b9318f4780fbf63f9f56870677c1600ad11f",
+            "d682fc7846b68b40494de68bd1fe434a1d93e7446571e037a00f55b888fc0f1c",
+            "03dccbf6967cc8c511eb16ef8e1fb7f7c7b889ef452d73253e4b7cadcbab8e0f",
+        ),
+        "random_forest": ("8b45da57e89960afc2272495b98a6f650cb63fe83f347f5f8f6920ede1491ae1",),
+        "mlp": (
+            "c3d0963c2b72c02f0c3e2d4006d7ddcf2958a507e978de012350f071a6420026",
+            "3f8329890399c65586866feef793ccf2b139e67953fe09a75d091ceee589dc60",
+            "969363ef4116949138c2d9a6eb211cd014780aab72991590ef4ee0d5f847b7de",
+            "e943bed3b27ced8014a15990c68aeb5d45d216317479733ad48ec71302590807",
+        ),
+        "rnn": (
+            "6188fe90241104e9e99772bd7d591e97fe8354c580189195c94337ef81270d4d",
+            "e0fc59cb9e5ea936fd72e9ee27ef39337e828152532b66f68ef1e9df69767a57",
+            "5d6960f8e61730d68300fd9a4d5724fbc1c2dad9a63a04d2f6891d7ded65691a",
+            "811bdf027c871271ddaa0f6c38dd2603593be84566b56b46833bbe79f0ea81c8",
+        ),
+        "lstm": (
+            "d6ca090267906507ea82424ac122de5a17125d93525b756627b0dd5e5c1bf13b",
+            "6f5a6e533d20123e03d38d748f57652e6ef8a1460c77e52b0bb5012223298cf8",
+            "4612740639beb6537e340728c4cb059087b8f02576fee6936764c558e3997e75",
+            "6f334941829eb03258b5011963066c71770ce9dc4474ae26d482a239902a002f",
+        ),
+        "autoencoder": (
+            "83cb7405d684113119a18af8ffb916e5820992de67de2c927128bc403a67c44a",
+            "93e03dac8938bc19064547b7516738cc12bc4c732f50c08f94a7b1fd164357fa",
+            "e71cbac46f78e817463e686928185140c83c90032b992de5f0202e953c843bd1",
+            "fe760159dfbad2812e04f7c73f61e7684d27f785e7a0ccb07615ed1b64f1b8da",
+        ),
+        "gaussian_rnn": (
+            "6d4a8965ab42a79a5aee2845fee331ec377ce66a0e8008542387fffe7a42969c",
+            "0dc4d08a5fe03daf212fb65f543db1419e45faabb889089f2f0206ad1ee029ac",
+            "642bfc5229d63a97b0a2b2c61a1ec8046232e5844ec6dbc2d55940d41bb5873e",
+            "b1d351e3a1414dba43d0a428749b568a090b7f5500896d2362c60ce510f8ba05",
+        ),
+        "encoder": ("faf93daf441d3b814510cbcea960562aff33f208259c4ab6f432ce6e72c70dc6",),
+        "classifier": (
+            "6062bbbe877f663db52e23c0566c9ed4713218e590bc8fa9e17a82c8a15f1d30",
+            "85f0102349171f2b32376faf559f9348720dcf6980e330942a1a7bde27af361b",
+            "ef20cf0ce319cc0eab2d52c5f19c7e87169959593f4d9e372a3ac69b4d9250ba",
+            "80c65870dc241efb3db0c0c19425f530f6523f462644d8c7c14769952513d3f8",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DEFAULT_VARIANTS))
+    def test_forecaster_file(self, tmp_path, kind):
+        series = generate_spiked_series(240, 4, seed=7).series
+        save_forecaster(fit(default_variants(kind, 0)[0], series), tmp_path / kind)
+        assert _sha256(tmp_path / kind) in self.SHA256[kind]
+
+    def test_encoder_and_classifier_files(self, tmp_path):
+        rng = make_rng(5)
+        rows, labels = rng.normal(size=(60, 6)), np.arange(60) % 3
+        enc = fit_encoder(rows, tuple(f"f{i}" for i in range(6)))
+        save_encoder(enc, tmp_path / "encoder")
+        assert _sha256(tmp_path / "encoder") in self.SHA256["encoder"]
+        model = train_classifier(enc.transform(rows), labels, cfg=TrainConfig(epochs=3))
+        save_classifier(model, tmp_path / "classifier")
+        assert _sha256(tmp_path / "classifier") in self.SHA256["classifier"]
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()

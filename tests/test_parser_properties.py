@@ -98,15 +98,27 @@ def _value_by_value(tokens, where):
         return str(exc)
 
 
+def _rows_by_value(rows):
+    """The reference for a block: each row value by value, the first error."""
+    values = []
+    for lineno, row in enumerate(rows, 7):
+        got = _value_by_value(row, f"line {lineno}")
+        if isinstance(got, str):
+            return got
+        values += got
+    return values
+
+
 @FEW
-@given(tokens=st.lists(st.sampled_from(TOKENS + ["-inf", "1e-400", "1_0", " 2 ", "NaN"])
-                       | finite.map(repr), min_size=1, max_size=6))
-def test_row_conversion_matches_value_by_value(tokens):
+@given(rows=st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(st.sampled_from(TOKENS + ["-inf", "1e-400", "1_0", " 2 ", "NaN"]) | finite.map(repr),
+             min_size=width, max_size=width), min_size=1, max_size=5)))
+def test_block_conversion_matches_value_by_value(rows):
     try:
-        got = ingest._parse_floats(tokens, "line 7")
+        got = ingest._parse_floats([t for row in rows for t in row], range(7, 7 + len(rows))).tolist()
     except ContractError as exc:
         got = str(exc)
-    assert repr(got) == repr(_value_by_value(tokens, "line 7"))  # repr tells -0.0 from 0.0
+    assert repr(got) == repr(_rows_by_value(rows))  # repr tells -0.0 from 0.0
 
 
 @pytest.mark.parametrize("fmt", ["triaxial", "process"])

@@ -15,7 +15,8 @@ from vibrosense.classify import load_classifier
 from vibrosense.core import ContractError
 from vibrosense.features import load_encoder
 from vibrosense.forecast import load_forecaster
-from vibrosense.modelio import FORMAT_NAME, FORMAT_VERSION, from_jsonable, load_model, to_jsonable
+from vibrosense.modelio import (FORMAT_NAME, FORMAT_VERSION, from_jsonable, load_model, save_model,
+                                to_jsonable)
 
 FEW = settings(max_examples=50, deadline=None, database=None, derandomize=True)
 
@@ -133,3 +134,28 @@ def test_codec_keeps_bool_arrays_as_integers():
     mask = np.array([True, False, True])
     back = from_jsonable(json.loads(json.dumps(to_jsonable(mask))))
     assert back.dtype == np.int64 and back.tolist() == [1, 0, 1]
+
+
+# every kind of value a payload may hold: any text (non-ASCII and control
+# characters included), ints past 2**63, special floats loose and in arrays,
+# and lists of only strings or only ints, which the writer encodes in one call
+special = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, float("inf"),
+                           float("-inf"), float("nan")])
+float_arrays = hnp.arrays(np.float64, shapes, elements=st.floats() | special)
+payload_keys = st.text(max_size=4).filter(lambda key: key not in ("~f", "~a", "~ai"))
+payload_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**63 - 2, 2**80) | st.text(max_size=6)
+    | st.floats() | special | float_arrays | hnp.arrays(np.int64, shapes) | hnp.arrays(np.bool_, shapes)
+    | st.lists(st.text(max_size=3), max_size=4) | st.lists(st.integers(), max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(payload_keys, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(FEW, max_examples=200)
+@given(kind=st.text(max_size=4), payload=st.dictionaries(payload_keys, payload_values, max_size=5))
+def test_model_file_is_what_json_dump_writes(path, kind, payload):
+    save_model(kind, payload, path)
+    doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "kind": kind,
+           "payload": to_jsonable(payload)}
+    assert path.read_bytes() == (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
