@@ -277,29 +277,18 @@ def cross_rpm_matrix(
     splits = {rpm: split_arrays(*per_rpm[rpm], spec) for rpm in rpms}
     grid: Dict[str, dict] = {}
     models = _train_each([splits[rpm][0] for rpm in rpms], hidden_sizes, cfg, class_names)
-    for train_rpm, model in zip(rpms, models):
-        row = {}
-        for test_rpm in rpms:
-            _, (fte, lte) = splits[test_rpm]
-            acc, _ = evaluate(model, fte, lte)
-            row[str(test_rpm)] = acc
-        row["average"] = float(np.mean([row[str(r)] for r in rpms]))
-        grid[str(train_rpm)] = row
     # augmented row: the same per-rpm training splits pooled, plus interpolants,
     # so the single-rpm test splits stay untouched
     combined = augment.augmented_training_set(per_rpm, train_fraction, augment_n_per_rpm,
                                               seed=cfg.seed)
-    aug_model = train_classifier(
+    models.append(train_classifier(
         combined.features, combined.labels, hidden_sizes,
         replace(cfg, seed=cfg.seed + len(rpms)), class_names=class_names,
-    )
-    row = {}
-    for test_rpm in rpms:
-        _, (fte, lte) = splits[test_rpm]
-        acc, _ = evaluate(aug_model, fte, lte)
-        row[str(test_rpm)] = acc
-    row["average"] = float(np.mean([row[str(r)] for r in rpms]))
-    grid["augmented"] = row
+    ))
+    for train_rpm, model in zip(list(map(str, rpms)) + ["augmented"], models):
+        row = {str(test_rpm): evaluate(model, *splits[test_rpm][1])[0] for test_rpm in rpms}
+        row["average"] = float(np.mean([row[str(r)] for r in rpms]))
+        grid[train_rpm] = row
     return {"rpms": rpms, "grid": grid, "train_fraction": train_fraction,
             "augment_n_per_rpm": augment_n_per_rpm, "seed": cfg.seed}
 

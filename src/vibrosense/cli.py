@@ -173,27 +173,31 @@ def _resolve_datasets(tokens: List[str], cfg: dict) -> List[anomaly.AnomalyDatas
     return datasets
 
 
+def _labeled_xz(records):
+    """The records' x/z sample rows, stacked, and each row's record label.
+    Records may stream in: none is kept past its rows."""
+    rows, labels = [], []
+    for rec in records:
+        rows.append(features.select_axes(rec, features.AxisMode.XZ_ONLY))
+        labels.append(np.full(len(rec), int(rec.label), dtype=np.int64))
+    return np.concatenate(rows), np.concatenate(labels)
+
+
 def _synth_per_rpm(rpms, duration_s, noise, seed, amp_rpm_exponent=0.0):
-    per_rpm = {}
-    for rpm in rpms:
-        feats, labels = [], []
-        for label in DefectLabel:
-            rec = synth.generate_vibration(
-                synth.SynthConfig(
-                    rpm=rpm,
-                    sample_rate_hz=3200.0,
-                    duration_s=duration_s,
-                    imbalance_level=label,
-                    noise_sigma=noise,
-                    seed=seed + rpm + 1000 * int(label),
-                    amp_rpm_exponent=amp_rpm_exponent,
-                )
+    return {rpm: _labeled_xz(
+        synth.generate_vibration(
+            synth.SynthConfig(
+                rpm=rpm,
+                sample_rate_hz=3200.0,
+                duration_s=duration_s,
+                imbalance_level=label,
+                noise_sigma=noise,
+                seed=seed + rpm + 1000 * int(label),
+                amp_rpm_exponent=amp_rpm_exponent,
             )
-            rows = features.select_axes(rec, features.AxisMode.XZ_ONLY)
-            feats.append(rows)
-            labels.append(np.full(rows.shape[0], int(label), dtype=np.int64))
-        per_rpm[rpm] = (np.concatenate(feats), np.concatenate(labels))
-    return per_rpm
+        )
+        for label in DefectLabel
+    ) for rpm in rpms}
 
 
 #: ingest flags that only a tri-axial file takes, by argparse dest.
@@ -301,6 +305,8 @@ def default_variants(kind: str, seed: int) -> List[forecast.ForecastModelConfig]
 
 
 def cmd_train(args, cfg) -> dict:
+    if args.augment < 0:
+        raise ContractError(f"--augment must be >= 0, got {args.augment}")
     tcfg = classify.TrainConfig(**cfg["training"])
     rpms = _comma_list(args.synth_rpms, "--synth-rpms", int)
     per_rpm = _synth_per_rpm(rpms, args.duration, args.noise, tcfg.seed)
@@ -363,39 +369,33 @@ def run_transfer_experiment(
 ) -> dict:
     """Paired source-sensor vs target-sensor experiment: a plain model on the
     scarce decimated target data against fine-tuning the source model."""
-    source_rows, source_labels = [], []
-    target_rows, target_labels = [], []
     mems_rate = 10.0
-    per_label_target = max(target_samples // 3, 2)
-    for label in DefectLabel:
-        rec = synth.generate_vibration(
+    target_duration = max(target_samples // 3, 2) / mems_rate
+    fs, ls = _labeled_xz(
+        synth.generate_vibration(
             synth.SynthConfig(
                 rpm=rpm, sample_rate_hz=3200.0, duration_s=source_duration_s,
                 imbalance_level=label, noise_sigma=noise,
                 seed=cfg.seed + 7 * int(label),
             )
         )
-        source_rows.append(features.select_axes(rec, features.AxisMode.XZ_ONLY))
-        source_labels.append(np.full(len(rec), int(label), dtype=np.int64))
-        target_duration = per_label_target / mems_rate
-        target_rec = synth.generate_vibration(
-            synth.SynthConfig(
-                rpm=rpm, sample_rate_hz=3200.0,
-                duration_s=target_duration,
-                imbalance_level=label, noise_sigma=noise,
-                seed=cfg.seed + 7 * int(label) + 3,
-            )
-        )
-        mems = synth.decimate_to_mems(
-            target_rec, target_rate_hz=mems_rate,
+        for label in DefectLabel
+    )
+    ft, lt = _labeled_xz(
+        synth.decimate_to_mems(
+            synth.generate_vibration(
+                synth.SynthConfig(
+                    rpm=rpm, sample_rate_hz=3200.0,
+                    duration_s=target_duration,
+                    imbalance_level=label, noise_sigma=noise,
+                    seed=cfg.seed + 7 * int(label) + 3,
+                )
+            ),
+            target_rate_hz=mems_rate,
             extra_noise_sigma=extra_noise, seed=cfg.seed + int(label),
         )
-        target_rows.append(features.select_axes(mems, features.AxisMode.XZ_ONLY))
-        target_labels.append(np.full(len(mems), int(label), dtype=np.int64))
-    fs = np.concatenate(source_rows)
-    ls = np.concatenate(source_labels)
-    ft = np.concatenate(target_rows)
-    lt = np.concatenate(target_labels)
+        for label in DefectLabel
+    )
     enc = features.fit_encoder(fs, features.axis_feature_names(features.AxisMode.XZ_ONLY))
     source_model = classify.train_classifier(enc.transform(fs), ls, cfg=cfg)
     bundle = classify.make_bundle(source_model, enc, source_id=f"synthetic-piezo-rpm{rpm}", cfg=cfg)
@@ -417,6 +417,8 @@ def run_transfer_experiment(
 
 
 def cmd_cross_rpm(args, cfg) -> dict:
+    if args.augment < 0:
+        raise ContractError(f"--augment must be >= 0, got {args.augment}")
     tcfg = classify.TrainConfig(**cfg["training"])
     rpms = _comma_list(args.synth_rpms, "--synth-rpms", int)
     per_rpm = _synth_per_rpm(rpms, args.duration, args.noise, tcfg.seed,

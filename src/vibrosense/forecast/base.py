@@ -49,8 +49,12 @@ class OneStepForecaster:
                 out.append(exc)
         return out
 
-    def predict_one_step(self, context) -> float:
+    def _context(self, context) -> np.ndarray:
+        """The context as floats, once it holds at least min_context values."""
         context = np.asarray(context, dtype=np.float64)
         if context.size < self.min_context:
             raise ContractError(f"context must hold >= {self.min_context} values")
-        return float(self.predict_batch(context[None])[0])
+        return context
+
+    def predict_one_step(self, context) -> float:
+        return float(self.predict_batch(self._context(context)[None])[0])

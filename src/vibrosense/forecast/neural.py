@@ -7,6 +7,7 @@ mapped back to raw units; the classical models see raw values.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List
 
 import numpy as np
@@ -24,9 +25,13 @@ _PREDICT_BLOCK = 32
 
 
 class _WindowForecaster(OneStepForecaster):
-    """Shared fit/predict plumbing over (lag window -> next value) pairs."""
+    """Shared fit/predict plumbing over (lag window -> next value) pairs. A
+    family hands the constructor ``network``, which builds its untrained net
+    from an rng; every net of the model is built here, by that call."""
 
-    def __init__(self, lag_window: int, epochs: int, batch_size: int, learning_rate: float, seed: int):
+    def __init__(self, network, lag_window: int, epochs: int, batch_size: int,
+                 learning_rate: float, seed: int):
+        self._network = network
         self.lag_window = lag_window
         self.epochs = epochs
         self.batch_size = batch_size
@@ -41,23 +46,21 @@ class _WindowForecaster(OneStepForecaster):
     def min_context(self) -> int:
         return self.lag_window
 
-    def _build(self, rng) -> None:
-        raise NotImplementedError
+    def _pairs(self, normed: np.ndarray):
+        """The (input, target) training pairs of the z-scored series."""
+        return make_windows(normed, self.lag_window)
 
-    def _fit_scaling(self, values: np.ndarray) -> np.ndarray:
-        """Keeps the training split's mean and std; returns it z-scored."""
+    def _training_set(self, train: TimeSeries):
+        """Keeps the training split's mean and std and builds the net; returns
+        the z-scored series' (x, y) pairs and the generator that sgd_epochs
+        draws the batch order from."""
+        values = train.values
         self._mean = float(np.mean(values))
         std = float(np.std(values))
         self._std = std if std > 0 else 1.0
-        return (values - self._mean) / self._std
-
-    def _training_set(self, train: TimeSeries):
-        """Scales the series and builds the net; returns the (x, y) pairs and
-        the generator that sgd_epochs draws the batch order from."""
-        normed = self._fit_scaling(train.values)
-        x, y = make_windows(normed, self.lag_window)
+        x, y = self._pairs((values - self._mean) / self._std)
         rng = make_rng(self.seed)
-        self._build(rng)
+        self.net = self._network(rng=rng)
         return x, y, rng
 
     def fit(self, train: TimeSeries):
@@ -116,7 +119,7 @@ class _WindowForecaster(OneStepForecaster):
         }
 
     def load_state(self, state) -> None:
-        self._build(make_rng(0))
+        self.net = self._network(rng=make_rng(0))
         params = self.net.parameters()
         saved = state["weights"]
         if len(params) != len(saved):
@@ -126,6 +129,13 @@ class _WindowForecaster(OneStepForecaster):
         self._mean = state["mean"]
         self._std = state["std"]
         self.training_loss = list(state["training_loss"])
+
+
+def _recurrent(lag_window: int, **net):
+    """The factory of a recurrent family's net; a recurrence needs two steps."""
+    if lag_window < 2:
+        raise ContractError("recurrent forecasters need lag_window >= 2")
+    return partial(RecurrentNet, **net)
 
 
 class MlpForecaster(_WindowForecaster):
@@ -139,15 +149,11 @@ class MlpForecaster(_WindowForecaster):
         lag_window: int = 10,
         seed: int = 0,
     ):
-        super().__init__(lag_window, epochs, batch_size, learning_rate, seed)
         if hidden_layers < 1 or neurons < 1:
             raise ContractError("hidden_layers and neurons must be positive")
-        self.hidden_layers = hidden_layers
-        self.neurons = neurons
-
-    def _build(self, rng):
-        sizes = [self.lag_window] + [self.neurons] * self.hidden_layers + [1]
-        self.net = Mlp(sizes, loss="mse", rng=rng)
+        sizes = [lag_window] + [neurons] * hidden_layers + [1]
+        super().__init__(partial(Mlp, sizes, loss="mse"),
+                         lag_window, epochs, batch_size, learning_rate, seed)
 
 
 class RnnForecaster(_WindowForecaster):
@@ -161,21 +167,9 @@ class RnnForecaster(_WindowForecaster):
         lag_window: int = 10,
         seed: int = 0,
     ):
-        super().__init__(lag_window, epochs, batch_size, learning_rate, seed)
-        self.hidden_layers = hidden_layers
-        self.neurons = neurons
-        if lag_window < 2:
-            raise ContractError("recurrent forecasters need lag_window >= 2")
-
-    def _build(self, rng):
-        self.net = RecurrentNet(
-            cell="rnn",
-            hidden_sizes=[self.neurons] * self.hidden_layers,
-            head_sizes=[],
-            loss="mse",
-            rng=rng,
-            activation="relu",
-        )
+        network = _recurrent(lag_window, cell="rnn", hidden_sizes=[neurons] * hidden_layers,
+                             head_sizes=[], loss="mse", activation="relu")
+        super().__init__(network, lag_window, epochs, batch_size, learning_rate, seed)
 
 
 class LstmForecaster(_WindowForecaster):
@@ -192,21 +186,9 @@ class LstmForecaster(_WindowForecaster):
         lag_window: int = 10,
         seed: int = 0,
     ):
-        super().__init__(lag_window, epochs, batch_size, learning_rate, seed)
-        self.blocks = blocks
-        self.neurons = neurons
-        self.dense_units = dense_units
-        if lag_window < 2:
-            raise ContractError("recurrent forecasters need lag_window >= 2")
-
-    def _build(self, rng):
-        self.net = RecurrentNet(
-            cell="lstm",
-            hidden_sizes=[self.neurons] * self.blocks,
-            head_sizes=[self.dense_units],
-            loss="mse",
-            rng=rng,
-        )
+        network = _recurrent(lag_window, cell="lstm", hidden_sizes=[neurons] * blocks,
+                             head_sizes=[dense_units], loss="mse")
+        super().__init__(network, lag_window, epochs, batch_size, learning_rate, seed)
 
 
 class GaussianRnnForecaster(_WindowForecaster):
@@ -223,25 +205,12 @@ class GaussianRnnForecaster(_WindowForecaster):
         lag_window: int = 10,
         seed: int = 0,
     ):
-        super().__init__(lag_window, epochs, batch_size, learning_rate, seed)
-        self.hidden_layers = hidden_layers
-        self.cells = cells
-        if lag_window < 2:
-            raise ContractError("recurrent forecasters need lag_window >= 2")
-
-    def _build(self, rng):
-        self.net = RecurrentNet(
-            cell="rnn",
-            hidden_sizes=[self.cells] * self.hidden_layers,
-            head_sizes=[],
-            loss="gaussian_nll",
-            rng=rng,
-            activation="tanh",
-        )
+        network = _recurrent(lag_window, cell="rnn", hidden_sizes=[cells] * hidden_layers,
+                             head_sizes=[], loss="gaussian_nll", activation="tanh")
+        super().__init__(network, lag_window, epochs, batch_size, learning_rate, seed)
 
     def predict_distribution(self, context):
-        context = np.asarray(context, dtype=np.float64)
-        window = (context[-self.lag_window :] - self._mean) / self._std
+        window = (self._context(context)[-self.lag_window :] - self._mean) / self._std
         mu, sigma = self.net.predict_distribution(window[None, :])
         return float(mu[0]) * self._std + self._mean, float(sigma[0]) * self._std
 
@@ -265,32 +234,20 @@ class AutoencoderForecaster(_WindowForecaster):
     ):
         if window < 8:
             raise ContractError("autoencoder forecaster needs window >= 8")
-        super().__init__(window, epochs, batch_size, learning_rate, seed)
-        self.filters = filters
-        self.kernel = kernel
-        self.n_layers = n_layers
-        self.dropout = dropout
+        network = partial(ConvAutoencoder, window=window, filters=filters, kernel=kernel,
+                          stride=2, n_layers=n_layers, dropout=dropout)
+        super().__init__(network, window, epochs, batch_size, learning_rate, seed)
 
-    def _build(self, rng):
-        self.net = ConvAutoencoder(
-            window=self.lag_window,
-            filters=self.filters,
-            kernel=self.kernel,
-            stride=2,
-            n_layers=self.n_layers,
-            dropout=self.dropout,
-            rng=rng,
-        )
-
-    def _training_set(self, train: TimeSeries):
-        normed = self._fit_scaling(train.values)
+    def _pairs(self, normed: np.ndarray):
         if normed.size < self.lag_window:
             raise ContractError(f"series too short: needs >= window = {self.lag_window} points")
         x = sliding_window_view(normed, self.lag_window)
-        rng = make_rng(self.seed)
-        self._build(rng)
+        return x, x
+
+    def _training_set(self, train: TimeSeries):
+        x, y, rng = super()._training_set(train)
         self.net.set_training(True, dropout_rng=make_rng(self.seed, 1))
-        return x, x, rng
+        return x, y, rng
 
     @classmethod
     def fit_each(cls, models, trains) -> list:

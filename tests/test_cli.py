@@ -194,7 +194,8 @@ class TestExitCodes:
         (["transfer", "--extra-noise", "nan"], "extra_noise_sigma"),
         (["transfer", "--extra-noise", "-1"], "extra_noise_sigma"),
         (["cross-rpm", "--synth-rpms", "100,200", "--duration", "0.1", "--augment", "-1"],
-         "augment_n_per_rpm"),
+         "--augment must be >= 0, got -1"),
+        (["train", "--duration", "0.1", "--augment", "-3"], "--augment must be >= 0, got -3"),
     ])
     def test_bad_count_or_noise_level_is_user_error(self, tmp_path, capsys, argv, detail):
         data = tmp_path / "v.csv"

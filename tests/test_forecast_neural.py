@@ -3,6 +3,7 @@ import pytest
 
 from vibrosense.core import ContractError, TimeSeries, make_rng
 from vibrosense.forecast import (
+    FAMILIES,
     AutoencoderForecaster,
     ForecastModelConfig,
     GaussianRnnForecaster,
@@ -152,6 +153,12 @@ class TestGaussianRnn:
         _, sigma = model.predict_distribution(values[-10:])
         assert sigma > 0
 
+    def test_short_context_rejected(self):
+        values = sine(80, noise=0.1)
+        model = GaussianRnnForecaster(hidden_layers=1, cells=6, epochs=1, seed=0).fit(series(values))
+        with pytest.raises(ContractError, match="context must hold >= 10 values"):
+            model.predict_distribution(values[-3:])
+
     def test_standard_normal_nll_identity(self):
         rng = make_rng(7)
         net = RecurrentNet("rnn", [3], [], loss="gaussian_nll", rng=rng, activation="tanh")
@@ -235,6 +242,23 @@ class TestWindows:
 
 
 class TestTrainingGuards:
+    @pytest.mark.parametrize("kind, params, raises_at", [
+        ("lstm", {"lag_window": 1}, "construction"),
+        ("gaussian_rnn", {"lag_window": 1}, "construction"),
+        ("mlp", {"hidden_layers": 0}, "construction"),
+        ("mlp", {"neurons": 0}, "construction"),
+        ("autoencoder", {"window": 4}, "construction"),
+        ("autoencoder", {"window": 20, "filters": 2, "epochs": 1}, "fit"),
+    ])
+    def test_bad_architecture_is_contract_error(self, kind, params, raises_at):
+        if raises_at == "construction":
+            with pytest.raises(ContractError):
+                FAMILIES[kind](**params)
+            return
+        FAMILIES[kind](**params)  # the net is built by the fit
+        with pytest.raises(ContractError, match="multiple of 8"):
+            fit(ForecastModelConfig(kind, params), series(sine(60)))
+
     def test_non_finite_loss_reported(self):
         values = sine(60)
         model = MlpForecaster(hidden_layers=1, neurons=8, epochs=3,
