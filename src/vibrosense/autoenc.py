@@ -63,41 +63,39 @@ class AutoencClassifier(Model):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.input_width:
             raise ContractError(f"expected input width {self.input_width}, got {x.shape[1]}")
-        enc_acts, enc_pre = dense_forward(self.enc_w, self.enc_b, x, relu_last=True)
-        dec = dense_forward(self.dec_w, self.dec_b, enc_acts[-1])
-        head = dense_forward(self.head_w, self.head_b, enc_acts[self.head_at])
-        return (enc_acts, enc_pre), dec, head
+        enc_acts = dense_forward(self.enc_w, self.enc_b, x, relu_last=True)
+        dec_acts = dense_forward(self.dec_w, self.dec_b, enc_acts[-1])
+        head_acts = dense_forward(self.head_w, self.head_b, enc_acts[self.head_at])
+        return enc_acts, dec_acts, head_acts
 
     def predict_proba(self, x) -> np.ndarray:
-        _, _, (head_acts, _) = self._forward(x)
+        _, _, head_acts = self._forward(x)
         return softmax(head_acts[-1])
 
     def reconstruct(self, x) -> np.ndarray:
-        _, (dec_acts, _), _ = self._forward(x)
+        _, dec_acts, _ = self._forward(x)
         return dec_acts[-1]
 
     def component_losses(self, x, y) -> Tuple[float, float]:
-        (enc_acts, _), (dec_acts, _), (head_acts, _) = self._forward(x)
+        enc_acts, dec_acts, head_acts = self._forward(x)
         recon, _ = mse_and_delta(dec_acts[-1], enc_acts[0], 2)
         ce, _ = cross_entropy_and_delta(head_acts[-1], y)
         return float(recon), float(ce)
 
     def loss_and_grad(self, x, y) -> Tuple[float, List[np.ndarray]]:
-        (enc_acts, enc_pre), (dec_acts, dec_pre), (head_acts, head_pre) = self._forward(x)
+        enc_acts, dec_acts, head_acts = self._forward(x)
         recon, d_recon = mse_and_delta(dec_acts[-1], enc_acts[0], 2, weight=self.alpha)
         ce, d_logits = cross_entropy_and_delta(head_acts[-1], y, weight=1.0 - self.alpha)
         total = self.alpha * float(recon) + (1.0 - self.alpha) * float(ce)
-        dec_grads, d_latent = dense_backward(self.dec_w, dec_acts, dec_pre, d_recon,
-                                             input_grad=True)
-        head_grads, d_head_in = dense_backward(self.head_w, head_acts, head_pre, d_logits,
-                                               input_grad=True)
+        dec_grads, d_latent = dense_backward(self.dec_w, dec_acts, d_recon, input_grad=True)
+        head_grads, d_head_in = dense_backward(self.head_w, head_acts, d_logits, input_grad=True)
         # encoder: the decoder gradient runs down the layers above the one the
         # head reads (none when the head is on the latent), then the head
         # gradient joins it there
         k = self.head_at
-        upper_grads, d_k = dense_backward(self.enc_w[k:], enc_acts[k:], enc_pre[k:], d_latent,
+        upper_grads, d_k = dense_backward(self.enc_w[k:], enc_acts[k:], d_latent,
                                           relu_last=True, input_grad=True)
-        lower_grads, _ = dense_backward(self.enc_w[:k], enc_acts, enc_pre, d_head_in + d_k,
+        lower_grads, _ = dense_backward(self.enc_w[:k], enc_acts, d_head_in + d_k,
                                         relu_last=True)
         return total, lower_grads + upper_grads + dec_grads + head_grads
 

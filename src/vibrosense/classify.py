@@ -155,9 +155,9 @@ class _OutputLayer(Model):
         return self.net.parameters()[-2:]
 
     def loss_and_grad(self, x, y):
-        acts, pre = dense_forward(self.net.weights, self.net.biases, x)
+        acts = dense_forward(self.net.weights, self.net.biases, x)
         loss, delta = cross_entropy_and_delta(acts[-1], y)
-        grads, _ = dense_backward(self.net.weights[-1:], acts[-2:], pre[-1:], delta)
+        grads, _ = dense_backward(self.net.weights[-1:], acts[-2:], delta)
         return loss, grads
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,9 +42,10 @@ def softplus(z: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # the reductions ndarray.max and ndarray.sum make, without their Python layers
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def mse_and_delta(out: np.ndarray, target: np.ndarray, member_ndim: int, weight: float = 1.0):
@@ -52,8 +54,12 @@ def mse_and_delta(out: np.ndarray, target: np.ndarray, member_ndim: int, weight:
     hold one model's outputs; the loss is per model (an array over any
     leading stack axis, a scalar otherwise)."""
     diff = out - target
-    loss = np.mean(diff * diff, axis=tuple(range(-member_ndim, 0)))
-    return loss, 2.0 * weight * diff / math.prod(diff.shape[-member_ndim:])
+    count = math.prod(diff.shape[-member_ndim:])
+    # the sum and divide np.mean does, without its Python layers
+    loss = np.add.reduce(diff * diff, axis=tuple(range(-member_ndim, 0))) / count
+    diff *= 2.0 * weight  # diff is this call's own array: the gradient is built in it
+    diff /= count
+    return loss, diff
 
 
 def cross_entropy_and_delta(logits: np.ndarray, labels, weight: float = 1.0):
@@ -78,9 +84,10 @@ def cross_entropy_and_delta(logits: np.ndarray, labels, weight: float = 1.0):
 class Model:
     """Minimal trainable-model protocol: a parameter list plus loss+grad.
 
-    A model may be a *stack* of k same-shaped models (see ``stack``): every
-    parameter then carries a leading axis of length k, inputs and targets
-    carry one too, and ``loss_and_grad`` returns the k members' losses. The
+    A model may be a *stack* of k same-shaped models (``sgd_epochs`` trains a
+    list of models as one, see ``_training_copy``): every parameter then
+    carries a leading axis of length k, inputs and targets carry one too,
+    and ``loss_and_grad`` returns the k members' losses. The
     dense and recurrent layer math is written over that optional axis, so a
     single model is the unstacked case of the same code; the conv
     autoencoder has no stack form and trains alone."""
@@ -103,22 +110,43 @@ class Model:
         if offset != flat.size:
             raise ContractError("flat parameter vector has the wrong length")
 
-    @classmethod
-    def stack(cls, models: Sequence["Model"]) -> "Model":
-        """One model holding the members' parameters stacked on a new leading
-        axis: a copy of the first member in which each parameter array is
-        replaced by the stack of all members' arrays (deepcopy's memo maps
-        an object to its copy, so the stacks go in as the copies)."""
-        first = models[0]
-        memo = {id(p): np.stack(ps)
-                for p, ps in zip(first.parameters(), zip(*(m.parameters() for m in models)))}
-        return copy.deepcopy(first, memo)
 
-    def unstack_into(self, models: Sequence["Model"]) -> None:
-        """Copies member j of this stack into models[j]'s parameters."""
-        for j, model in enumerate(models):
-            for p, s in zip(model.parameters(), self.parameters()):
-                p[...] = s[j]
+def _training_copy(members: Sequence[Model], stacked: bool) -> Tuple[Model, np.ndarray]:
+    """A copy of members[0] whose parameters are views of one new flat float64
+    array, returned with it. Stacked, each parameter is the (k, ...) stack of
+    the members' arrays; the layout is parameter-major, so every parameter
+    is one C-contiguous block, in parameters() order, and the gradients a
+    step returns concatenate into the same layout. Only the parameters are
+    new (deepcopy's memo maps each to its view, so the views go in as the
+    copies); a generator the model draws from while training, such as the
+    conv autoencoder's dropout generator, stays the caller's."""
+    first = members[0]
+    columns = list(zip(*(m.parameters() for m in members)))
+    flat = np.empty(sum(len(ps) * ps[0].size for ps in columns))
+    memo = {id(v): v for v in vars(first).values() if isinstance(v, np.random.Generator)}
+    offset = 0
+    for ps in columns:
+        view = flat[offset : offset + len(ps) * ps[0].size].reshape((len(ps),) + ps[0].shape)
+        np.stack(ps, out=view)
+        memo[id(ps[0])] = view if stacked else view[0]
+        offset += view.size
+    return copy.deepcopy(first, memo), flat
+
+
+def _write_back(net: Model, members: Sequence[Model], stacked: bool) -> None:
+    """Copies the training copy's values into the members' own arrays."""
+    for j, member in enumerate(members):
+        for p, s in zip(member.parameters(), net.parameters()):
+            p[...] = s[j] if stacked else s
+
+
+def _check_schedule(epochs, batch_size, learning_rate) -> None:
+    for name, value in (("epochs", epochs), ("batch_size", batch_size)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ContractError(f"{name} must be a positive integer, got {value!r}")
+    if not (isinstance(learning_rate, numbers.Real) and math.isfinite(learning_rate)
+            and learning_rate > 0):
+        raise ContractError(f"learning_rate must be finite and positive, got {learning_rate!r}")
 
 
 # A diverging member overflows on its way to the non-finite loss that stops
@@ -137,7 +165,9 @@ def sgd_epochs(
     """Plain mini-batch SGD; returns the mean batch loss per epoch.
 
     `on_epoch` is called after each epoch. Raises as soon as a non-finite
-    loss shows up, naming the epoch.
+    loss shows up, naming the epoch; a learning rate that is not finite and
+    positive, or epochs or a batch size that are not positive integers, is
+    a ContractError naming the value.
 
     Lockstep form: `model`, `x`, `y` and `rng` are equal-length lists, k
     same-shaped models with their own data (all of one row count) and their
@@ -146,9 +176,19 @@ def sgd_epochs(
     holding each member's loss curve, or the ContractError its training
     would have raised; a member whose loss goes non-finite stops there and
     the others train on.
+
+    Training runs on a copy (see ``_training_copy``): one model, or for k
+    members one stacked model with a leading model axis on every parameter,
+    whose parameters are views of one flat array, so a step's update is the
+    gradients concatenated into one buffer, scaled there and subtracted from
+    the array: three calls, whatever the parameter count. Each epoch's rows are gathered once, in each member's
+    order, and the steps take batches from that gather. The trained values
+    are written back into the caller's own parameter arrays after every
+    epoch (before `on_epoch`, which may read them) and before a non-finite
+    loss stops a member, so the caller's arrays then hold the values of the
+    member's last finite step.
     """
-    if epochs < 1 or batch_size < 1 or learning_rate <= 0:
-        raise ContractError("epochs, batch_size, learning_rate must be positive")
+    _check_schedule(epochs, batch_size, learning_rate)
     alone = isinstance(model, Model)
     members = [model] if alone else list(model)
     xs, ys, rngs = ([x], [y], [rng]) if alone else (list(x), list(y), list(rng))
@@ -159,26 +199,31 @@ def sgd_epochs(
     if stacked:
         if any(a.shape != xs[0].shape for a in xs) or any(b.shape != ys[0].shape for b in ys):
             raise ContractError("lockstep training needs equal-shaped data for every model")
-        net = type(members[0]).stack(members)
-        xs, ys = np.stack(xs), np.stack(ys)  # a step's batches are then one gather
+        xs, ys = np.stack(xs), np.stack(ys)  # an epoch's rows are then one gather
     else:
-        net = members[0]
-    params = net.parameters()
-    results: List = [[] for _ in members]
+        xs, ys = xs[0], ys[0]
     live = np.arange(len(members))
+    net, flat = _training_copy(members, stacked)
+    step = np.empty_like(flat)
+    results: List = [[] for _ in members]
     for epoch in range(epochs):
-        orders = np.stack([rngs[j].permutation(n) for j in live])
+        if stacked:  # each member's rows come from its own data, in its own order
+            at = (live[:, None], np.stack([rngs[j].permutation(n) for j in live]))
+            xe, ye = xs[at], ys[at]
+        else:
+            order = rngs[0].permutation(n)
+            xe, ye = xs[order], ys[order]
         epoch_losses = []
         for lo in range(0, n, batch_size):
-            if stacked:  # each member's batch comes from its own data
-                at = (live[:, None], orders[:, lo : lo + batch_size])
-                loss, grads = net.loss_and_grad(xs[at], ys[at])
+            hi = lo + batch_size
+            if stacked:
+                loss, grads = net.loss_and_grad(xe[:, lo:hi], ye[:, lo:hi])
                 diverged = not all(map(math.isfinite, loss))
             else:
-                rows = orders[0, lo : lo + batch_size]
-                loss, grads = net.loss_and_grad(xs[0][rows], ys[0][rows])
+                loss, grads = net.loss_and_grad(xe[lo:hi], ye[lo:hi])
                 diverged = not math.isfinite(loss)
             if diverged:
+                _write_back(net, [members[j] for j in live], stacked)
                 error = ContractError(f"non-finite training loss at epoch {epoch}")
                 if alone:
                     raise error
@@ -188,24 +233,23 @@ def sgd_epochs(
                 if not finite.any():
                     return results
                 # the survivors go on as a smaller stack, from where they are
-                net.unstack_into([members[j] for j in live])
                 keep = np.flatnonzero(finite)
-                live, orders, loss = live[keep], orders[keep], loss[keep]
+                live, xe, ye, loss = live[keep], xe[keep], ye[keep], loss[keep]
                 epoch_losses = [losses[keep] for losses in epoch_losses]
                 grads = [g[keep] for g in grads]
-                net = type(members[0]).stack([members[j] for j in live])
-                params = net.parameters()
-            for p, g in zip(params, grads):
-                p -= learning_rate * g
+                net, flat = _training_copy([members[j] for j in live], stacked)
+                step = np.empty_like(flat)
+            np.concatenate(grads, axis=None, out=step)
+            step *= learning_rate
+            flat -= step
             epoch_losses.append(loss)
         # one row of batch losses per member, each contiguous like a lone run's list
         curves = np.array(epoch_losses).reshape(len(epoch_losses), -1).T.copy()
         for j, curve in zip(live, curves):
             results[j].append(float(np.mean(curve)))
+        _write_back(net, [members[j] for j in live], stacked)
         if on_epoch is not None:
             on_epoch()
-    if stacked:
-        net.unstack_into([members[j] for j in live])
     return results[0] if alone else results
 
 

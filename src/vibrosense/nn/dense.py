@@ -1,19 +1,19 @@
 """The one dense stack: Glorot init, a ReLU forward pass and its backward pass
 over (weights, biases) lists, and the Mlp built on them.
 
-The passes work on one model or on a stack of k (see ``Model.stack``): then a
+The passes work on one model or on a stack of k (see ``Model``): then a
 weight is (k, in, out), a bias (k, out) and an activation (k, rows, width),
 and every product, transpose and row sum acts per member."""
 
 from __future__ import annotations
 
+import copy
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..core import ContractError
-from .base import (Model, cross_entropy_and_delta, glorot_uniform, mse_and_delta, relu, relu_grad,
-                   softmax)
+from .base import Model, cross_entropy_and_delta, glorot_uniform, mse_and_delta, relu_grad, softmax
 
 
 def dense_init(sizes: Sequence[int], rng: np.random.Generator):
@@ -32,26 +32,33 @@ def dense_parameters(weights, biases) -> List[np.ndarray]:
 
 def dense_forward(weights, biases, x, relu_last: bool = False):
     """ReLU between layers (and after the last one when relu_last). Returns the
-    activations [x, a1, ..., out] and the pre-activations of each layer."""
-    acts, pre = [x], []
+    activations [x, a1, ..., out]; each layer adds its bias and applies its
+    ReLU in place, in its product."""
+    acts = [x]
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[-1] @ w + b[..., None, :]
-        pre.append(z)
-        acts.append(relu(z) if relu_last or i < last else z)
-    return acts, pre
+        a = acts[-1] @ w
+        a += b[..., None, :]
+        if relu_last or i < last:
+            np.maximum(a, 0.0, out=a)
+        acts.append(a)
+    return acts
 
 
-def dense_backward(weights, acts, pre, delta, relu_last: bool = False, input_grad: bool = False):
+def dense_backward(weights, acts, delta, relu_last: bool = False, input_grad: bool = False):
     """Backward pass of dense_forward from `delta`, the loss gradient at the
     output. Returns the parameter gradients in dense_parameters order and the
-    gradient at the input (None unless input_grad)."""
+    gradient at the input (None unless input_grad).
+
+    The ReLU mask is read from the activations: a ReLU output is > 0 exactly
+    where its input was (-0.0, NaN and -inf all give an output that is not)."""
     grads = []
     last = len(weights) - 1
     for i in range(last, -1, -1):
         if relu_last or i < last:
-            delta = delta * relu_grad(pre[i])
-        grads.append(delta.sum(axis=-2))
+            # below the top layer delta is this pass's own product, so it takes the mask in place
+            delta = np.multiply(delta, relu_grad(acts[i + 1]), out=delta if i < last else None)
+        grads.append(np.add.reduce(delta, axis=-2))
         grads.append(acts[i].swapaxes(-1, -2) @ delta)
         if i > 0 or input_grad:
             delta = delta @ weights[i].swapaxes(-1, -2)
@@ -84,8 +91,7 @@ class Mlp(Model):
         return dense_forward(self.weights, self.biases, x)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        activations, _ = self._forward(x)
-        return activations[-1]
+        return self._forward(x)[-1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         out = self.logits(x)
@@ -94,18 +100,14 @@ class Mlp(Model):
         return out
 
     def loss_and_grad(self, x: np.ndarray, y: np.ndarray) -> Tuple[float, List[np.ndarray]]:
-        activations, pre = self._forward(x)
+        activations = self._forward(x)
         out = activations[-1]
         if self.loss == "mse":
             loss, delta = mse_and_delta(out, np.asarray(y, dtype=np.float64).reshape(out.shape), 2)
         else:
             loss, delta = cross_entropy_and_delta(out, y)
-        grads, _ = dense_backward(self.weights, activations, pre, delta)
+        grads, _ = dense_backward(self.weights, activations, delta)
         return loss, grads
 
     def clone(self) -> "Mlp":
-        dummy = np.random.default_rng(0)
-        copy = Mlp(self.layer_sizes, self.loss, dummy)
-        copy.weights = [w.copy() for w in self.weights]
-        copy.biases = [b.copy() for b in self.biases]
-        return copy
+        return copy.deepcopy(self)

@@ -53,14 +53,14 @@ def _weight_grads(x, h_prev, dz, wx, input_grad):
     xs_t = _time_first(x).swapaxes(-1, -2)
     dwx = _sum_steps_down(xs_t @ dz)
     dwh = _sum_steps_down(h_prev.swapaxes(-1, -2) @ dz)
-    db = _sum_steps_down(dz.sum(axis=-2))
+    db = _sum_steps_down(np.add.reduce(dz, axis=-2))
     dx = _time_inner(dz @ wx.swapaxes(-1, -2)) if input_grad else None
     return dx, [dwx, dwh, db]
 
 
 class _RnnLayer:
     """Simple recurrent cell. Inputs and outputs are (..., n, time, features);
-    the leading axis, when present, is the stack axis of ``Model.stack``.
+    the leading axis, when present, is the stack axis (see ``Model``).
 
     Inside, time is the leading axis of preallocated buffers, and the time
     loops keep only the recurrence: the input products are one matmul before
@@ -235,8 +235,8 @@ class RecurrentNet(Model):
         for layer in self.layers:
             seq, cache = layer.forward(seq)
             caches.append(cache)
-        head_acts, head_pre = dense_forward(self.head_weights, self.head_biases, seq[..., -1, :])
-        return head_acts[-1], (x, caches, head_acts, head_pre)
+        head_acts = dense_forward(self.head_weights, self.head_biases, seq[..., -1, :])
+        return head_acts[-1], (x, caches, head_acts)
 
     def predict(self, x) -> np.ndarray:
         out, _ = self._forward(x)
@@ -251,7 +251,7 @@ class RecurrentNet(Model):
         return mu, sigma
 
     def loss_and_grad(self, x, y) -> Tuple[float, List[np.ndarray]]:
-        out, (x4, caches, head_acts, head_pre) = self._forward(x)
+        out, (x4, caches, head_acts) = self._forward(x)
         n = out.shape[-2]
         if self.loss == "mse":
             target = np.asarray(y, dtype=np.float64).reshape(out.shape)
@@ -268,8 +268,7 @@ class RecurrentNet(Model):
             dsigma = (1.0 / sigma - resid * resid / sigma**3) / n
             draw = dsigma * sigmoid(raw)
             delta = np.stack([dmu, draw], axis=-1)
-        head_grads, d_final = dense_backward(self.head_weights, head_acts, head_pre, delta,
-                                             input_grad=True)
+        head_grads, d_final = dense_backward(self.head_weights, head_acts, delta, input_grad=True)
         d_seq = np.zeros(x4.shape[:-1] + d_final.shape[-1:])
         d_seq[..., -1, :] = d_final
         layer_grads = []

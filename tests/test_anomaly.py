@@ -197,7 +197,7 @@ class TestBenchmark:
         mlp = [c for c in bench["grid"] if c["model"] == "mlp"]
         assert [c["dataset"] for c in mlp] == ["d0", "d1"]
         for cell in mlp:
-            assert cell["error"] == "epochs, batch_size, learning_rate must be positive"
+            assert cell["error"] == "epochs must be a positive integer, got 0"
             assert cell["rmse"] is None
         assert all(c["error"] is None for c in bench["grid"] if c["model"] != "mlp")
 

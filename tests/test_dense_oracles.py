@@ -18,6 +18,7 @@ from vibrosense.core import ContractError, make_rng
 from vibrosense.features import fit_encoder
 from vibrosense.nn import Mlp, RecurrentNet, sgd_epochs, softmax
 from vibrosense.nn.base import glorot_uniform, relu, sigmoid, softplus
+from vibrosense.nn.dense import dense_backward, dense_forward
 from vibrosense.nn.recurrent import SIGMA_FLOOR, _LstmLayer, _RnnLayer
 
 
@@ -470,3 +471,47 @@ class TestAutoencOracle:
         ref = _ref_train_autoenc(feats, states, 0.5, cfg, (7, 6, 3), (4, 3), True)
         assert model.recon_loss_curve == [] and model.class_loss_curve == []
         assert_same_bytes(model.parameters(), ref.parameters())
+
+
+class TestTrainingCopy:
+    """sgd_epochs trains a copy whose parameters are views of one flat array
+    and writes the values back into the caller's arrays."""
+
+    def test_divergence_leaves_the_last_finite_step_in_the_callers_arrays(self):
+        rng = make_rng(50)
+        x = rng.normal(size=(23, 4))
+        y = rng.normal(size=(23, 1))
+        net = Mlp([4, 6, 1], "mse", make_rng(51))
+        ref = _ref_mlp([4, 6, 1], "mse", make_rng(51))
+        steps = []
+
+        def ref_step(xb, yb):
+            steps.append(len(steps))
+            return _ref_mlp_loss_and_grad(ref, xb, yb)
+
+        params = net.parameters()
+        with np.errstate(all="ignore"):
+            with pytest.raises(ContractError, match="non-finite training loss at epoch 1") as got:
+                sgd_epochs(net, x, y, 4, 5, 1.0, make_rng(52))
+            with pytest.raises(ContractError) as want:
+                _ref_sgd_epochs(ref_step, ref.parameters(), x, y, 4, 5, 1.0, make_rng(52))
+        assert str(got.value) == str(want.value)
+        # five batches an epoch: the loss went non-finite inside epoch 1, not at its start
+        assert 5 < len(steps) <= 10 and len(steps) != 6
+        assert all(p is q for p, q in zip(net.parameters(), params))
+        assert_same_bytes(net.parameters(), ref.parameters())
+
+    def test_relu_mask_read_from_activations_equals_the_pre_activation_mask(self):
+        z = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                      2.2e-308, -2.2e-308, 1.0, -1.0])
+        a = z.copy()
+        np.maximum(a, 0.0, out=a)  # the ReLU dense_forward applies in place
+        assert np.array_equal(relu_grad(a), relu_grad(z))
+        # through the dense stack: one input of 1.0 makes the hidden
+        # pre-activations z (+ a zero bias, which turns -0.0 into 0.0)
+        weights = [z[None, :], np.ones((z.size, 1))]
+        biases = [np.zeros(z.size), np.zeros(1)]
+        with np.errstate(invalid="ignore"):
+            acts = dense_forward(weights, biases, np.ones((1, 1)))
+            grads, _ = dense_backward(weights, acts, np.ones((1, 1)))
+        assert grads[1].tobytes() == relu_grad(z).tobytes()

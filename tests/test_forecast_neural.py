@@ -14,7 +14,7 @@ from vibrosense.forecast import (
     fit,
     make_windows,
 )
-from vibrosense.nn import ConvAutoencoder, Mlp, RecurrentNet, gradient_check
+from vibrosense.nn import ConvAutoencoder, Mlp, RecurrentNet, gradient_check, sgd_epochs
 from vibrosense.nn.base import sigmoid, softplus
 from vibrosense.nn.conv import _Conv1d, _ConvTranspose1d, _same_padding
 from vibrosense.nn.recurrent import _LstmLayer
@@ -229,6 +229,20 @@ class TestConvAutoencoder:
         b = AutoencoderForecaster(window=16, filters=4, epochs=2, dropout=0.2, seed=3).fit(series(values))
         assert a.training_loss == b.training_loss
 
+    def test_training_draws_dropout_from_the_callers_generator(self):
+        # each step draws one uniform per encoder activation, a PCG64 output
+        # apiece: 2 epochs x 23 windows x 4 filters x (8 + 4 + 2) positions
+        x = make_rng(5).normal(size=(23, 16))
+        net = ConvAutoencoder(window=16, filters=4, kernel=3, n_layers=3, dropout=0.2,
+                              rng=make_rng(1))
+        dropout_rng = make_rng(2)
+        net.set_training(True, dropout_rng=dropout_rng)
+        sgd_epochs(net, x, x, 2, 5, 0.01, make_rng(3))
+        reference = make_rng(2)
+        reference.bit_generator.advance(2 * 23 * 4 * (8 + 4 + 2))
+        assert net._dropout_rng is dropout_rng
+        assert dropout_rng.bit_generator.state == reference.bit_generator.state
+
 
 class TestWindows:
     def test_make_windows_orientation(self):
@@ -266,6 +280,37 @@ class TestTrainingGuards:
         with np.errstate(over="ignore"), \
                 pytest.raises(ContractError, match="non-finite training loss at epoch"):
             model.fit(series(values))
+
+    @pytest.mark.parametrize("params, message", [
+        ({"learning_rate": float("nan")}, "learning_rate must be finite and positive, got nan"),
+        ({"learning_rate": float("inf")}, "learning_rate must be finite and positive, got inf"),
+        ({"learning_rate": 0.0}, "learning_rate must be finite and positive, got 0.0"),
+        ({"learning_rate": -0.01}, "learning_rate must be finite and positive, got -0.01"),
+        ({"learning_rate": "0.01"}, "learning_rate must be finite and positive, got '0.01'"),
+        ({"batch_size": 4.5}, "batch_size must be a positive integer, got 4.5"),
+        ({"batch_size": 0}, "batch_size must be a positive integer, got 0"),
+        ({"epochs": 2.0}, "epochs must be a positive integer, got 2.0"),
+        ({"epochs": -1}, "epochs must be a positive integer, got -1"),
+        ({"epochs": True}, "epochs must be a positive integer, got True"),
+    ])
+    def test_bad_schedule_is_a_contract_error_naming_the_value(self, params, message):
+        config = ForecastModelConfig("mlp", {"hidden_layers": 1, "neurons": 4, **params})
+        with pytest.raises(ContractError) as exc:
+            fit(config, series(sine(60)))
+        assert str(exc.value) == message
+        net = Mlp([3, 1], "mse", make_rng(0))
+        x = np.zeros((6, 3))
+        schedule = {"epochs": 1, "batch_size": 2, "learning_rate": 0.1, **params}
+        with pytest.raises(ContractError) as exc:
+            sgd_epochs([net, net], [x, x], [x[:, :1], x[:, :1]], rng=[make_rng(1), make_rng(2)],
+                       **schedule)
+        assert str(exc.value) == message
+
+    def test_integer_schedule_of_any_integer_type_trains(self):
+        net = Mlp([3, 1], "mse", make_rng(0))
+        x = make_rng(1).normal(size=(6, 3))
+        curve = sgd_epochs(net, x, x[:, :1], np.int64(2), np.int32(4), 1, make_rng(2))
+        assert len(curve) == 2
 
 
 # Reference kernels: the per-tap convolution loops and the three-call LSTM
