@@ -114,33 +114,30 @@ def _training_data(features, labels, class_names):
 
 def _train_each(trains, hidden_sizes, cfg: TrainConfig, class_names) -> List[ClassifierModel]:
     """One fresh classifier per (features, labels) in trains, the i-th trained
-    as train_classifier trains it with seed cfg.seed + i. Those of one
-    training shape and class count train in lockstep, as one stacked net (a
-    group of one trains alone); each ends bit for bit where it would alone.
-    The first failure in trains' order raises the error that training them
-    one at a time raises."""
-    out: list = [None] * len(trains)
-    groups: dict = {}
-    for i, (features, labels) in enumerate(trains):
+    as train_classifier trains it with seed cfg.seed + i, all in one
+    sgd_epochs call (which stacks those of one training shape and class
+    count); each ends bit for bit where it would alone. The first failure in
+    trains' order raises the error that training them one at a time raises,
+    so the classifiers after a bad training set are not trained."""
+    data, failure = [], None
+    for features, labels in trains:
         try:
-            x, y, names = _training_data(features, labels, class_names)
+            data.append(_training_data(features, labels, class_names))
         except ContractError as exc:
-            out[i] = exc
-            continue
-        groups.setdefault((x.shape, len(names)), []).append((i, x, y, names))
-    for group in groups.values():
-        index, xs, ys, names = (list(column) for column in zip(*group))
-        rngs = [make_rng(cfg.seed + i) for i in index]
-        nets = [Mlp([x.shape[1], *hidden_sizes, len(n)], loss="ce", rng=rng)
-                for x, n, rng in zip(xs, names, rngs)]
-        curves = sgd_epochs(nets, xs, ys, cfg.epochs, cfg.batch_size, cfg.learning_rate, rngs) \
-            if cfg.epochs > 0 else [[] for _ in index]
-        for i, net, n, curve in zip(index, nets, names, curves):
-            out[i] = curve if isinstance(curve, ContractError) else ClassifierModel(net, n, curve)
-    for result in out:
-        if isinstance(result, ContractError):
-            raise result
-    return out
+            failure = exc
+            break
+    rngs = [make_rng(cfg.seed + i) for i in range(len(data))]
+    nets = [Mlp([x.shape[1], *hidden_sizes, len(names)], loss="ce", rng=rng)
+            for (x, _, names), rng in zip(data, rngs)]
+    curves = [[] for _ in nets]
+    if cfg.epochs > 0:
+        curves = sgd_epochs(nets, [x for x, _, _ in data], [y for _, y, _ in data], cfg.epochs,
+                            cfg.batch_size, cfg.learning_rate, rngs)
+    for error in [*curves, failure]:
+        if isinstance(error, ContractError):
+            raise error
+    return [ClassifierModel(net, names, curve)
+            for net, (_, _, names), curve in zip(nets, data, curves)]
 
 
 class _OutputLayer(Model):

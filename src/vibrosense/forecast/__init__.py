@@ -106,8 +106,9 @@ def fit(config: ForecastModelConfig, train):
     Sequence form: `train` is a list of series, and the result a list with,
     per series, the fitted forecaster or the ContractError its fit raised.
     Each is the model a fit on that series alone gives; the family may share
-    work across the series (the dense and recurrent networks train in
-    lockstep)."""
+    work across the series (a network family hands all its nets to one
+    sgd_epochs call, which decides from their type and shapes which train
+    in lockstep)."""
     if isinstance(train, TimeSeries):
         (model,) = _fit_each(config, [train])
         if isinstance(model, ContractError):

@@ -71,20 +71,18 @@ class _WindowForecaster(OneStepForecaster):
 
     @classmethod
     def fit_each(cls, models, trains) -> list:
-        """Models whose series give the same training shape share one
-        architecture (they come from one config), so they train in lockstep,
-        as one stacked net; each ends bit-identical to a fit on its own."""
-        out: list = [None] * len(models)
-        groups = {}
+        """Trains every model's net in one sgd_epochs call, which stacks the
+        nets it can (those of one training shape, from one config); each ends
+        bit-identical to a fit on its own."""
+        out: list = list(models)
+        fitting = []
         for i, (model, train) in enumerate(zip(models, trains)):
             try:
-                x, y, rng = model._training_set(train)
+                fitting.append((i, *model._training_set(train)))
             except ContractError as exc:
                 out[i] = exc
-                continue
-            groups.setdefault(x.shape, []).append((i, x, y, rng))
-        for group in groups.values():
-            index, xs, ys, rngs = (list(column) for column in zip(*group))
+        if fitting:
+            index, xs, ys, rngs = zip(*fitting)
             first = models[index[0]]
             try:
                 curves = sgd_epochs([models[i].net for i in index], xs, ys, first.epochs,
@@ -96,7 +94,6 @@ class _WindowForecaster(OneStepForecaster):
                     out[i] = curve
                 else:
                     models[i].training_loss = curve
-                    out[i] = models[i]
         return out
 
     def _predict_normed(self, windows: np.ndarray) -> np.ndarray:
@@ -246,20 +243,8 @@ class AutoencoderForecaster(_WindowForecaster):
 
     def _training_set(self, train: TimeSeries):
         x, y, rng = super()._training_set(train)
-        self.net.set_training(True, dropout_rng=make_rng(self.seed, 1))
+        self.net.dropout_rng = make_rng(self.seed, 1)
         return x, y, rng
-
-    @classmethod
-    def fit_each(cls, models, trains) -> list:
-        """One model at a time: a conv step is bound by the data it moves, so
-        a stacked step costs about its members' steps together (a batch of 20
-        windows takes 1.8-2.3 times a batch of 10, BLAS on one thread)."""
-        out = []
-        for model, train in zip(models, trains):
-            out.extend(super().fit_each([model], [train]))
-            if model.net is not None:
-                model.net.set_training(False)
-        return out
 
     def _predict_normed(self, windows: np.ndarray) -> np.ndarray:
         shifted = np.concatenate([windows[:, 1:], windows[:, -1:]], axis=1)

@@ -84,13 +84,15 @@ def cross_entropy_and_delta(logits: np.ndarray, labels, weight: float = 1.0):
 class Model:
     """Minimal trainable-model protocol: a parameter list plus loss+grad.
 
-    A model may be a *stack* of k same-shaped models (``sgd_epochs`` trains a
-    list of models as one, see ``_training_copy``): every parameter then
-    carries a leading axis of length k, inputs and targets carry one too,
-    and ``loss_and_grad`` returns the k members' losses. The
-    dense and recurrent layer math is written over that optional axis, so a
-    single model is the unstacked case of the same code; the conv
-    autoencoder has no stack form and trains alone."""
+    A model whose type sets ``stacks`` may be a *stack* of k same-shaped
+    models (``sgd_epochs`` trains list members as one, see
+    ``_training_copy``): every parameter then carries a leading axis of
+    length k, inputs and targets carry one too, and ``loss_and_grad``
+    returns the k members' losses. The dense and recurrent layer math is
+    written over that optional axis, so a single model is the unstacked case
+    of the same code; the conv autoencoder has no stack form."""
+
+    stacks = False
 
     def parameters(self) -> List[np.ndarray]:
         raise NotImplementedError
@@ -149,59 +151,72 @@ def _check_schedule(epochs, batch_size, learning_rate) -> None:
         raise ContractError(f"learning_rate must be finite and positive, got {learning_rate!r}")
 
 
-# A diverging member overflows on its way to the non-finite loss that stops
-# it; that error is the report, not NumPy's warnings.
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def sgd_epochs(
-    model,
-    x,
-    y,
-    epochs: int,
-    batch_size: int,
-    learning_rate: float,
-    rng,
-    on_epoch: Optional[Callable[[], None]] = None,
-):
+def sgd_epochs(model, x, y, epochs: int, batch_size: int, learning_rate: float, rng,
+               on_epoch: Optional[Callable[[], None]] = None):
     """Plain mini-batch SGD; returns the mean batch loss per epoch.
 
     `on_epoch` is called after each epoch. Raises as soon as a non-finite
-    loss shows up, naming the epoch; a learning rate that is not finite and
-    positive, or epochs or a batch size that are not positive integers, is
-    a ContractError naming the value.
+    loss shows up, naming the epoch. A ContractError also names a learning
+    rate that is not finite and positive, epochs or a batch size that are
+    not positive integers, and the row counts of x and y when they differ
+    or are 0.
 
-    Lockstep form: `model`, `x`, `y` and `rng` are equal-length lists, k
-    same-shaped models with their own data (all of one row count) and their
-    own generators. The members train as one stacked model, each exactly as
-    it would alone: its own batch order, its own loss. The result is a list
-    holding each member's loss curve, or the ContractError its training
-    would have raised; a member whose loss goes non-finite stops there and
-    the others train on.
+    List form: `model`, `x`, `y` and `rng` are equal-length lists, each
+    model with its own data and generator; the result lists each member's
+    loss curve, or the ContractError its training alone would raise (a
+    member whose loss goes non-finite stops there, the others train on).
+    Members of one type compute the same function of their parameters (one
+    loss, cell and activation), so shapes alone decide what stacks: members
+    whose type ``stacks`` and whose parameters, x and y have equal shapes
+    train in lockstep as one stacked model, each exactly as it would alone
+    (its own batch order, its own loss). Stacks train in the order of their
+    first member, other members alone, and `on_epoch` follows each epoch of
+    each.
 
-    Training runs on a copy (see ``_training_copy``): one model, or for k
-    members one stacked model with a leading model axis on every parameter,
-    whose parameters are views of one flat array, so a step's update is the
-    gradients concatenated into one buffer, scaled there and subtracted from
-    the array: three calls, whatever the parameter count. Each epoch's rows are gathered once, in each member's
-    order, and the steps take batches from that gather. The trained values
-    are written back into the caller's own parameter arrays after every
-    epoch (before `on_epoch`, which may read them) and before a non-finite
-    loss stops a member, so the caller's arrays then hold the values of the
-    member's last finite step.
+    Training runs on a copy whose parameters are views of one flat array
+    (see ``_training_copy``), so a step's update takes three calls whatever
+    the parameter count, and each epoch's rows are gathered once per member
+    (once for x and y both when y is x). The trained values are written back
+    into the caller's own parameter arrays after every epoch (before
+    `on_epoch`, which may read them) and before a non-finite loss stops a
+    member, so the caller's arrays then hold the values of the member's last
+    finite step.
     """
     _check_schedule(epochs, batch_size, learning_rate)
     alone = isinstance(model, Model)
-    members = [model] if alone else list(model)
-    xs, ys, rngs = ([x], [y], [rng]) if alone else (list(x), list(y), list(rng))
+    members, xs, ys, rngs = ([model], [x], [y], [rng]) if alone else (
+        list(model), list(x), list(y), list(rng))
     if not len(members) == len(xs) == len(ys) == len(rngs):
         raise ContractError("lockstep training needs one x, y and rng per model")
+    results: List = [None] * len(members)
+    stacks: dict = {}
+    for i, (member, a, b) in enumerate(zip(members, xs, ys)):
+        if a.shape[0] != b.shape[0] or a.shape[0] == 0:
+            results[i] = ContractError(f"training needs x and y of one positive row count, "
+                                       f"got {a.shape[0]} and {b.shape[0]}")
+            continue
+        shapes = (type(member), tuple(p.shape for p in member.parameters()), a.shape, b.shape)
+        stacks.setdefault(shapes if member.stacks else i, []).append(i)
+    for index in stacks.values():
+        picked = ([seq[i] for i in index] for seq in (members, xs, ys, rngs))
+        for i, result in zip(index, _train(*picked, epochs, batch_size, learning_rate, on_epoch)):
+            results[i] = result
+    if alone and isinstance(results[0], ContractError):
+        raise results[0]
+    return results[0] if alone else results
+
+
+# A diverging member overflows on its way to the non-finite loss that stops
+# it; that error is the report, not NumPy's warnings.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _train(members, xs, ys, rngs, epochs, batch_size, learning_rate, on_epoch) -> List:
+    """sgd_epochs over one stack (a stack of one is a lone model): each
+    member's loss curve or ContractError."""
     n = xs[0].shape[0]
     stacked = len(members) > 1
-    if stacked:
-        if any(a.shape != xs[0].shape for a in xs) or any(b.shape != ys[0].shape for b in ys):
-            raise ContractError("lockstep training needs equal-shaped data for every model")
-        xs, ys = np.stack(xs), np.stack(ys)  # an epoch's rows are then one gather
-    else:
-        xs, ys = xs[0], ys[0]
+    same = all(b is a for a, b in zip(xs, ys))  # an autoencoder's targets are its inputs
+    xs = np.stack(xs) if stacked else xs[0]  # stacked, an epoch's rows are one gather
+    ys = xs if same else np.stack(ys) if stacked else ys[0]
     live = np.arange(len(members))
     net, flat = _training_copy(members, stacked)
     step = np.empty_like(flat)
@@ -209,10 +224,10 @@ def sgd_epochs(
     for epoch in range(epochs):
         if stacked:  # each member's rows come from its own data, in its own order
             at = (live[:, None], np.stack([rngs[j].permutation(n) for j in live]))
-            xe, ye = xs[at], ys[at]
         else:
-            order = rngs[0].permutation(n)
-            xe, ye = xs[order], ys[order]
+            at = rngs[0].permutation(n)
+        xe = xs[at]
+        ye = xe if same else ys[at]
         epoch_losses = []
         for lo in range(0, n, batch_size):
             hi = lo + batch_size
@@ -225,8 +240,6 @@ def sgd_epochs(
             if diverged:
                 _write_back(net, [members[j] for j in live], stacked)
                 error = ContractError(f"non-finite training loss at epoch {epoch}")
-                if alone:
-                    raise error
                 finite = np.isfinite(np.atleast_1d(loss))
                 for j in live[~finite]:
                     results[j] = error
@@ -250,7 +263,7 @@ def sgd_epochs(
         _write_back(net, [members[j] for j in live], stacked)
         if on_epoch is not None:
             on_epoch()
-    return results[0] if alone else results
+    return results
 
 
 def finite_difference_gradients(

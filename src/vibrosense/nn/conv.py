@@ -121,19 +121,20 @@ class _ConvTranspose1d:
 
 
 class ConvAutoencoder(Model):
-    """Encoder: 3 strided ReLU convolutions with train-time dropout.
+    """Encoder: 3 strided ReLU convolutions; a training step drops their
+    outputs out when ``dropout_rng`` holds a generator, ``reconstruct`` never.
     Decoder mirrors them with transposed convolutions; the last layer is
     linear. Trained to reconstruct its input window (MSE)."""
 
     def __init__(
         self,
         window: int,
+        rng: np.random.Generator,
         filters: int = 32,
         kernel: int = 7,
         stride: int = 2,
         n_layers: int = 3,
         dropout: float = 0.2,
-        rng: Optional[np.random.Generator] = None,
     ):
         if window < stride**n_layers:
             raise ContractError(f"window must be >= {stride ** n_layers}")
@@ -150,8 +151,7 @@ class ConvAutoencoder(Model):
         for i in range(n_layers):
             c_out = 1 if i == n_layers - 1 else filters
             self.decoder.append(_ConvTranspose1d(filters, c_out, kernel, stride, rng))
-        self.train_mode = False
-        self._dropout_rng: Optional[np.random.Generator] = None
+        self.dropout_rng: Optional[np.random.Generator] = None
 
     def parameters(self) -> List[np.ndarray]:
         out = []
@@ -159,11 +159,7 @@ class ConvAutoencoder(Model):
             out.extend(layer.parameters())
         return out
 
-    def set_training(self, on: bool, dropout_rng: Optional[np.random.Generator] = None):
-        self.train_mode = on
-        self._dropout_rng = dropout_rng
-
-    def _forward(self, x):
+    def _forward(self, x, train: bool = True):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 2:
             x = x[:, :, None]
@@ -173,9 +169,9 @@ class ConvAutoencoder(Model):
             z, cache = layer.forward(a)
             a = relu(z)
             mask = None
-            if self.train_mode and self.dropout > 0:
+            if train and self.dropout > 0 and self.dropout_rng is not None:
                 keep = 1.0 - self.dropout
-                mask = (self._dropout_rng.random(a.shape) < keep) / keep
+                mask = (self.dropout_rng.random(a.shape) < keep) / keep
                 a = a * mask
             caches.append((cache, z, mask))
         last = len(self.decoder) - 1
@@ -187,7 +183,7 @@ class ConvAutoencoder(Model):
         return a, x, caches, dec_caches
 
     def reconstruct(self, x) -> np.ndarray:
-        out, _, _, _ = self._forward(x)
+        out, _, _, _ = self._forward(x, train=False)
         return out[:, :, 0]
 
     def loss_and_grad(self, x, y=None) -> Tuple[float, List[np.ndarray]]:

@@ -70,6 +70,8 @@ class Mlp(Model):
     """ReLU hidden layers; the head is linear for regression ('mse') or
     softmax cross-entropy for classification ('ce')."""
 
+    stacks = True
+
     def __init__(self, layer_sizes: Sequence[int], loss: str, rng: np.random.Generator):
         if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
             raise ContractError("layer_sizes needs >= 2 positive entries")

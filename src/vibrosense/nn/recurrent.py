@@ -193,6 +193,8 @@ class RecurrentNet(Model):
     (mu, raw_sigma) with sigma = softplus(raw_sigma) + 1e-6.
     """
 
+    stacks = True
+
     def __init__(
         self,
         cell: str,

@@ -223,6 +223,19 @@ class TestConvAutoencoder:
             ConvAutoencoder(window=20, filters=2, kernel=3, stride=2, n_layers=3,
                             dropout=0.0, rng=make_rng(0))
 
+    def test_construction_needs_a_generator(self):
+        with pytest.raises(TypeError, match="rng"):
+            ConvAutoencoder(16, filters=2)
+
+    def test_reconstruct_never_drops_out(self):
+        rng = make_rng(4)
+        net = ConvAutoencoder(16, rng, filters=2, kernel=3, dropout=0.5)
+        x = rng.normal(size=(3, 16))
+        plain = net.reconstruct(x)
+        net.dropout_rng = make_rng(5)
+        assert np.array_equal(net.reconstruct(x), plain)
+        assert net.dropout_rng.bit_generator.state == make_rng(5).bit_generator.state
+
     def test_dropout_training_deterministic(self):
         values = sine(90)
         a = AutoencoderForecaster(window=16, filters=4, epochs=2, dropout=0.2, seed=3).fit(series(values))
@@ -236,11 +249,11 @@ class TestConvAutoencoder:
         net = ConvAutoencoder(window=16, filters=4, kernel=3, n_layers=3, dropout=0.2,
                               rng=make_rng(1))
         dropout_rng = make_rng(2)
-        net.set_training(True, dropout_rng=dropout_rng)
+        net.dropout_rng = dropout_rng
         sgd_epochs(net, x, x, 2, 5, 0.01, make_rng(3))
         reference = make_rng(2)
         reference.bit_generator.advance(2 * 23 * 4 * (8 + 4 + 2))
-        assert net._dropout_rng is dropout_rng
+        assert net.dropout_rng is dropout_rng
         assert dropout_rng.bit_generator.state == reference.bit_generator.state
 
 
@@ -542,7 +555,7 @@ class TestKernelOracles:
         x = rng.normal(size=(10, window))
         steps = []
         for step in (net.loss_and_grad, lambda x: _ref_autoencoder_loss_and_grad(net, x)):
-            net.set_training(True, dropout_rng=make_rng(25))
+            net.dropout_rng = make_rng(25)
             steps.append(step(x))
         (loss, grads), (ref_loss, ref_grads) = steps
         assert loss == ref_loss

@@ -1,7 +1,8 @@
-"""Lockstep training oracles: k same-shaped networks trained as one stacked
-model (the list form of `nn.sgd_epochs`) must end bit for bit where each
-would end trained alone: parameters compared with `tobytes()`, loss curves
-and error messages with `==`."""
+"""Lockstep training oracles: the networks of one `nn.sgd_epochs` list, which
+trains the same-shaped dense and recurrent ones as one stacked model, must
+end bit for bit where each would end trained alone: parameters compared with
+`tobytes()`, loss curves and error messages with `==`. The stacks it forms
+are observed at `nn.base._train`, which trains one stack."""
 
 import os
 import warnings
@@ -15,7 +16,7 @@ from vibrosense.anomaly import AnomalyDataset, TruthRule, run_benchmark
 from vibrosense.classify import TrainConfig, cross_rpm_matrix, train_classifier
 from vibrosense.core import ContractError, SplitMode, SplitSpec, TimeSeries, make_rng, split_arrays
 from vibrosense.forecast import ForecastModelConfig
-from vibrosense.nn import Mlp, RecurrentNet, sgd_epochs
+from vibrosense.nn import ConvAutoencoder, Mlp, RecurrentNet, base, sgd_epochs
 from vibrosense.synth import generate_spiked_series
 
 ROWS = 23  # batches of 5 leave a ragged last batch of 3
@@ -36,6 +37,9 @@ def _build(kind, seed):
         net = RecurrentNet("rnn", [7, 7], [], "mse", rng, activation="relu")
     elif kind == "lstm":
         net = RecurrentNet("lstm", [5, 5], [4], "mse", rng)
+    elif kind == "conv":
+        net = ConvAutoencoder(8, rng, filters=2, kernel=3, n_layers=2)
+        net.dropout_rng = make_rng(seed, 1)
     else:
         net = RecurrentNet("rnn", [6, 6], [], "gaussian_nll", rng, activation="tanh")
     return net, rng
@@ -43,6 +47,9 @@ def _build(kind, seed):
 
 def _data(kind, seed):
     gen = np.random.default_rng(seed)
+    if kind == "conv":  # an autoencoder's targets are its inputs
+        x = gen.standard_normal((ROWS, 8))
+        return x, x
     x = gen.standard_normal((ROWS, 6))
     if kind == "classifier":
         return x, gen.integers(0, 3, ROWS)
@@ -62,12 +69,28 @@ def _alone(kind, seed, x, y, lr, epochs=3):
     return net, result
 
 
-def _together(kind, seeds, data, lr, epochs=3):
-    built = [_build(kind, s) for s in seeds]
+def _together(kinds, seeds, data, lr, epochs=3):
+    """One sgd_epochs list of nets of kinds[i] built from seeds[i]; kinds is
+    one kind for all or a kind per member."""
+    kinds = [kinds] * len(seeds) if isinstance(kinds, str) else kinds
+    built = [_build(kind, s) for kind, s in zip(kinds, seeds)]
     nets = [net for net, _ in built]
     results = sgd_epochs(nets, [x for x, _ in data], [y for _, y in data], epochs, 5, lr,
                          [rng for _, rng in built])
     return nets, [str(r) if isinstance(r, ContractError) else r for r in results]
+
+
+def _record_stacks(monkeypatch):
+    """The member lists of the stacks sgd_epochs trains from now on, in
+    training order (a lone net is a stack of one)."""
+    stacks, real = [], base._train
+
+    def recording(members, *args):
+        stacks.append(list(members))
+        return real(members, *args)
+
+    monkeypatch.setattr(base, "_train", recording)
+    return stacks
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -116,12 +139,43 @@ def test_every_member_diverging_returns_every_error():
     assert results == ["non-finite training loss at epoch 0"] * 2
 
 
-def test_lockstep_rejects_unequal_data():
-    built = [_build("mlp", s) for s in (1, 2)]
-    x, y = _data("mlp", 1)
-    with pytest.raises(ContractError, match="equal-shaped"):
-        sgd_epochs([n for n, _ in built], [x, x[:-1]], [y, y[:-1]], 1, 5, 0.01,
-                   [r for _, r in built])
+def test_one_list_stacks_the_equal_shaped_dense_nets_and_trains_the_rest_alone(monkeypatch):
+    # two MLPs of one shape and a third of that shape whose inputs overflow
+    # at epoch 0 stack; the MLP of another shape, the MLP of that shape with
+    # a row fewer and the two conv autoencoders, equal-shaped but of a type
+    # that does not stack, train alone
+    kinds = ("mlp", "conv", "linear", "mlp", "mlp", "conv", "mlp")
+    seeds = (1, 2, 3, 4, 5, 6, 7)
+    data = [_data(kind, 60 + s) for kind, s in zip(kinds, seeds)]
+    data[4] = (1e200 * data[4][0], data[4][1])
+    data[6] = (data[6][0][1:], data[6][1][1:])
+    stacks = _record_stacks(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nets, results = _together(kinds, seeds, data, 0.02)
+        formed = [[next(i for i, net in enumerate(nets) if net is m) for m in stack]
+                  for stack in stacks]
+        refs = [_alone(kind, s, x, y, 0.02) for kind, s, (x, y) in zip(kinds, seeds, data)]
+    assert formed == [[0, 3, 4], [1], [2], [5], [6]]
+    assert results[4] == "non-finite training loss at epoch 0"
+    for net, result, (ref, ref_result) in zip(nets, results, refs):
+        assert result == ref_result
+        assert _weights(net) == _weights(ref)
+
+
+@pytest.mark.parametrize("rows, targets", [(0, 0), (10, 12), (10, 8)])
+def test_rows_of_x_and_y_must_be_equal_and_positive(rows, targets):
+    message = f"training needs x and y of one positive row count, got {rows} and {targets}"
+    x, y = np.zeros((rows, 6)), np.zeros(targets)
+    net, rng = _build("mlp", 1)
+    with pytest.raises(ContractError) as lone:
+        sgd_epochs(net, x, y, 1, 5, 0.01, rng)
+    assert str(lone.value) == message
+    good = _data("mlp", 2)
+    nets, results = _together("mlp", (1, 2), [(x, y), good], 0.01)
+    ref, ref_curve = _alone("mlp", 2, *good, 0.01)
+    assert results == [message, ref_curve]
+    assert _weights(nets[1]) == _weights(ref)
 
 
 SMALL = {
@@ -165,17 +219,11 @@ def test_run_benchmark_groups_series_by_window_count(monkeypatch):
                                spike_indices=sp.spike_indices) for i, sp in enumerate(spiked)]
     grid = {"ar": [ForecastModelConfig("ar", {"p": 5})],
             "mlp": [ForecastModelConfig("mlp", SMALL["mlp"], seed=2)]}
-    group_sizes = []
-
-    def recording(model, *args, **kwargs):
-        group_sizes.append(1 if hasattr(model, "parameters") else len(model))
-        return sgd_epochs(model, *args, **kwargs)
-
-    monkeypatch.setattr(forecast.neural, "sgd_epochs", recording)
+    stacks = _record_stacks(monkeypatch)
     # a forked worker's calls would not reach the recorder
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     bench = run_benchmark(datasets, grid, SplitSpec(0.66))
-    assert sorted(group_sizes) == [1, 2]  # the 150-point series trains on its own
+    assert sorted(map(len, stacks)) == [1, 2]  # the 150-point series trains on its own
     alone = [run_benchmark([ds], grid, SplitSpec(0.66))["grid"] for ds in datasets]
     assert bench["grid"] == [cell for cells in alone for cell in cells]
     assert [c["dataset"] for c in bench["grid"]] == ["d0", "d0", "d1", "d1", "d2", "d2"]
@@ -184,18 +232,12 @@ def test_run_benchmark_groups_series_by_window_count(monkeypatch):
 def test_conv_autoencoders_train_one_at_a_time(monkeypatch):
     # a stacked conv step costs its members' steps together, so only the
     # dense and recurrent families train equal-shaped series in lockstep
-    calls = []
-
-    def recording(model, *args, **kwargs):
-        members = [model] if hasattr(model, "parameters") else list(model)
-        calls.append((type(members[0]).__name__, len(members)))
-        return sgd_epochs(model, *args, **kwargs)
-
-    monkeypatch.setattr(forecast.neural, "sgd_epochs", recording)
+    stacks = _record_stacks(monkeypatch)
     trains = [_train(1), _train(2)]
     for kind in ("autoencoder", "lstm"):
         forecast.fit(ForecastModelConfig(kind, SMALL[kind], seed=9), trains)
-    assert calls == [("ConvAutoencoder", 1), ("ConvAutoencoder", 1), ("RecurrentNet", 2)]
+    assert [(type(stack[0]).__name__, len(stack)) for stack in stacks] == [
+        ("ConvAutoencoder", 1), ("ConvAutoencoder", 1), ("RecurrentNet", 2)]
 
 
 # --- the cross-speed grid: its single-speed models train in lockstep ---------
@@ -221,25 +263,21 @@ def _one_at_a_time(trains, hidden_sizes, cfg, class_names):
 
 def _grid_and_models(monkeypatch, per_rpm, cfg, augment):
     """The grid, the models it evaluated (single-speed first, in rpm order)
-    and the member counts of its training calls."""
-    models, groups = [], []
+    and the member counts of the stacks it trained."""
+    models = []
 
     def evaluate(model, *args):
         if not any(m is model for m in models):
             models.append(model)
         return real_evaluate(model, *args)
 
-    def sgd(model, *args, **kwargs):
-        groups.append(1 if hasattr(model, "parameters") else len(model))
-        return real_sgd(model, *args, **kwargs)
-
-    real_evaluate, real_sgd = classify.evaluate, classify.sgd_epochs
+    real_evaluate = classify.evaluate
     with monkeypatch.context() as patch:
         patch.setattr(classify, "evaluate", evaluate)
-        patch.setattr(classify, "sgd_epochs", sgd)
+        stacks = _record_stacks(patch)
         result = cross_rpm_matrix(per_rpm, hidden_sizes=(8, 8), cfg=cfg,
                                   augment_n_per_rpm=augment)
-    return result, models, groups
+    return result, models, [len(stack) for stack in stacks]
 
 
 def _single_speed_references(per_rpm, cfg):
