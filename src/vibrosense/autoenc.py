@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ContractError, MachineState, make_rng
+from .core import ContractError, make_rng
 from .classify import TrainConfig
 from .nn import Model, sgd_epochs, softmax
 from .nn.base import cross_entropy_and_delta, mse_and_delta
@@ -138,9 +138,3 @@ def train_autoenc_classifier(
         sgd_epochs(model, features, states, cfg.epochs, cfg.batch_size, cfg.learning_rate,
                    rng, on_epoch=record_losses)
     return model
-
-
-def classify_state(model: AutoencClassifier, feature_row):
-    """Predicted MachineState plus the head's class probabilities."""
-    probs = model.predict_proba(np.atleast_2d(feature_row))[0]
-    return MachineState(int(np.argmax(probs))), probs

@@ -295,7 +295,6 @@ class TuningStep:
     """One cumulative tuning-ledger entry; unset fields inherit the current state."""
 
     name: str
-    select_mask: Optional[tuple] = None
     normalize: Optional[bool] = None
     hidden_sizes: Optional[tuple] = None
     epochs: Optional[int] = None
@@ -327,9 +326,6 @@ def tuning_sweep(
 
     def run(state: dict) -> float:
         x_train, x_test = ftr, fte
-        if state["select_mask"] is not None:
-            mask = np.asarray(state["select_mask"], dtype=bool)
-            x_train, x_test = x_train[:, mask], x_test[:, mask]
         if state["normalize"]:
             names = tuple(f"f{i}" for i in range(x_train.shape[1]))
             enc = fit_encoder(x_train, names)
@@ -341,7 +337,6 @@ def tuning_sweep(
         return acc
 
     baseline = {
-        "select_mask": None,
         "normalize": False,
         "hidden_sizes": tuple(base_hidden),
         "epochs": base_cfg.epochs,
@@ -351,7 +346,7 @@ def tuning_sweep(
     state = dict(baseline)
     for step in steps:
         target = state if mode == "cumulative" else dict(baseline)
-        for key in ("select_mask", "normalize", "hidden_sizes", "epochs", "batch_size"):
+        for key in ("normalize", "hidden_sizes", "epochs", "batch_size"):
             value = getattr(step, key)
             if value is not None:
                 target[key] = value

@@ -20,35 +20,43 @@ from .core import (
     OperatingPoint,
     SplitMode,
     SplitSpec,
+    make_rng,
     split_arrays,
 )
 
 USER_ERROR = 1
 INTERNAL_ERROR = 2
 
-#: Config file keys, by section, with parsers and defaults.
+#: Config file keys, by section: the parser (str is a comma list), the default
+#: and the flag that also sets the key, if any.
 CONFIG_SCHEMA = {
-    "detection": {"lambda": (float, anomaly.DEFAULT_LAMBDA), "two_sided": (bool, True)},
+    "detection": {"lambda": (float, anomaly.DEFAULT_LAMBDA, "--lambda"),
+                  "two_sided": (bool, True, None)},
     "training": {
-        "epochs": (int, 20),
-        "batch_size": (int, 64),
-        "learning_rate": (float, 0.05),
-        "seed": (int, 0),
+        "epochs": (int, 20, "--epochs"),
+        "batch_size": (int, 64, None),
+        "learning_rate": (float, 0.05, None),
+        "seed": (int, 0, "--seed"),
     },
     "datasets": {
-        "names": (str, "synth-a,synth-b"),
-        "n_points": (int, 400),
-        "n_spikes": (int, 8),
-        "spike_rel": (float, 0.3),
+        "names": (str, "synth-a,synth-b", "--datasets"),
+        "n_points": (int, 400, None),
+        "n_spikes": (int, 8, None),
+        "spike_rel": (float, 0.3, None),
     },
-    "models": {"names": (str, "seasonal_naive,ar")},
-    "split": {"train_fraction": (float, 0.66)},
+    "models": {"names": (str, "seasonal_naive,ar", "--models")},
+    "split": {"train_fraction": (float, 0.66, "--split")},
 }
 
-#: Flags that set a config key, by argparse dest, as (section, key).
-FLAG_KEYS = {"lam": ("detection", "lambda"), "split": ("split", "train_fraction"),
-             "seed": ("training", "seed"), "epochs": ("training", "epochs"),
-             "datasets": ("datasets", "names"), "models": ("models", "names")}
+#: The library rule that checks a section's settings, by section.
+SECTION_RULES = {
+    "detection": lambda s: anomaly.AnomalyRuleConfig(lam=s["lambda"], two_sided=s["two_sided"]),
+    "training": lambda s: (classify.TrainConfig(**s), make_rng(s["seed"])),
+    "datasets": lambda s: (synth.check_spiked_args(s["n_points"], s["n_spikes"], s["spike_rel"]),
+                           [_check_dataset(token) for token in _comma_list(s["names"])]),
+    "models": lambda s: [default_variants(kind, 0) for kind in _comma_list(s["names"])],
+    "split": lambda s: SplitSpec(s["train_fraction"]),
+}
 
 
 def _did_you_mean(word: str, choices) -> str:
@@ -56,11 +64,12 @@ def _did_you_mean(word: str, choices) -> str:
     return f" (did you mean '{hint[0]}'?)" if hint else ""
 
 
-def load_config(path: Optional[str]) -> Dict[str, dict]:
+def load_config(path: Optional[str], sources: Optional[dict] = None) -> Dict[str, dict]:
     """Config file -> fully defaulted {section: {key: value}}; unknown keys
-    error with a spelling suggestion rather than being silently ignored."""
+    error with a spelling suggestion rather than being silently ignored.
+    `sources[section][key]`, if given, receives each file key's line."""
     resolved = {
-        section: {key: default for key, (_, default) in keys.items()}
+        section: {key: default for key, (_, default, _) in keys.items()}
         for section, keys in CONFIG_SCHEMA.items()
     }
     if path is None:
@@ -87,32 +96,51 @@ def load_config(path: Optional[str]) -> Dict[str, dict]:
                 raise ContractError(
                     f"unknown config key '{key}' in [{section}]{_did_you_mean(key, schema)}"
                 )
-            kind, _ = schema[key]
+            kind, where = schema[key][0], f"config file {path}: [{section}] {key}"
             try:
                 if kind is bool:
                     resolved[section][key] = parser.BOOLEAN_STATES[raw.strip().lower()]
                 else:
                     resolved[section][key] = kind(raw)
             except (KeyError, ValueError):
-                raise ContractError(
-                    f"config file {path}: [{section}] {key} = {raw!r} is not a valid {kind.__name__}"
-                ) from None
-            if key == "names":
-                _comma_list(raw, f"config file {path}: [{section}] names")
+                raise ContractError(f"{where} = {raw!r} is not a valid {kind.__name__}") from None
+            if kind is str:
+                _comma_list(raw, where)
+            if sources is not None:
+                sources[section][key] = f"{where} = {raw!r}"
     return resolved
 
 
 def resolve_config(args) -> Dict[str, dict]:
     """The settings a command runs with and its report records: the defaults,
-    then the config file, then every FLAG_KEYS flag given on the command line."""
-    cfg = load_config(args.config)
-    for dest, (section, key) in FLAG_KEYS.items():
-        if getattr(args, dest, None) is not None:
-            cfg[section][key] = getattr(args, dest)
+    then the config file, then every CONFIG_SCHEMA flag given on the command
+    line. Every section then passes its SECTION_RULES rule, whatever the
+    command, and an error names the file key or flag that gave the value."""
+    sources = {section: {} for section in CONFIG_SCHEMA}
+    cfg = load_config(args.config, sources)
+    for section, keys in CONFIG_SCHEMA.items():
+        for key, (kind, _, flag) in keys.items():
+            value = getattr(args, flag[2:], None) if flag else None
+            if value is not None:  # argparse parsed it; a str is a comma list
+                if kind is str:
+                    _comma_list(value, flag)
+                cfg[section][key] = value
+                sources[section][key] = f"{flag} {value}"
+    for section, rule in SECTION_RULES.items():
+        try:
+            rule(cfg[section])
+        except ContractError:  # name the first given setting whose addition the rule rejects
+            values = load_config(None)[section]
+            for key, where in sources[section].items():
+                values[key] = cfg[section][key]
+                try:
+                    rule(values)
+                except ContractError as exc:
+                    raise ContractError(f"{where}: {exc}") from None
     return cfg
 
 
-def _comma_list(text: str, name: str, kind=str) -> list:
+def _comma_list(text: str, name: str = "", kind=str) -> list:
     """A comma-separated list, each token stripped and parsed by `kind`; an
     empty, unparsable or repeated token is an error naming the list."""
     values = []
@@ -152,7 +180,7 @@ def _resolve_datasets(tokens: List[str], cfg: dict) -> List[anomaly.AnomalyDatas
                     abnormal_dates=frozenset(ingest.DEFAULT_ABNORMAL_DATES),
                 )
             )
-        elif token.startswith("synth-"):
+        else:  # a synth-* name, as resolve_config checked
             spiked = synth.generate_spiked_series(
                 n=cfg["datasets"]["n_points"],
                 n_spikes=cfg["datasets"]["n_spikes"],
@@ -167,10 +195,13 @@ def _resolve_datasets(tokens: List[str], cfg: dict) -> List[anomaly.AnomalyDatas
                     spike_indices=spiked.spike_indices,
                 )
             )
-        else:
-            raise ContractError(f"dataset '{token}' is neither a .csv path nor a synth-* name"
-                                f"{_did_you_mean(token, ['synth-a', 'synth-b'])}")
     return datasets
+
+
+def _check_dataset(token: str) -> None:
+    if not (token.endswith(".csv") or token.startswith("synth-")):
+        raise ContractError(f"dataset '{token}' is neither a .csv path nor a synth-* name"
+                            f"{_did_you_mean(token, ['synth-a', 'synth-b'])}")
 
 
 def _labeled_xz(records):
@@ -265,9 +296,8 @@ def cmd_synth(args, cfg) -> None:
 
 def cmd_bench(args, cfg) -> dict:
     seed = cfg["training"]["seed"]
-    datasets = _resolve_datasets(_comma_list(cfg["datasets"]["names"], "--datasets"), cfg)
-    grid = {kind: default_variants(kind, seed)
-            for kind in _comma_list(cfg["models"]["names"], "--models")}
+    datasets = _resolve_datasets(_comma_list(cfg["datasets"]["names"]), cfg)
+    grid = {kind: default_variants(kind, seed) for kind in _comma_list(cfg["models"]["names"])}
     bench = anomaly.run_benchmark(
         datasets,
         grid,
@@ -299,9 +329,9 @@ DEFAULT_VARIANTS: Dict[str, List[dict]] = {
 
 
 def default_variants(kind: str, seed: int) -> List[forecast.ForecastModelConfig]:
-    if kind not in DEFAULT_VARIANTS:
-        raise ContractError(f"unknown model '{kind}'; known: {sorted(forecast.MODEL_DEFAULTS)}")
-    return [forecast.ForecastModelConfig(kind, dict(params), seed) for params in DEFAULT_VARIANTS[kind]]
+    # an unknown kind gets one variant, which ForecastModelConfig rejects
+    return [forecast.ForecastModelConfig(kind, dict(params), seed)
+            for params in DEFAULT_VARIANTS.get(kind, [{}])]
 
 
 def cmd_train(args, cfg) -> dict:
@@ -528,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="dataset x model benchmark sweep")
     p.add_argument("--datasets")
     p.add_argument("--models")
-    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--lambda", type=float)
     p.add_argument("--split", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
@@ -599,7 +629,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # invariant violation
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -205,6 +205,14 @@ class SpikedSeries:
     spike_indices: np.ndarray  # injection log: positions of true anomalies
 
 
+def check_spiked_args(n: int, n_spikes: int, spike_rel: float) -> None:
+    """generate_spiked_series' rule for its series shape, without generating it."""
+    if n < 10 or n_spikes < 0 or n_spikes > n // 4:
+        raise ContractError("need n >= 10 and 0 <= n_spikes <= n/4")
+    if not np.isfinite(spike_rel):
+        raise ContractError(f"spike_rel must be finite, got {spike_rel}")
+
+
 def generate_spiked_series(
     n: int,
     n_spikes: int,
@@ -218,8 +226,7 @@ def generate_spiked_series(
     """Learnable AR(1) signal around a positive level with multiplicative
     spikes injected at random positions; the injection log is the ground truth
     for detection scoring."""
-    if n < 10 or n_spikes < 0 or n_spikes > n // 4:
-        raise ContractError("need n >= 10 and 0 <= n_spikes <= n/4")
+    check_spiked_args(n, n_spikes, spike_rel)
     rng = make_rng(seed)
     values = np.empty(n)
     prev = 0.0

@@ -3,11 +3,10 @@ import pytest
 
 from vibrosense.autoenc import (
     AutoencClassifier,
-    classify_state,
     train_autoenc_classifier,
 )
 from vibrosense.classify import TrainConfig, evaluate, train_classifier
-from vibrosense.core import ContractError, MachineState, make_rng
+from vibrosense.core import ContractError, make_rng
 from vibrosense.nn import gradient_check, softmax
 from vibrosense.nn.base import cross_entropy_and_delta, mse_and_delta
 
@@ -142,14 +141,6 @@ class TestInference:
         model = train_autoenc_classifier(feats, labels, cfg=TrainConfig(epochs=2, batch_size=16))
         probs = model.predict_proba(feats)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_classify_state(self):
-        feats, labels = blobs(seed=4)
-        model = train_autoenc_classifier(feats, labels, alpha=0.2,
-                                         cfg=TrainConfig(epochs=25, batch_size=16))
-        state, probs = classify_state(model, feats[0])
-        assert isinstance(state, MachineState)
-        assert probs.shape == (3,)
 
     def test_inference_deterministic(self):
         feats, labels = blobs(n_per_class=15)

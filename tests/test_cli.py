@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import vibrosense
 from vibrosense import cli
 from vibrosense.core import ContractError
 
@@ -84,6 +88,158 @@ class TestLoadConfig:
         err = capsys.readouterr().err
         assert f"train config learning_rate must be positive and finite, got {float(value)}" in err
         assert "non-finite training loss" not in err
+
+
+#: A bad value for every CONFIG_SCHEMA key, as (section, key, file text, the
+#: library's reason).
+BAD_SETTINGS = [
+    ("detection", "lambda", "0", "lambda and epsilon must be finite and positive"),
+    ("detection", "two_sided", "maybe", "is not a valid bool"),
+    ("training", "epochs", "-1", "train config epochs must be >= 0, got -1"),
+    ("training", "batch_size", "0", "train config batch_size must be >= 1, got 0"),
+    ("training", "learning_rate", "nan",
+     "train config learning_rate must be positive and finite, got nan"),
+    ("training", "seed", "-1", "seed must be a non-negative integer, got -1"),
+    ("datasets", "names", "synth-a,nope", "dataset 'nope' is neither a .csv path nor a synth-*"),
+    ("datasets", "n_points", "5", "need n >= 10 and 0 <= n_spikes <= n/4"),
+    ("datasets", "n_spikes", "-1", "need n >= 10 and 0 <= n_spikes <= n/4"),
+    ("datasets", "spike_rel", "nan", "spike_rel must be finite, got nan"),
+    ("models", "names", "ar,prophet", "unknown model kind 'prophet'"),
+    ("split", "train_fraction", "2", "train_fraction must lie in (0, 1)"),
+]
+
+REASON = {(section, key): reason for section, key, _, reason in BAD_SETTINGS}
+
+#: The same through each flag that sets a key, as (argv, source, reason).
+BAD_FLAGS = [
+    (["bench", "--lambda", "0"], "--lambda 0.0", REASON["detection", "lambda"]),
+    (["train", "--epochs", "-1"], "--epochs -1", REASON["training", "epochs"]),
+    (["tune", "--seed", "-1"], "--seed -1", REASON["training", "seed"]),
+    (["bench", "--datasets", "synth-a,nope"], "--datasets synth-a,nope",
+     REASON["datasets", "names"]),
+    (["bench", "--models", "ar,prophet"], "--models ar,prophet", REASON["models", "names"]),
+    (["bench", "--split", "2"], "--split 2.0", REASON["split", "train_fraction"]),
+]
+
+#: Commands that use few or none of the settings: the file is checked whole anyway.
+COMMANDS = [
+    ["bench"],
+    ["train", "--duration", "0.2"],
+    ["ingest", "--format", "process", "--input", "absent.csv"],
+    ["synth", "--emit", "process", "--days", "1"],
+]
+
+
+class TestSettingsCheckedOnce:
+    """resolve_config passes every section through the library rule that owns
+    it, whatever the command, and names the file key or flag behind a bad value."""
+
+    def _run(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.json"
+        code = cli.main(argv + ["--out", str(out)])
+        assert not out.exists()
+        return code, capsys.readouterr().err
+
+    def test_tables_cover_every_key_and_flag(self):
+        assert [(s, k) for s, k, _, _ in BAD_SETTINGS] == [
+            (s, k) for s, keys in cli.CONFIG_SCHEMA.items() for k in keys]
+        assert sorted(argv[1] for argv, _, _ in BAD_FLAGS) == sorted(
+            flag for keys in cli.CONFIG_SCHEMA.values() for _, _, flag in keys.values() if flag)
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("section, key, raw, reason", BAD_SETTINGS,
+                             ids=[f"{s}.{k}" for s, k, _, _ in BAD_SETTINGS])
+    def test_bad_file_value_names_file_key_and_reason(self, tmp_path, capsys, command,
+                                                      section, key, raw, reason):
+        path = write_config(tmp_path, f"[{section}]\n{key} = {raw}\n")
+        code, err = self._run(tmp_path, capsys, ["--config", path] + command)
+        assert code == cli.USER_ERROR
+        assert f"error: config file {path}: [{section}] {key} = {raw!r}" in err
+        assert reason in err
+
+    @pytest.mark.parametrize("argv, source, reason", BAD_FLAGS, ids=lambda v: str(v))
+    def test_bad_flag_value_names_flag_and_reason(self, tmp_path, capsys, argv, source, reason):
+        code, err = self._run(tmp_path, capsys, argv)
+        assert code == cli.USER_ERROR
+        assert f"error: {source}: {reason}" in err
+
+    def test_bad_batch_size_stops_bench_that_does_not_train(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[training]\nbatch_size = 0\n")
+        code, err = self._run(tmp_path, capsys,
+                              ["--config", path, "bench", "--models", "ar", "--datasets", "synth-a"])
+        assert code == cli.USER_ERROR
+        assert f"config file {path}: [training] batch_size = '0': train config batch_size" in err
+
+    def test_zero_lambda_stops_train(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[detection]\nlambda = 0\n")
+        code, err = self._run(tmp_path, capsys, ["--config", path, "train", "--duration", "0.2"])
+        assert code == cli.USER_ERROR
+        assert f"config file {path}: [detection] lambda = '0': lambda and epsilon" in err
+
+    def test_split_flag_and_file_key_say_which_gave_the_value(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[split]\ntrain_fraction = 2\n")
+        bench = ["bench", "--models", "ar", "--datasets", "synth-a"]
+        _, from_flag = self._run(tmp_path, capsys, bench + ["--split", "2"])
+        _, from_file = self._run(tmp_path, capsys, ["--config", path] + bench)
+        assert from_flag != from_file
+        assert "--split 2.0: train_fraction must lie in (0, 1)" in from_flag
+        assert f"[split] train_fraction = '2': train_fraction must lie in (0, 1)" in from_file
+
+    def test_non_finite_spike_size_is_named_not_the_series(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[datasets]\nspike_rel = nan\n")
+        _, err = self._run(tmp_path, capsys, ["--config", path, "bench", "--models", "ar"])
+        assert "[datasets] spike_rel = 'nan': spike_rel must be finite" in err
+        assert "values must all be finite" not in err
+
+    def test_unknown_model_in_file_names_file_and_key(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[models]\nnames = prophet\n")
+        _, err = self._run(tmp_path, capsys, ["--config", path, "bench", "--datasets", "synth-a"])
+        assert f"config file {path}: [models] names = 'prophet': unknown model kind" in err
+
+    @pytest.mark.parametrize("text, blamed", [
+        # together too many spikes for the points; the key given last tips it over
+        ("n_points = 36\nn_spikes = 10\n", "n_spikes = '10'"),
+        ("n_spikes = 10\nn_points = 36\n", "n_points = '36'"),
+    ])
+    def test_keys_bad_only_together_blame_the_one_given_last(self, tmp_path, capsys, text,
+                                                             blamed):
+        path = write_config(tmp_path, "[datasets]\n" + text)
+        code, err = self._run(tmp_path, capsys, ["--config", path, "bench", "--models", "ar"])
+        assert code == cli.USER_ERROR
+        assert f"error: config file {path}: [datasets] {blamed}: need n >= 10" in err
+
+    def test_keys_are_checked_together_not_alone(self, tmp_path, capsys):
+        # 20 points take no more than the default 8 spikes alone, but 2 fit
+        path = write_config(tmp_path, "[datasets]\nn_points = 20\nn_spikes = 2\n")
+        out = tmp_path / "r.json"
+        assert cli.main(["--config", path, "bench", "--models", "seasonal_naive",
+                         "--datasets", "synth-a", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["provenance"]["resolved_config"]["datasets"][
+            "n_points"] == 20
+
+    def test_flag_over_a_bad_file_value_is_fine(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[training]\nseed = -1\n")
+        out = tmp_path / "r.json"
+        assert cli.main(["--config", path, "bench", "--models", "seasonal_naive",
+                         "--datasets", "synth-a", "--seed", "2", "--out", str(out)]) == 0
+
+    def test_bad_flag_over_a_good_file_value_names_the_flag(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[training]\nseed = 2\nepochs = 3\n")
+        code, err = self._run(tmp_path, capsys, ["--config", path, "train", "--seed", "-1"])
+        assert code == cli.USER_ERROR
+        assert "error: --seed -1: seed must be a non-negative integer" in err
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vibrosense.__file__)))
+        ok = subprocess.run([sys.executable, "-m", "vibrosense", "--help"], env=env,
+                            capture_output=True, text=True)
+        assert ok.returncode == 0 and "usage: vibrosense" in ok.stdout
+        path = write_config(tmp_path, "[training]\nbatch_size = 0\n")
+        bad = subprocess.run([sys.executable, "-m", "vibrosense", "--config", path, "bench",
+                              "--models", "ar", "--datasets", "synth-a"], env=env,
+                             capture_output=True, text=True)
+        assert bad.returncode == cli.USER_ERROR
+        assert path in bad.stderr and "batch_size" in bad.stderr
 
 
 class TestExitCodes:

@@ -30,7 +30,7 @@ def relu_grad(z):
 
 class _RefRnnLayer:
     """Simple recurrent cell. Inputs are (..., n, time, features); the leading
-    axis, when present, is the stack axis of ``Model.stack``."""
+    axis, when present, is the stack axis of lockstep training in ``sgd_epochs``."""
 
     def __init__(self, d_in: int, hidden: int, activation: str, rng):
         self.activation = activation

@@ -14,6 +14,7 @@ from vibrosense.synth import (
     AMPLITUDE_BY_LABEL,
     HARMONIC_RATIO,
     SynthConfig,
+    check_spiked_args,
     chiller_series,
     decimate_to_mems,
     generate_process,
@@ -256,3 +257,10 @@ class TestSpikedSeries:
             generate_spiked_series(8, 1)
         with pytest.raises(ContractError):
             generate_spiked_series(100, 50)
+
+    @pytest.mark.parametrize("spike_rel", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_spike_size_is_named(self, spike_rel):
+        with pytest.raises(ContractError, match=f"spike_rel must be finite, got {spike_rel}"):
+            generate_spiked_series(100, 3, spike_rel=spike_rel)
+        with pytest.raises(ContractError, match="spike_rel"):  # checked without generating
+            check_spiked_args(100, 3, spike_rel)
