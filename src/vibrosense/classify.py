@@ -273,15 +273,19 @@ def cross_rpm_matrix(
     spec = SplitSpec(train_fraction, SplitMode.STRATIFIED_SHUFFLE, seed=cfg.seed)
     splits = {rpm: split_arrays(*per_rpm[rpm], spec) for rpm in rpms}
     grid: Dict[str, dict] = {}
-    models = _train_each([splits[rpm][0] for rpm in rpms], hidden_sizes, cfg, class_names)
+    trains, failure = [splits[rpm][0] for rpm in rpms], None
     # augmented row: the same per-rpm training splits pooled, plus interpolants,
-    # so the single-rpm test splits stay untouched
-    combined = augment.augmented_training_set(per_rpm, train_fraction, augment_n_per_rpm,
-                                              seed=cfg.seed)
-    models.append(train_classifier(
-        combined.features, combined.labels, hidden_sizes,
-        replace(cfg, seed=cfg.seed + len(rpms)), class_names=class_names,
-    ))
+    # so the single-rpm test splits stay untouched. It trains last (seed
+    # cfg.seed + len(rpms)), and a single-speed error outranks its own.
+    try:
+        combined = augment.augmented_training_set(per_rpm, train_fraction, augment_n_per_rpm,
+                                                  seed=cfg.seed)
+        trains.append((combined.features, combined.labels))
+    except ContractError as exc:
+        failure = exc
+    models = _train_each(trains, hidden_sizes, cfg, class_names)
+    if failure is not None:
+        raise failure
     for train_rpm, model in zip(list(map(str, rpms)) + ["augmented"], models):
         row = {str(test_rpm): evaluate(model, *splits[test_rpm][1])[0] for test_rpm in rpms}
         row["average"] = float(np.mean([row[str(r)] for r in rpms]))

@@ -1,10 +1,12 @@
-"""Domain types, metrics, splitting, and RNG helpers shared by every module."""
+"""Domain types, metrics, splitting, RNG helpers, and the spread of independent
+work over free cores, shared by every module."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -257,3 +259,151 @@ def confusion_matrix(true_labels, pred_labels, class_names) -> ConfusionMatrix:
     for t, p in zip(np.asarray(true_labels, dtype=int), np.asarray(pred_labels, dtype=int)):
         counts[t, p] += 1
     return ConfusionMatrix(counts, class_names)
+
+
+def _take_units(work, counter, n_units: int, deliver) -> None:
+    """Run the next unstarted unit and `deliver` its outcome, until none is
+    left. A unit that raises stops every process from starting another; the
+    units already running finish, so every unit before it has an outcome."""
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= n_units:
+            return
+        try:
+            outcome = (True, work(i))
+        except Exception as exc:
+            with counter.get_lock():
+                counter.value = n_units
+            outcome = (False, exc)
+        deliver(i, outcome)
+
+
+def _worker(work, counter, n_units: int, conn) -> None:
+    import pickle
+    import signal
+    import traceback
+
+    # an interrupt reaches the whole process group; the caller handles it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    def send(i, outcome):
+        ok, value = outcome
+        if not ok:
+            tb = "".join(traceback.format_exception(type(value), value, value.__traceback__))
+            try:
+                pickle.loads(pickle.dumps(value))
+            except Exception:
+                value = RuntimeError(f"{type(value).__name__}: {value}")
+            value = (value, tb)
+        conn.send((i, ok, value))
+
+    _take_units(work, counter, n_units, send)
+
+
+def _receive(conn, results: dict, block: bool) -> bool:
+    """Move the outcomes waiting on a worker's pipe into `results`, or all
+    of them up to the worker's exit when `block`. False once it has exited."""
+    try:
+        while block or conn.poll():
+            i, ok, value = conn.recv()
+            if not ok:
+                value, tb = value
+                value.__cause__ = RuntimeError(f"raised in a worker process:\n{tb}")
+            results[i] = (ok, value)
+    except EOFError:
+        return False
+    return True
+
+
+def _blas_threads(cores: int) -> int:
+    """The threads OpenBLAS gives each matrix product, from the variables it
+    reads when it loads, in its order: the first positive one, at most
+    `cores`; with none set, one thread per core."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), cores)
+    return cores
+
+
+#: True in the caller and the workers of a `_spread` call: a call nested in
+#: one of its units is a plain loop, so workers never fork workers. Process
+#: state, not a parameter: the nesting runs through callers that know nothing
+#: of it (run_benchmark, forecast.fit, sgd_epochs), and a fork inherits it.
+_spreading = False
+
+
+def _spread(work, n_units: int, describe) -> list:
+    """`[work(i) for i in range(n_units)]`, spread over the cores in the
+    process's affinity mask that BLAS leaves free: as many processes as
+    BLAS thread pools fit in the mask, at most one per unit: one per core
+    with one BLAS thread. The calling process takes units too, and the
+    others are forked workers. Each process takes the next unstarted
+    unit from a shared counter; a worker sends back each unit's outcome as
+    it finishes. Where several units raise, the lowest one's exception is
+    raised, as a serial loop would raise it; a worker that dies is an error
+    naming its unit. Where fewer than two processes would run (BLAS on
+    every core, one core, one unit, no affinity mask to read, or a call
+    nested in another's unit) it is a plain loop that imports and forks
+    nothing."""
+    global _spreading
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    processes = 1 if _spreading else min(cores // _blas_threads(cores), n_units)
+    outer, _spreading = _spreading, True
+    try:
+        if processes < 2:
+            return [work(i) for i in range(n_units)]
+        return _forked(work, n_units, describe, processes)
+    finally:
+        _spreading = outer
+
+
+def _forked(work, n_units: int, describe, processes: int) -> list:
+    """_spread over `processes` processes, the caller and forked workers."""
+    import multiprocessing
+
+    # every system with sched_getaffinity can fork
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("l", 0)
+    results: Dict[int, tuple] = {}
+    workers = []
+    try:
+        for _ in range(processes - 1):
+            conn, child_end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker, args=(work, counter, n_units, child_end),
+                               daemon=True)
+            proc.start()
+            # closed before the next fork, so only this worker holds the
+            # sending end and its exit shows as the end of the pipe
+            child_end.close()
+            workers.append((proc, conn))
+        open_conns = [conn for _, conn in workers]
+
+        def keep(i, outcome):
+            results[i] = outcome
+            open_conns[:] = [c for c in open_conns if _receive(c, results, block=False)]
+
+        _take_units(work, counter, n_units, keep)
+        for conn in open_conns:
+            _receive(conn, results, block=True)
+        for proc, _ in workers:
+            proc.join()
+    finally:
+        for proc, conn in workers:
+            if proc.exitcode is None:
+                proc.terminate()
+            proc.join()
+            conn.close()
+    out = []
+    for i in range(n_units):
+        if i not in results:
+            codes = sorted({proc.exitcode for proc, _ in workers if proc.exitcode})
+            raise RuntimeError(f"a worker process ended (exit code {', '.join(map(str, codes))}) "
+                               f"while fitting {describe(i)}")
+        ok, value = results[i]
+        if not ok:
+            raise value
+        out.append(value)
+    return out

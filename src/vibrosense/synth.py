@@ -237,7 +237,10 @@ def generate_spiked_series(
     # spikes only in the back half so a chronological split leaves them in test
     candidates = np.arange(n // 2 + 1, n)
     spikes = np.sort(rng.choice(candidates, size=n_spikes, replace=False))
-    values[spikes] *= 1.0 + spike_rel
+    with np.errstate(over="ignore"):  # the error below names the cause
+        values[spikes] *= 1.0 + spike_rel
+    if not np.all(np.isfinite(values[spikes])):
+        raise ContractError(f"spike_rel = {spike_rel} makes a spiked value overflow")
     return SpikedSeries(
         series=TimeSeries(start_s=0.0, interval_s=interval_s, values=values),
         spike_indices=spikes,

@@ -191,6 +191,16 @@ class TestSettingsCheckedOnce:
         assert "[datasets] spike_rel = 'nan': spike_rel must be finite" in err
         assert "values must all be finite" not in err
 
+    def test_spikes_that_overflow_are_named_not_the_series(self, tmp_path, capsys):
+        # finite, so resolve_config passes it; the spiked values are not
+        path = write_config(tmp_path, "[datasets]\nspike_rel = 1e308\nn_points = 100\n"
+                                      "n_spikes = 2\n")
+        code, err = self._run(tmp_path, capsys, ["--config", path, "bench", "--models",
+                                                 "seasonal_naive", "--datasets", "synth-a"])
+        assert code == 1
+        assert "spike_rel = 1e+308 makes a spiked value overflow" in err
+        assert "values must all be finite" not in err
+
     def test_unknown_model_in_file_names_file_and_key(self, tmp_path, capsys):
         path = write_config(tmp_path, "[models]\nnames = prophet\n")
         _, err = self._run(tmp_path, capsys, ["--config", path, "bench", "--datasets", "synth-a"])

@@ -2,7 +2,7 @@
 trains the same-shaped dense and recurrent ones as one stacked model, must
 end bit for bit where each would end trained alone: parameters compared with
 `tobytes()`, loss curves and error messages with `==`. The stacks it forms
-are observed at `nn.base._train`, which trains one stack."""
+are observed at `nn.base._train`, which trains one stack, on one core."""
 
 import os
 import warnings
@@ -82,7 +82,9 @@ def _together(kinds, seeds, data, lr, epochs=3):
 
 def _record_stacks(monkeypatch):
     """The member lists of the stacks sgd_epochs trains from now on, in
-    training order (a lone net is a stack of one)."""
+    training order (a lone net is a stack of one). The process is pinned to
+    one core: a stack trained in a forked worker would not reach the list."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     stacks, real = [], base._train
 
     def recording(members, *args):
@@ -220,8 +222,6 @@ def test_run_benchmark_groups_series_by_window_count(monkeypatch):
     grid = {"ar": [ForecastModelConfig("ar", {"p": 5})],
             "mlp": [ForecastModelConfig("mlp", SMALL["mlp"], seed=2)]}
     stacks = _record_stacks(monkeypatch)
-    # a forked worker's calls would not reach the recorder
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     bench = run_benchmark(datasets, grid, SplitSpec(0.66))
     assert sorted(map(len, stacks)) == [1, 2]  # the 150-point series trains on its own
     alone = [run_benchmark([ds], grid, SplitSpec(0.66))["grid"] for ds in datasets]

@@ -1,4 +1,6 @@
 import datetime as dt
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -264,3 +266,12 @@ class TestSpikedSeries:
             generate_spiked_series(100, 3, spike_rel=spike_rel)
         with pytest.raises(ContractError, match="spike_rel"):  # checked without generating
             check_spiked_args(100, 3, spike_rel)
+
+    @pytest.mark.parametrize("spike_rel", [1e308, -1e308])
+    def test_spikes_that_overflow_are_named(self, spike_rel):
+        # the warning NumPy would give is an error under -W error::RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match=re.escape(
+                    f"spike_rel = {spike_rel} makes a spiked value overflow")):
+                generate_spiked_series(100, 3, spike_rel=spike_rel)
