@@ -15,6 +15,7 @@ from .core import (
     ContractError,
     SplitMode,
     SplitSpec,
+    _spread,
     confusion_matrix,
     make_rng,
     split_arrays,
@@ -272,21 +273,23 @@ def cross_rpm_matrix(
         raise ContractError(f"augment_n_per_rpm must be >= 0, got {augment_n_per_rpm}")
     spec = SplitSpec(train_fraction, SplitMode.STRATIFIED_SHUFFLE, seed=cfg.seed)
     splits = {rpm: split_arrays(*per_rpm[rpm], spec) for rpm in rpms}
-    grid: Dict[str, dict] = {}
-    trains, failure = [splits[rpm][0] for rpm in rpms], None
-    # augmented row: the same per-rpm training splits pooled, plus interpolants,
-    # so the single-rpm test splits stay untouched. It trains last (seed
-    # cfg.seed + len(rpms)), and a single-speed error outranks its own.
-    try:
+
+    def train(unit):
+        if unit == 0:
+            return _train_each([splits[rpm][0] for rpm in rpms], hidden_sizes, cfg, class_names)
+        # augmented row: the same per-rpm training splits pooled, plus
+        # interpolants, so the single-rpm test splits stay untouched
         combined = augment.augmented_training_set(per_rpm, train_fraction, augment_n_per_rpm,
                                                   seed=cfg.seed)
-        trains.append((combined.features, combined.labels))
-    except ContractError as exc:
-        failure = exc
-    models = _train_each(trains, hidden_sizes, cfg, class_names)
-    if failure is not None:
-        raise failure
-    for train_rpm, model in zip(list(map(str, rpms)) + ["augmented"], models):
+        return _train_each([(combined.features, combined.labels)], hidden_sizes,
+                           replace(cfg, seed=cfg.seed + len(rpms)), class_names)
+
+    # the two trainings are independent: side by side on the cores BLAS
+    # leaves free, and a single-speed error outranks the augmented one's
+    single, augmented = _spread(train, 2, lambda unit: ("the single-speed classifiers",
+                                                        "the augmented classifier")[unit])
+    grid: Dict[str, dict] = {}
+    for train_rpm, model in zip(list(map(str, rpms)) + ["augmented"], single + augmented):
         row = {str(test_rpm): evaluate(model, *splits[test_rpm][1])[0] for test_rpm in rpms}
         row["average"] = float(np.mean([row[str(r)] for r in rpms]))
         grid[train_rpm] = row

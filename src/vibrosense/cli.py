@@ -357,13 +357,14 @@ def cmd_train(args, cfg) -> dict:
     model = classify.train_classifier(enc.transform(ftr), ltr, cfg=tcfg, class_names=class_names)
     acc, cm = classify.evaluate(model, enc.transform(fte), lte)
     print(report.canonical_json({"accuracy": acc}))
+    model.provenance = _provenance(cfg, {"train": report.data_fingerprint(ftr)})
     if args.save_model:
         classify.save_classifier(model, args.save_model)
     return {
         "accuracy": acc,
         "confusion": cm.counts.tolist(),
         "class_names": list(class_names),
-        "provenance": _provenance(cfg, {"train": report.data_fingerprint(ftr)}),
+        "provenance": model.provenance,
     }
 
 

@@ -254,10 +254,18 @@ def split_arrays(features, labels, spec: SplitSpec):
 
 
 def confusion_matrix(true_labels, pred_labels, class_names) -> ConfusionMatrix:
+    """Counts of (true, predicted) label pairs, true labels along the rows.
+    A label outside [0, len(class_names)) is a ContractError naming it."""
     k = len(class_names)
-    counts = np.zeros((k, k), dtype=np.int64)
-    for t, p in zip(np.asarray(true_labels, dtype=int), np.asarray(pred_labels, dtype=int)):
-        counts[t, p] += 1
+    t = np.asarray(true_labels, dtype=np.int64).ravel()
+    p = np.asarray(pred_labels, dtype=np.int64).ravel()
+    if t.shape != p.shape:
+        raise ContractError(f"{t.size} true labels for {p.size} predicted labels")
+    for name, labels in (("true", t), ("predicted", p)):
+        bad = labels[(labels < 0) | (labels >= k)]
+        if bad.size:
+            raise ContractError(f"{name} label {bad[0]} is outside [0, {k})")
+    counts = np.bincount(t * k + p, minlength=k * k).reshape(k, k)
     return ConfusionMatrix(counts, class_names)
 
 
@@ -328,13 +336,6 @@ def _blas_threads(cores: int) -> int:
     return cores
 
 
-#: True in the caller and the workers of a `_spread` call: a call nested in
-#: one of its units is a plain loop, so workers never fork workers. Process
-#: state, not a parameter: the nesting runs through callers that know nothing
-#: of it (run_benchmark, forecast.fit, sgd_epochs), and a fork inherits it.
-_spreading = False
-
-
 def _spread(work, n_units: int, describe) -> list:
     """`[work(i) for i in range(n_units)]`, spread over the cores in the
     process's affinity mask that BLAS leaves free: as many processes as
@@ -345,19 +346,15 @@ def _spread(work, n_units: int, describe) -> list:
     it finishes. Where several units raise, the lowest one's exception is
     raised, as a serial loop would raise it; a worker that dies is an error
     naming its unit. Where fewer than two processes would run (BLAS on
-    every core, one core, one unit, no affinity mask to read, or a call
-    nested in another's unit) it is a plain loop that imports and forks
-    nothing."""
-    global _spreading
+    every core, one core, one unit or no affinity mask to read) it is a
+    plain loop that imports and forks nothing. Two callers use it:
+    `anomaly.run_benchmark` spreads its (family, variant) units and
+    `classify.cross_rpm_matrix` its two trainings; no unit calls it again."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    processes = 1 if _spreading else min(cores // _blas_threads(cores), n_units)
-    outer, _spreading = _spreading, True
-    try:
-        if processes < 2:
-            return [work(i) for i in range(n_units)]
-        return _forked(work, n_units, describe, processes)
-    finally:
-        _spreading = outer
+    processes = min(cores // _blas_threads(cores), n_units)
+    if processes < 2:
+        return [work(i) for i in range(n_units)]
+    return _forked(work, n_units, describe, processes)
 
 
 def _forked(work, n_units: int, describe, processes: int) -> list:

@@ -10,7 +10,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import ContractError, _spread
+from ..core import ContractError
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
@@ -169,16 +169,9 @@ def sgd_epochs(model, x, y, epochs: int, batch_size: int, learning_rate: float, 
     loss, cell and activation), so shapes alone decide what stacks: members
     whose type ``stacks`` and whose parameters, x and y have equal shapes
     train in lockstep as one stacked model, each exactly as it would alone
-    (its own batch order, its own loss). Stacks train in the order of their
-    first member, other members alone, and `on_epoch` follows each epoch of
-    each. Without `on_epoch`, the stacks train side by side on the cores
-    BLAS leaves free (``core._spread``; one core or BLAS on every core
-    trains them in turn). A stack trained in a forked worker sends back, per
-    member, its result, its trained arrays and the states of the generators
-    it drew from (its batch-order generator and any generator attribute,
-    such as the conv autoencoder's ``dropout_rng``); the caller writes them
-    into its own objects, which then hold every bit that training in line
-    leaves. So no generator may serve members of two stacks.
+    (its own batch order, its own loss). Stacks train one after another in
+    the calling process, in the order of their first member, other members
+    alone, and `on_epoch` follows each epoch of each.
 
     Training runs on a copy whose parameters are views of one flat array
     (see ``_training_copy``), so a step's update takes three calls whatever
@@ -204,28 +197,10 @@ def sgd_epochs(model, x, y, epochs: int, batch_size: int, learning_rate: float, 
             continue
         shapes = (type(member), tuple(p.shape for p in member.parameters()), a.shape, b.shape)
         stacks.setdefault(shapes if member.stacks else i, []).append(i)
-    units = list(stacks.values())
-
-    def generators(i):  # what member i's training draws from
-        return [rngs[i], *(v for v in vars(members[i]).values()
-                           if isinstance(v, np.random.Generator))]
-
-    def train(s):  # per member: its result, its trained arrays and its generators' states
-        picked = ([seq[i] for i in units[s]] for seq in (members, xs, ys, rngs))
-        out = _train(*picked, epochs, batch_size, learning_rate, on_epoch)
-        return [(result, members[i].parameters(), [g.bit_generator.state for g in generators(i)])
-                for i, result in zip(units[s], out)]
-
-    # on_epoch runs in the caller, so with one the stacks train in turn
-    trained = map(train, range(len(units))) if on_epoch is not None else _spread(
-        train, len(units), lambda s: f"the stack of members {', '.join(map(str, units[s]))}")
-    for index, outs in zip(units, trained):  # a worker's stack comes back as copies
-        for i, (result, arrays, states) in zip(index, outs):
+    for index in stacks.values():
+        picked = ([seq[i] for i in index] for seq in (members, xs, ys, rngs))
+        for i, result in zip(index, _train(*picked, epochs, batch_size, learning_rate, on_epoch)):
             results[i] = result
-            for p, a in zip(members[i].parameters(), arrays):
-                p[...] = a
-            for g, state in zip(generators(i), states):
-                g.bit_generator.state = state
     if alone and isinstance(results[0], ContractError):
         raise results[0]
     return results[0] if alone else results

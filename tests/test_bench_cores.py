@@ -1,16 +1,17 @@
 """Independent work spread over cores by `core._spread`: the calling process
 and forked workers, one process per BLAS thread pool that fits in the
-affinity mask. `run_benchmark` spreads its (family, variant) units, and
-`nn.sgd_epochs` its independent training stacks. Most tests pin BLAS to one
-thread, so each core of the mask gets a process. The bench grid and its
-`--out` bytes, the cross-speed grid and its models, and every trained array,
-loss curve and generator state must not depend on the number of cores, a
-unit's exception must reach the caller as a serial loop would raise it, and
-no worker may outlive the call.
+affinity mask. `run_benchmark` spreads its (family, variant) units,
+`cross_rpm_matrix` its two trainings (the single-speed classifiers and the
+augmented one), and `nn.sgd_epochs` always trains in the calling process.
+Most tests pin BLAS to one thread, so each core of the mask gets a process.
+The bench grid and its `--out` bytes, and the cross-speed grid, its models'
+weights and loss curves, must not depend on the number of cores, a unit's
+exception must reach the caller as a serial loop would raise it, and no
+worker may outlive the call.
 
-Each test wraps `forecast.fit` or `nn.base._train` (the workers inherit the
-wrapper by fork) so that a chosen unit runs in a worker, not in a caller
-that took every unit before the worker started."""
+Each test wraps `forecast.fit`, `nn.base._train` or `core._take_units` (the
+workers inherit the wrapper by fork) so that a chosen unit runs in a worker,
+not in a caller that took every unit before the worker started."""
 
 import multiprocessing
 import os
@@ -24,7 +25,7 @@ from vibrosense.anomaly import AnomalyDataset, TruthRule, run_benchmark
 from vibrosense.classify import TrainConfig, cross_rpm_matrix
 from vibrosense.core import ContractError, SplitSpec, make_rng
 from vibrosense.forecast import ForecastModelConfig
-from vibrosense.nn import ConvAutoencoder, Mlp, base, sgd_epochs
+from vibrosense.nn import Mlp, base, sgd_epochs
 from vibrosense.synth import generate_spiked_series
 
 
@@ -266,19 +267,24 @@ def test_one_process_per_blas_pool_that_fits_in_the_mask(monkeypatch, tmp_path, 
     assert multiprocessing.active_children() == []
 
 
-# --- sgd_epochs: independent stacks side by side -----------------------------
+# --- cross_rpm_matrix: its two trainings side by side -------------------------
 
 TRAIN = (base, "_train")
 
 
-def _per_rpm():
+def _per_rpm(scale=1.0):
     gen = np.random.default_rng(2)
     per_rpm = {}
     for i, rpm in enumerate((100, 200, 300)):
         labels = np.arange(60) % 3
-        per_rpm[rpm] = (gen.normal(size=(60, 4)) * 0.6 + labels[:, None] * (1.0 + 0.4 * i),
-                        labels)
+        per_rpm[rpm] = (scale * (gen.normal(size=(60, 4)) * 0.6
+                                 + labels[:, None] * (1.0 + 0.4 * i)), labels)
     return per_rpm
+
+
+def _grid(per_rpm):
+    return cross_rpm_matrix(per_rpm, hidden_sizes=(8, 8), augment_n_per_rpm=30,
+                            cfg=TrainConfig(epochs=4, batch_size=16, learning_rate=0.05, seed=3))
 
 
 def _grid_and_models(monkeypatch):
@@ -293,9 +299,7 @@ def _grid_and_models(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(classify, "evaluate", evaluate)
-        grid = cross_rpm_matrix(_per_rpm(), hidden_sizes=(8, 8), augment_n_per_rpm=30,
-                                cfg=TrainConfig(epochs=4, batch_size=16, learning_rate=0.05,
-                                                seed=3))
+        grid = _grid(_per_rpm())
     return grid, models
 
 
@@ -304,133 +308,82 @@ def _weights(net):
 
 
 def test_cross_rpm_grid_and_models_do_not_depend_on_the_core_count(monkeypatch, tmp_path):
-    # two stacks: the three single-speed classifiers and the augmented one
+    # two units: the three single-speed classifiers and the augmented one
     _cores(monkeypatch, 1)
     alone, alone_models = _grid_and_models(monkeypatch)
-    stacks = _two_cores_in_use(monkeypatch, tmp_path, TRAIN)
+    units = _two_cores_in_use(monkeypatch, tmp_path, TRAIN)
     spread, spread_models = _grid_and_models(monkeypatch)
-    assert len(stacks.pids()) == 2
+    assert len(units.pids()) == 2
     assert spread == alone
     assert len(spread_models) == 4
     for model, ref in zip(spread_models, alone_models):
         assert _weights(model.net) == _weights(ref.net)
         assert model.training_loss == ref.training_loss and len(ref.training_loss) == 4
-    stacks.assert_no_worker_left()
+    units.assert_no_worker_left()
 
 
-def _nets():
-    """Two conv autoencoders (a type that does not stack) drawing dropout
-    masks from their own generators, and two stacking MLPs, with their data
-    and batch-order generators."""
-    gen = np.random.default_rng(7)
-    nets, rngs, data = [], [], []
-    for seed in (1, 2):
-        rngs.append(make_rng(seed))
-        nets.append(ConvAutoencoder(8, rngs[-1], filters=2, kernel=3, n_layers=2))
-        nets[-1].dropout_rng = make_rng(seed, 1)
-        x = gen.standard_normal((23, 8))
-        data.append((x, x))
-    for seed in (3, 4):
-        rngs.append(make_rng(seed))
-        nets.append(Mlp([6, 8, 1], "mse", rngs[-1]))
-        x = gen.standard_normal((23, 6))
-        data.append((x, np.sin(x.sum(axis=1))))
-    return nets, rngs, data
-
-
-def _states(nets, rngs):
-    return [r.bit_generator.state for r in rngs] + [n.dropout_rng.bit_generator.state
-                                                    for n in nets if hasattr(n, "dropout_rng")]
-
-
-def test_generators_end_as_training_in_line_leaves_them(monkeypatch, tmp_path):
-    runs = []
-    for n_cores in (1, 2):
-        if n_cores == 1:
-            _cores(monkeypatch, 1)
-        else:
-            stacks = _two_cores_in_use(monkeypatch, tmp_path, TRAIN)
-        nets, rngs, data = _nets()
-        before = _states(nets, rngs)
-        curves = sgd_epochs(nets, [x for x, _ in data], [y for _, y in data], 3, 5, 0.02, rngs)
-        runs.append((curves, [_weights(n) for n in nets], _states(nets, rngs)))
-    assert len(stacks.pids()) == 2
-    assert runs[1] == runs[0]
-    assert all(a != b for a, b in zip(before, runs[0][2]))  # every generator was drawn from
-    stacks.assert_no_worker_left()
-
-
-def _diverging():
-    """Two stacks of linear regressions (one per row count), each with a
-    member whose inputs, 1e4 times larger, overflow at some epoch."""
-    gen = np.random.default_rng(5)
-    nets, rngs, xs, ys = [], [], [], []
-    for rows in (23, 22):
-        for scale in (1.0, 1e4):
-            rngs.append(make_rng(len(nets)))
-            nets.append(Mlp([6, 1], "mse", rngs[-1]))
-            xs.append(scale * gen.standard_normal((rows, 6)))
-            ys.append(np.sin(xs[-1].sum(axis=1) / scale))
-    return nets, xs, ys, rngs
-
-
-def test_a_member_diverging_in_a_worker_ends_as_in_line(monkeypatch, tmp_path):
-    runs = []
-    for n_cores in (1, 2):
-        if n_cores == 1:
-            _cores(monkeypatch, 1)
-        else:
-            stacks = _two_cores_in_use(monkeypatch, tmp_path, TRAIN)
-        nets, xs, ys, rngs = _diverging()
-        results = sgd_epochs(nets, xs, ys, 8, 5, 0.05, rngs)
-        runs.append(([str(r) if isinstance(r, ContractError) else r for r in results],
-                     [_weights(n) for n in nets]))
-        # the last finite step of the diverged members, not their start
-        assert all(np.all(np.isfinite(p)) for n in nets for p in n.parameters())
-    assert len(stacks.pids()) == 2
-    for i in (1, 3):
-        assert runs[0][0][i].startswith("non-finite training loss at epoch ")
-        assert runs[0][1][i] != _weights(_diverging()[0][i])
-    assert runs[1] == runs[0]
-    stacks.assert_no_worker_left()
-
-
-def test_training_inside_a_spread_unit_forks_nothing(monkeypatch, tmp_path):
-    # each unit trains two conv autoencoders, which a process outside any
-    # _spread call would train in two processes
-    units = tmp_path / "units"
-
-    def work(i):
-        with open(units, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        _until(lambda: len(set(units.read_text().split())) == 2)
-        nets, rngs, data = _nets()
-        sgd_epochs(nets[:2], [x for x, _ in data[:2]], [y for _, y in data[:2]], 1, 5, 0.02,
-                   rngs[:2])
-        return os.getpid()
-
+def _worker_takes(monkeypatch, unit):
+    """Two cores, with the shared counter handed out so that the worker
+    takes `unit` of the grid's two and the caller the other."""
     _cores(monkeypatch, 2)
-    stacks = _Fits(monkeypatch, tmp_path / "pids", lambda in_caller, members: None, TRAIN)
-    unit_pids = core._spread(work, 2, str)
-    assert len(set(unit_pids)) == 2
-    logged = stacks.log.read_text().split()
-    assert len(logged) == 4 and set(logged) == {str(pid) for pid in unit_pids}
-    assert core._spreading is False
-    stacks.assert_no_worker_left()
+    caller, real = os.getpid(), core._take_units
+
+    def take(work, counter, n_units, deliver):
+        first = (os.getpid() == caller) == (unit == 1)
+        if not first:  # until the other process has taken unit 0
+            _until(lambda: counter.value >= 1)
+            return real(work, counter, n_units, deliver)
+
+        def held(i, outcome):  # unit 0 done: held until the other has taken unit 1
+            _until(lambda: counter.value >= 2)
+            deliver(i, outcome)
+
+        return real(work, counter, n_units, held)
+
+    monkeypatch.setattr(core, "_take_units", take)
 
 
-def test_a_worker_that_dies_mid_stack_is_an_error_naming_the_stack(monkeypatch, tmp_path):
+def test_a_classifier_diverging_in_the_worker_raises_as_on_one_core(monkeypatch):
+    # every classifier diverges: the single-speed ones' error, raised in the
+    # worker, is the one a single process raises
+    _cores(monkeypatch, 1)
+    with pytest.raises(ContractError, match=r"^non-finite training loss at epoch \d+$") as alone:
+        _grid(_per_rpm(scale=1e100))
+    _worker_takes(monkeypatch, 0)
+    with pytest.raises(ContractError) as spread:
+        _grid(_per_rpm(scale=1e100))
+    assert str(spread.value) == str(alone.value)
+    assert "raised in a worker process" in str(spread.value.__cause__)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_training_the_augmented_classifier_is_an_error_naming_it(
+        monkeypatch, tmp_path):
     def before(in_caller, members):
-        if in_caller:
-            _until(stacks.worker_started)
-        else:
+        if not in_caller:
             os._exit(3)
 
+    _worker_takes(monkeypatch, 1)
+    units = _Fits(monkeypatch, tmp_path / "pids", before, TRAIN)
+    with pytest.raises(RuntimeError, match=r"exit code 3\) while fitting the augmented "
+                                           r"classifier$"):
+        _grid(_per_rpm())
+    assert len(units.pids()) == 2
+    units.assert_no_worker_left()
+
+
+def test_sgd_epochs_trains_every_stack_in_the_calling_process(monkeypatch, tmp_path):
+    # two stacks (one per input width), two cores and one BLAS thread
     _cores(monkeypatch, 2)
-    stacks = _Fits(monkeypatch, tmp_path / "pids", before, TRAIN)
-    nets, xs, ys, rngs = _diverging()
-    with pytest.raises(RuntimeError, match=r"exit code 3\) while fitting the stack of members "
-                                           r"(0, 1|2, 3)$"):
-        sgd_epochs(nets, xs, ys, 2, 5, 0.01, rngs)
-    assert len(stacks.pids()) == 2
-    stacks.assert_no_worker_left()
+    calls = _Fits(monkeypatch, tmp_path / "pids", lambda in_caller, members: None, TRAIN)
+    gen = np.random.default_rng(7)
+    nets, xs, ys, rngs = [], [], [], []
+    for seed, width in enumerate((6, 6, 4)):
+        rngs.append(make_rng(seed))
+        nets.append(Mlp([width, 8, 1], "mse", rngs[-1]))
+        xs.append(gen.standard_normal((23, width)))
+        ys.append(np.sin(xs[-1].sum(axis=1)))
+    curves = sgd_epochs(nets, xs, ys, 2, 5, 0.02, rngs)
+    assert [len(c) for c in curves] == [2, 2, 2]
+    assert calls.log.read_text().split() == [str(os.getpid())] * 2
+    assert multiprocessing.active_children() == []

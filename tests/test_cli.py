@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import vibrosense
-from vibrosense import cli
+from vibrosense import classify, cli
 from vibrosense.core import ContractError
 
 
@@ -584,7 +584,9 @@ class TestTrainingCommands:
         doc = json.loads(out.read_text())
         assert 0.0 <= doc["accuracy"] <= 1.0
         assert doc["class_names"] == ["normal", "near_failure", "failure"]
-        assert model_path.exists()
+        # the saved classifier embeds the provenance the report records
+        assert classify.load_classifier(model_path).provenance == doc["provenance"]
+        assert doc["provenance"]["dataset_fingerprints"]["train"]
 
     def test_train_binary(self, tmp_path, capsys):
         out = tmp_path / "t.json"

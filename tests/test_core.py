@@ -131,6 +131,25 @@ class TestConfusionMatrix:
         with pytest.raises(ContractError):
             ConfusionMatrix(np.zeros((2, 3)), ("a", "b"))
 
+    @pytest.mark.parametrize("true, pred, message", [
+        ([0, 1, -1], [0, 1, 2], "true label -1 is outside"),  # would wrap to the last class
+        ([0, 1, 3], [0, 1, 2], "true label 3 is outside"),
+        ([0, 1, 2], [0, -1, 2], "predicted label -1 is outside"),
+        ([0, 1, 2], [0, 1, 3], "predicted label 3 is outside"),
+        ([0, 1, 2], [0, 1], "3 true labels for 2 predicted labels"),  # zip cut the third
+    ])
+    def test_labels_outside_the_classes_or_unpaired_are_refused(self, true, pred, message):
+        with pytest.raises(ContractError, match=message):
+            confusion_matrix(true, pred, ("a", "b", "c"))
+
+    def test_counts_match_a_pair_by_pair_loop(self):
+        gen = np.random.default_rng(0)
+        true, pred = gen.integers(0, 4, 200), gen.integers(0, 4, 200)
+        expected = np.zeros((4, 4), dtype=np.int64)
+        for t, p in zip(true, pred):  # true labels along the rows
+            expected[t, p] += 1
+        assert np.array_equal(confusion_matrix(true, pred, ("a", "b", "c", "d")).counts, expected)
+
 
 class TestDomainTypes:
     def test_enum_codes(self):
