@@ -10,8 +10,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import forecast, ingest, report
-from .core import (ContractError, SplitSpec, TimeSeries, _spread, precision_recall_f1, rms,
-                   rmse, split_series)
+from .core import (ContractError, SplitSpec, TimeSeries, _spread, precision_recall_f1, rmse,
+                   split_series)
 from .ingest import DEFAULT_TIMEZONE
 
 #: Default threshold, from the plant's "within 10% of actual" acceptability bar.
@@ -38,10 +38,6 @@ class AnomalyRuleConfig:
     def __post_init__(self):
         if not (0 < self.lam < np.inf and 0 < self.epsilon < np.inf):
             raise ContractError("lambda and epsilon must be finite and positive")
-
-    def scaled_to(self, train_values) -> "AnomalyRuleConfig":
-        """Same rule with the epsilon floor tied to the training-split RMS."""
-        return self.scaled_to_rms(rms(train_values))
 
     def scaled_to_rms(self, train_rms: float) -> "AnomalyRuleConfig":
         """Same rule with the epsilon floor tied to a known training-split RMS."""
@@ -72,18 +68,14 @@ class DetectionResult:
     rule: AnomalyRuleConfig
 
 
-def detect_series(model, test: TimeSeries, cfg: AnomalyRuleConfig, history=None) -> DetectionResult:
+def detect_series(model, test: TimeSeries, cfg: AnomalyRuleConfig) -> DetectionResult:
     """Rolling one-step predictions over the test split with per-point flags.
-    Context is seeded from the model's training tail unless given explicitly;
-    the epsilon floor is rescaled to the model's training RMS when known, and
-    to the history's otherwise."""
-    if history is None:
-        history = getattr(model, "train_tail", None)
-        if history is None:
-            raise ContractError("model carries no training tail; pass history explicitly")
-    train_rms = getattr(model, "train_rms", None)
-    rule = cfg.scaled_to(history) if train_rms is None else cfg.scaled_to_rms(train_rms)
-    preds = forecast.rolling_forecast(model, history, test.values)
+    Context is seeded from the model's training tail, and the epsilon floor
+    is rescaled to its training RMS; forecast.fit sets both."""
+    if not (hasattr(model, "train_tail") and hasattr(model, "train_rms")):
+        raise ContractError("model carries no training tail or RMS; fit it with forecast.fit")
+    rule = cfg.scaled_to_rms(model.train_rms)
+    preds = forecast.rolling_forecast(model, model.train_tail, test.values)
     flags = flag_anomaly(preds, test.values, rule)
     return DetectionResult(predictions=preds, flags=flags, rule=rule)
 

@@ -9,6 +9,9 @@ import numpy as np
 
 from .core import ContractError, SplitMode, SplitSpec, make_rng, split_indices
 
+#: An interpolant's partner is one of its anchor's this many nearest same-label neighbors.
+K_NEIGHBORS = 5
+
 
 @dataclass(frozen=True)
 class LabeledSet:
@@ -64,13 +67,12 @@ def interpolate_within_rpm(
     labels: np.ndarray,
     n_new: int,
     seed: int = 0,
-    k_neighbors: int = 5,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Convex combinations of same-label nearest-neighbor pairs.
 
     Each synthetic sample is alpha*a + (1-alpha)*b with the partner b drawn
-    from a's k nearest same-label neighbors and alpha uniform in (0, 1); the
-    label is inherited. Classes with < 2 samples contribute nothing.
+    from a's K_NEIGHBORS nearest same-label neighbors and alpha uniform in
+    (0, 1); the label is inherited. Classes with < 2 samples contribute nothing.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -89,9 +91,9 @@ def interpolate_within_rpm(
         a_idx = members[int(rng.integers(members.size))]
         a = features[a_idx]
         others = members[members != a_idx]
-        if others.size > k_neighbors:
+        if others.size > K_NEIGHBORS:
             d2 = np.sum((features[others] - a) ** 2, axis=1)
-            others = others[np.argsort(d2, kind="stable")[:k_neighbors]]
+            others = others[np.argsort(d2, kind="stable")[:K_NEIGHBORS]]
         b = features[others[int(rng.integers(others.size))]]
         alpha = rng.uniform(np.nextafter(0.0, 1.0), 1.0)
         new_feats[i] = alpha * a + (1.0 - alpha) * b

@@ -23,8 +23,6 @@ class AutoencClassifier(Model):
     two-layer classification head 64->128->3 on the latent code.
 
     loss = alpha * MSE(reconstruction) + (1 - alpha) * CrossEntropy(head).
-    head_on_latent=False moves the head onto the 128-wide encoder layer
-    instead of the latent code.
     """
 
     def __init__(
@@ -33,7 +31,6 @@ class AutoencClassifier(Model):
         alpha: float = 0.5,
         encoder_widths: Sequence[int] = DEFAULT_ENCODER_WIDTHS,
         head_widths: Sequence[int] = DEFAULT_HEAD_WIDTHS,
-        head_on_latent: bool = True,
         rng: Optional[np.random.Generator] = None,
     ):
         if not 0.0 <= alpha <= 1.0:
@@ -42,15 +39,12 @@ class AutoencClassifier(Model):
             raise ContractError("encoder and head need at least one layer each")
         self.input_width = input_width
         self.alpha = alpha
-        self.head_on_latent = head_on_latent
         rng = rng if rng is not None else make_rng(0)
         enc_sizes = [input_width, *encoder_widths]
         dec_sizes = [*reversed(encoder_widths), input_width]
-        # the encoder activation the head reads: the latent code or the first hidden layer
-        self.head_at = len(encoder_widths) if head_on_latent else 1
         self.enc_w, self.enc_b = dense_init(enc_sizes, rng)
         self.dec_w, self.dec_b = dense_init(dec_sizes, rng)
-        self.head_w, self.head_b = dense_init([encoder_widths[self.head_at - 1], *head_widths], rng)
+        self.head_w, self.head_b = dense_init([encoder_widths[-1], *head_widths], rng)
         self.recon_loss_curve: List[float] = []
         self.class_loss_curve: List[float] = []
 
@@ -65,16 +59,12 @@ class AutoencClassifier(Model):
             raise ContractError(f"expected input width {self.input_width}, got {x.shape[1]}")
         enc_acts = dense_forward(self.enc_w, self.enc_b, x, relu_last=True)
         dec_acts = dense_forward(self.dec_w, self.dec_b, enc_acts[-1])
-        head_acts = dense_forward(self.head_w, self.head_b, enc_acts[self.head_at])
+        head_acts = dense_forward(self.head_w, self.head_b, enc_acts[-1])
         return enc_acts, dec_acts, head_acts
 
     def predict_proba(self, x) -> np.ndarray:
         _, _, head_acts = self._forward(x)
         return softmax(head_acts[-1])
-
-    def reconstruct(self, x) -> np.ndarray:
-        _, dec_acts, _ = self._forward(x)
-        return dec_acts[-1]
 
     def component_losses(self, x, y) -> Tuple[float, float]:
         enc_acts, dec_acts, head_acts = self._forward(x)
@@ -89,15 +79,9 @@ class AutoencClassifier(Model):
         total = self.alpha * float(recon) + (1.0 - self.alpha) * float(ce)
         dec_grads, d_latent = dense_backward(self.dec_w, dec_acts, d_recon, input_grad=True)
         head_grads, d_head_in = dense_backward(self.head_w, head_acts, d_logits, input_grad=True)
-        # encoder: the decoder gradient runs down the layers above the one the
-        # head reads (none when the head is on the latent), then the head
-        # gradient joins it there
-        k = self.head_at
-        upper_grads, d_k = dense_backward(self.enc_w[k:], enc_acts[k:], d_latent,
-                                          relu_last=True, input_grad=True)
-        lower_grads, _ = dense_backward(self.enc_w[:k], enc_acts, d_head_in + d_k,
-                                        relu_last=True)
-        return total, lower_grads + upper_grads + dec_grads + head_grads
+        # the decoder and head gradients meet at the latent code
+        enc_grads, _ = dense_backward(self.enc_w, enc_acts, d_head_in + d_latent, relu_last=True)
+        return total, enc_grads + dec_grads + head_grads
 
 
 def train_autoenc_classifier(
@@ -107,7 +91,6 @@ def train_autoenc_classifier(
     cfg: TrainConfig = TrainConfig(epochs=20, batch_size=32, learning_rate=0.01),
     encoder_widths: Sequence[int] = DEFAULT_ENCODER_WIDTHS,
     head_widths: Sequence[int] = DEFAULT_HEAD_WIDTHS,
-    head_on_latent: bool = True,
 ) -> AutoencClassifier:
     """Joint SGD on the weighted dual loss; both loss curves are recorded
     per epoch. Deterministic given cfg.seed."""
@@ -125,7 +108,6 @@ def train_autoenc_classifier(
         alpha=alpha,
         encoder_widths=encoder_widths,
         head_widths=head_widths,
-        head_on_latent=head_on_latent,
         rng=rng,
     )
 

@@ -27,6 +27,8 @@ from .nn.dense import dense_backward, dense_forward
 
 DEFAULT_HIDDEN = (50, 50)
 DEFAULT_CLASS_NAMES = ("normal", "near_failure", "failure")
+#: Fine-tuning runs at this fraction of the configured learning rate.
+FINE_TUNE_LR_SCALE = 0.1
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,16 @@ def predict_proba(model: ClassifierModel, features) -> np.ndarray:
         raise ContractError(
             f"expected feature width {model.input_width}, got {features.shape[1]}"
         )
-    return model.net.predict(features)
+    # a net whose training stayed finite can still overflow on these features,
+    # and a ReLU that zeroes an overflowed unit leaves the output finite
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            probs = model.net.predict(features)
+    except FloatingPointError:
+        probs = None
+    if probs is None or not np.all(np.isfinite(probs)):
+        raise ContractError("the classifier's output overflowed on these features")
+    return probs
 
 
 def predict_labels(model: ClassifierModel, features) -> np.ndarray:
@@ -220,17 +231,16 @@ def train_transfer(
     target_features_raw,
     target_labels,
     cfg: TrainConfig,
-    fine_tune_lr_scale: float = 0.1,
     freeze_hidden: bool = False,
 ) -> ClassifierModel:
     """Fine-tune the source network on encoder-transformed target data.
 
-    All layers stay trainable at fine_tune_lr_scale times the configured rate
+    All layers stay trainable at FINE_TUNE_LR_SCALE times the configured rate
     unless freeze_hidden keeps everything but the output layer fixed. Zero
     epochs returns the source weights untouched.
     """
     transformed = bundle.encoder.transform(target_features_raw)
-    tuned_cfg = replace(cfg, learning_rate=cfg.learning_rate * fine_tune_lr_scale) \
+    tuned_cfg = replace(cfg, learning_rate=cfg.learning_rate * FINE_TUNE_LR_SCALE) \
         if cfg.epochs > 0 else cfg
     model = train_classifier(
         transformed,
@@ -243,7 +253,7 @@ def train_transfer(
     model.provenance = {
         "source": bundle.source_id,
         "source_config_fingerprint": bundle.config_fingerprint,
-        "fine_tune_lr_scale": fine_tune_lr_scale,
+        "fine_tune_lr_scale": FINE_TUNE_LR_SCALE,
         "freeze_hidden": freeze_hidden,
     }
     return model
@@ -312,13 +322,11 @@ def tuning_sweep(
     features,
     labels,
     steps: Sequence[TuningStep],
-    base_hidden: Sequence[int] = DEFAULT_HIDDEN,
     base_cfg: TrainConfig = TrainConfig(),
-    split: Optional[SplitSpec] = None,
     mode: str = "cumulative",
-    class_names: Optional[Sequence[str]] = None,
 ) -> List[dict]:
-    """Accuracy after the baseline and after each tuning step.
+    """Accuracy after the baseline (DEFAULT_HIDDEN layers) and after each
+    tuning step, on a 0.7 stratified split seeded by base_cfg.seed.
 
     Cumulative mode applies steps in ledger order; independent mode applies
     each step alone against the baseline.
@@ -327,8 +335,7 @@ def tuning_sweep(
         raise ContractError("mode must be 'cumulative' or 'independent'")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if split is None:
-        split = SplitSpec(0.7, SplitMode.STRATIFIED_SHUFFLE, seed=base_cfg.seed)
+    split = SplitSpec(0.7, SplitMode.STRATIFIED_SHUFFLE, seed=base_cfg.seed)
     (ftr, ltr), (fte, lte) = split_arrays(features, labels, split)
 
     def run(state: dict) -> float:
@@ -338,14 +345,13 @@ def tuning_sweep(
             enc = fit_encoder(x_train, names)
             x_train, x_test = enc.transform(x_train), enc.transform(x_test)
         cfg = replace(base_cfg, epochs=state["epochs"], batch_size=state["batch_size"])
-        model = train_classifier(x_train, ltr, state["hidden_sizes"], cfg,
-                                 class_names=class_names)
+        model = train_classifier(x_train, ltr, state["hidden_sizes"], cfg)
         acc, _ = evaluate(model, x_test, lte)
         return acc
 
     baseline = {
         "normalize": False,
-        "hidden_sizes": tuple(base_hidden),
+        "hidden_sizes": DEFAULT_HIDDEN,
         "epochs": base_cfg.epochs,
         "batch_size": base_cfg.batch_size,
     }

@@ -39,10 +39,6 @@ class OperatingPoint:
         if self.rpm <= 0:
             raise ContractError(f"rpm must be positive, got {self.rpm}")
 
-    @property
-    def rotation_hz(self) -> float:
-        return self.rpm / 60.0
-
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -129,13 +125,6 @@ class ConfusionMatrix:
 
     def accuracy(self) -> float:
         return float(np.trace(self.counts)) / self.total
-
-    def row_normalized(self) -> np.ndarray:
-        rows = self.counts.astype(np.float64)
-        sums = rows.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(sums > 0, rows / sums, 0.0)
-        return out
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:

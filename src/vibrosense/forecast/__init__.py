@@ -174,11 +174,16 @@ def load_forecaster(path):
         config = ForecastModelConfig(full_kind.split("/", 1)[1], hyperparameters, seed=payload["seed"])
         model = _construct(config)
         model.load_state(payload["state"])
-        model.train_tail = np.asarray(payload["train_tail"], dtype=np.float64)
+        # detection reads these two as forecast.fit sets them
+        tail = model.train_tail = np.asarray(payload["train_tail"], dtype=np.float64)
+        if not (tail.ndim == 1 and tail.size >= model.min_context and np.all(np.isfinite(tail))):
+            raise ContractError(f"train_tail must be {model.min_context} or more finite values")
+        model.train_rms = payload["train_rms"]
+        if not (isinstance(model.train_rms, float) and 0.0 <= model.train_rms < np.inf):
+            raise ContractError(f"train_rms must be a finite float >= 0, got {model.train_rms!r}")
     except KeyError as exc:
         raise ContractError(f"malformed forecaster file {path}: missing key {exc}") from exc
     except (ValueError, TypeError) as exc:  # ContractError included
         raise ContractError(f"malformed forecaster file {path}: {exc}") from exc
     model.config = config
-    model.train_rms = payload["train_rms"]
     return model

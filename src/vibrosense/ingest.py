@@ -68,16 +68,6 @@ class PharmaRecord:
         if self.dt_s <= 0:
             raise ContractError("dt_s must be positive")
 
-    def to_vibration_record(self, operating_point=OperatingPoint(rpm=1)) -> VibrationRecord:
-        return VibrationRecord(
-            start_s=self.start_s,
-            sample_rate_hz=1.0 / self.dt_s,
-            x=self.x,
-            y=self.y,
-            z=self.z,
-            operating_point=operating_point,
-        )
-
 
 def _parse_float(token: str, where: str) -> float:
     try:

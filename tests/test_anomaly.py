@@ -14,7 +14,7 @@ from vibrosense.anomaly import (
     run_benchmark,
 )
 from vibrosense.core import ContractError, SplitSpec, TimeSeries, make_rng, split_series
-from vibrosense.forecast import ForecastModelConfig, fit
+from vibrosense.forecast import AutoRegression, ForecastModelConfig, fit
 from vibrosense.ingest import parse_timestamp
 from vibrosense.synth import generate_spiked_series
 
@@ -66,7 +66,7 @@ class TestFlagRule:
         assert AnomalyRuleConfig().lam == 0.1
 
     def test_epsilon_scaled_to_train_rms(self):
-        cfg = AnomalyRuleConfig().scaled_to(np.full(10, 100.0))
+        cfg = AnomalyRuleConfig().scaled_to_rms(100.0)
         assert cfg.epsilon == pytest.approx(EPSILON_RMS_FRACTION * 100.0)
 
     def test_guards(self):
@@ -96,11 +96,10 @@ class TestDetectSeries:
         with pytest.raises(ContractError):
             detect_series(model, series([]), AnomalyRuleConfig())
 
-    def test_explicit_history(self):
-        train = series([5.0] * 10)
-        model = fit(ForecastModelConfig("seasonal_naive", {"m": 1}), train)
-        result = detect_series(model, series([2.0]), AnomalyRuleConfig(), history=[2.0, 2.0])
-        assert not result.flags.any()
+    def test_model_fitted_without_forecast_fit_is_refused(self):
+        model = AutoRegression(p=2).fit(series([1.0, 2.0, 3.0, 2.0, 1.0, 2.0, 3.0, 2.0]))
+        with pytest.raises(ContractError, match="fit it with forecast.fit"):
+            detect_series(model, series([2.0, 3.0]), AnomalyRuleConfig())
 
 
 class TestGroundTruth:

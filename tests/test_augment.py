@@ -80,10 +80,10 @@ class TestInterpolation:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_neighbor_pool(self):
-        # partner must come from the k nearest same-label neighbors
+        # partner must come from the K_NEIGHBORS nearest same-label neighbors
         feats = np.concatenate([np.zeros((6, 1)), np.full((1, 1), 100.0)])
         labels = np.zeros(7, dtype=int)
-        new_f, _ = interpolate_within_rpm(feats, labels, 200, seed=0, k_neighbors=3)
+        new_f, _ = interpolate_within_rpm(feats, labels, 200, seed=0)
         # the far-away sample can only appear when it is itself the anchor
         assert np.mean(new_f > 1.0) < 0.5
 

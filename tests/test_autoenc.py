@@ -74,18 +74,6 @@ class TestDualLossGradients:
         y = np.array([0, 2, 1, 0, 1])
         assert gradient_check(model, x, y) < 1e-4
 
-    def test_head_on_first_layer_gradient_check(self):
-        model = AutoencClassifier(input_width=4, alpha=0.5, encoder_widths=(5, 3),
-                                  head_widths=(4, 3), head_on_latent=False,
-                                  rng=make_rng(5))
-        rng = make_rng(6)
-        # nudge the zero-initialized biases off the ReLU kink so central
-        # differences are well defined everywhere
-        model.set_flat_params(model.get_flat_params() + 0.01 * rng.normal(size=model.get_flat_params().size))
-        x = rng.normal(size=(4, 4))
-        y = np.array([0, 1, 2, 1])
-        assert gradient_check(model, x, y) < 1e-4
-
 
 class TestTraining:
     def test_loss_curves_recorded(self):

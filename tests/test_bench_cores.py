@@ -357,6 +357,16 @@ def test_a_classifier_diverging_in_the_worker_raises_as_on_one_core(monkeypatch)
     assert multiprocessing.active_children() == []
 
 
+def test_a_classifier_that_overflows_when_evaluated_is_an_error_not_chance_accuracy(
+        monkeypatch):
+    # training stays finite, but the trained nets' outputs overflow on the
+    # test splits
+    _cores(monkeypatch, 1)
+    with pytest.raises(ContractError, match="output overflowed on these features"):
+        cross_rpm_matrix(_per_rpm(scale=1e6), hidden_sizes=(8, 8), augment_n_per_rpm=30,
+                         cfg=TrainConfig(epochs=4, batch_size=16, learning_rate=1.0, seed=3))
+
+
 def test_a_worker_that_dies_training_the_augmented_classifier_is_an_error_naming_it(
         monkeypatch, tmp_path):
     def before(in_caller, members):

@@ -158,10 +158,9 @@ def _ref_autoenc_init(model, rng):
     head_widths = [w.shape[1] for w in model.head_w]
     enc_sizes = [model.input_width, *enc_widths]
     dec_sizes = [*reversed(enc_widths), model.input_width]
-    head_in = enc_widths[-1] if model.head_on_latent else enc_widths[0]
     model.enc_w, model.enc_b = _ref_dense_init(rng, enc_sizes)
     model.dec_w, model.dec_b = _ref_dense_init(rng, dec_sizes)
-    model.head_w, model.head_b = _ref_dense_init(rng, [head_in, *head_widths])
+    model.head_w, model.head_b = _ref_dense_init(rng, [enc_widths[-1], *head_widths])
 
 
 def _ref_autoenc_forward(model, x):
@@ -181,9 +180,8 @@ def _ref_autoenc_forward(model, x):
         dec_pre.append(z)
         d = z if i == last else relu(z)
         dec_acts.append(d)
-    head_in = enc_acts[-1] if model.head_on_latent else enc_acts[1]
-    head_acts, head_pre = [head_in], []
-    h = head_in
+    head_acts, head_pre = [enc_acts[-1]], []
+    h = enc_acts[-1]
     last = len(model.head_w) - 1
     for i, (w, b) in enumerate(zip(model.head_w, model.head_b)):
         z = h @ w + b
@@ -240,10 +238,7 @@ def _ref_autoenc_loss_and_grad(model, x, y):
     n_enc = len(model.enc_w)
     d_acts = [np.zeros_like(a) for a in enc_acts]
     d_acts[n_enc] += d_latent_from_dec
-    if model.head_on_latent:
-        d_acts[n_enc] += d_head_in
-    else:
-        d_acts[1] += d_head_in
+    d_acts[n_enc] += d_head_in
     enc_grads_rev = []
     delta = None
     for i in range(n_enc - 1, -1, -1):
@@ -306,10 +301,10 @@ def _ref_train_classifier(features, labels, hidden_sizes, cfg, init_net=None, fr
     return net, losses
 
 
-def _ref_train_autoenc(features, states, alpha, cfg, encoder_widths, head_widths, head_on_latent):
+def _ref_train_autoenc(features, states, alpha, cfg, encoder_widths, head_widths):
     rng = make_rng(cfg.seed)
     model = AutoencClassifier(features.shape[1], alpha, encoder_widths, head_widths,
-                              head_on_latent, rng=make_rng(0))
+                              rng=make_rng(0))
     _ref_autoenc_init(model, rng)
     params = model.parameters()
     n = features.shape[0]
@@ -432,15 +427,14 @@ class TestRecurrentHeadOracle:
         assert_same_bytes(net.parameters(), ref.parameters())
 
 
-AUTOENC_CASES = [(alpha, on_latent) for alpha in (0.0, 0.3, 0.5, 0.7, 1.0)
-                 for on_latent in (True, False)]
+AUTOENC_ALPHAS = (0.0, 0.3, 0.5, 0.7, 1.0)
 
 
 class TestAutoencOracle:
-    @pytest.mark.parametrize("alpha,head_on_latent", AUTOENC_CASES)
-    def test_loss_and_grad(self, alpha, head_on_latent):
-        model = AutoencClassifier(5, alpha, (7, 6, 3), (4, 3), head_on_latent, rng=make_rng(44))
-        ref = AutoencClassifier(5, alpha, (7, 6, 3), (4, 3), head_on_latent, rng=make_rng(0))
+    @pytest.mark.parametrize("alpha", AUTOENC_ALPHAS)
+    def test_loss_and_grad(self, alpha):
+        model = AutoencClassifier(5, alpha, (7, 6, 3), (4, 3), rng=make_rng(44))
+        ref = AutoencClassifier(5, alpha, (7, 6, 3), (4, 3), rng=make_rng(0))
         _ref_autoenc_init(ref, make_rng(44))
         assert_same_bytes(model.parameters(), ref.parameters())
         rng = make_rng(45)
@@ -452,13 +446,12 @@ class TestAutoencOracle:
         assert_same_bytes(grads, ref_grads)
         assert_same_floats(model.component_losses(x, y), _ref_autoenc_component_losses(ref, x, y))
 
-    @pytest.mark.parametrize("alpha,head_on_latent", AUTOENC_CASES)
-    def test_training(self, alpha, head_on_latent):
+    @pytest.mark.parametrize("alpha", AUTOENC_ALPHAS)
+    def test_training(self, alpha):
         feats, states = blobs(seed=46)
         cfg = TrainConfig(epochs=4, batch_size=8, learning_rate=0.05, seed=47)
-        model = train_autoenc_classifier(feats, states, alpha, cfg, (7, 6, 3), (4, 3),
-                                         head_on_latent)
-        ref = _ref_train_autoenc(feats, states, alpha, cfg, (7, 6, 3), (4, 3), head_on_latent)
+        model = train_autoenc_classifier(feats, states, alpha, cfg, (7, 6, 3), (4, 3))
+        ref = _ref_train_autoenc(feats, states, alpha, cfg, (7, 6, 3), (4, 3))
         assert len(model.recon_loss_curve) == len(model.class_loss_curve) == 4
         assert_same_floats(model.recon_loss_curve, ref.recon_loss_curve)
         assert_same_floats(model.class_loss_curve, ref.class_loss_curve)
@@ -468,7 +461,7 @@ class TestAutoencOracle:
         feats, states = blobs(seed=48)
         cfg = TrainConfig(epochs=0, seed=49)
         model = train_autoenc_classifier(feats, states, 0.5, cfg, (7, 6, 3), (4, 3))
-        ref = _ref_train_autoenc(feats, states, 0.5, cfg, (7, 6, 3), (4, 3), True)
+        ref = _ref_train_autoenc(feats, states, 0.5, cfg, (7, 6, 3), (4, 3))
         assert model.recon_loss_curve == [] and model.class_loss_curve == []
         assert_same_bytes(model.parameters(), ref.parameters())
 

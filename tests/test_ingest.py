@@ -245,12 +245,6 @@ class TestPharma:
         write_pharma_txt(recs, p)
         assert len(parse_pharma_txt(p)) == 10
 
-    def test_to_vibration_record(self):
-        rec = self.make_record()
-        vib = rec.to_vibration_record()
-        assert vib.sample_rate_hz == pytest.approx(3200.0)
-        assert len(vib) == PHARMA_POINTS_PER_AXIS
-
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()

@@ -171,6 +171,23 @@ class TestMalformedForecasterState:
             load_forecaster(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("train_rms", "abc", "a finite float >= 0"),
+        ("train_rms", float("nan"), "a finite float >= 0"),
+        ("train_rms", -1.0, "a finite float >= 0"),
+        ("train_tail", np.array([1.0]), "5 or more finite values"),
+        ("train_tail", np.full(5, np.nan), "5 or more finite values"),
+    ])
+    def test_bad_detection_fields(self, tmp_path, key, value, message):
+        # detection reads the training tail and RMS straight from the model
+        path = self.saved(tmp_path, "ar", {"p": 5})
+        kind, payload = load_model(path)
+        payload[key] = value
+        save_model(kind, payload, path)
+        with pytest.raises(ContractError, match=f"{key} must be {message}") as info:
+            load_forecaster(path)
+        assert str(path) in str(info.value)
+
     def test_wrong_weight_size(self, tmp_path):
         path = self.saved(tmp_path, "mlp", {"hidden_layers": 1, "neurons": 4, "epochs": 1})
         self.rewrite_state(path, lambda state: state["weights"].__setitem__(0, np.zeros(3)))
