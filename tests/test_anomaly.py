@@ -101,6 +101,29 @@ class TestDetectSeries:
         with pytest.raises(ContractError, match="fit it with forecast.fit"):
             detect_series(model, series([2.0, 3.0]), AnomalyRuleConfig())
 
+    @pytest.mark.parametrize("attr", ["train_tail", "train_rms"])
+    def test_model_missing_a_detection_field_is_refused(self, attr):
+        model = fit(ForecastModelConfig("seasonal_naive", {"m": 1}), series([1.0] * 4))
+        delattr(model, attr)
+        with pytest.raises(ContractError, match="fit it with forecast.fit"):
+            detect_series(model, series([1.0]), AnomalyRuleConfig())
+
+    def test_history_is_the_models_training_tail(self):
+        model = fit(ForecastModelConfig("seasonal_naive", {"m": 1}), series([5.0] * 10))
+        assert detect_series(model, series([2.0]), AnomalyRuleConfig()).flags.all()
+        model.train_tail = np.array([2.0])
+        assert not detect_series(model, series([2.0]), AnomalyRuleConfig()).flags.any()
+
+    def test_epsilon_floor_follows_the_models_training_rms(self):
+        # the tail predicts 0.0; against a floor of 1e-6 the 0.1 actual would
+        # be flagged, against the RMS-scaled floor (about 1.8) it is not
+        model = fit(ForecastModelConfig("seasonal_naive", {"m": 1}),
+                    series([2e6, 2e6, 2e6, 2e6, 0.0]))
+        result = detect_series(model, series([0.1]), AnomalyRuleConfig())
+        assert result.rule.epsilon == EPSILON_RMS_FRACTION * model.train_rms
+        assert not result.flags.any()
+        assert flag_anomaly(result.predictions, [0.1], AnomalyRuleConfig()).all()
+
 
 class TestGroundTruth:
     def test_injected_spikes(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vibrosense.augment import (
+    K_NEIGHBORS,
     LabeledSet,
     aggregate_rpms,
     augmented_training_set,
@@ -86,6 +87,18 @@ class TestInterpolation:
         new_f, _ = interpolate_within_rpm(feats, labels, 200, seed=0)
         # the far-away sample can only appear when it is itself the anchor
         assert np.mean(new_f > 1.0) < 0.5
+
+    def test_partner_excludes_neighbors_beyond_k(self):
+        # K_NEIGHBORS + 1 equal points and one far point: a near anchor's
+        # K_NEIGHBORS nearest are all near, so only a far anchor (1 in
+        # K_NEIGHBORS + 2) gives a nonzero interpolant; a partner drawn from
+        # one neighbor more would double that share
+        n_near = K_NEIGHBORS + 1
+        feats = np.concatenate([np.zeros((n_near, 1)), np.full((1, 1), 100.0)])
+        labels = np.zeros(n_near + 1, dtype=int)
+        new_f, _ = interpolate_within_rpm(feats, labels, 2000, seed=0)
+        share = np.mean(new_f > 0.0)
+        assert 0.5 / (n_near + 1) < share < 1.5 / (n_near + 1)
 
 
 class TestAugmentedTrainingSet:

@@ -7,7 +7,7 @@ from vibrosense.autoenc import (
 )
 from vibrosense.classify import TrainConfig, evaluate, train_classifier
 from vibrosense.core import ContractError, make_rng
-from vibrosense.nn import gradient_check, softmax
+from vibrosense.nn import gradient_check, relu, softmax
 from vibrosense.nn.base import cross_entropy_and_delta, mse_and_delta
 
 
@@ -73,6 +73,23 @@ class TestDualLossGradients:
         x = rng.normal(size=(5, 4))
         y = np.array([0, 2, 1, 0, 1])
         assert gradient_check(model, x, y) < 1e-4
+
+    def test_head_reads_the_latent_code(self):
+        model = toy_model(alpha=0.5, seed=7)
+        x = make_rng(8).normal(size=(6, 4))
+        h = x
+        for w, b in zip(model.enc_w, model.enc_b):
+            h = relu(h @ w + b)
+        assert h.shape == (6, 3)
+        for i, (w, b) in enumerate(zip(model.head_w, model.head_b)):
+            h = h @ w + b
+            if i < len(model.head_w) - 1:
+                h = relu(h)
+        assert np.allclose(model.predict_proba(x), softmax(h), rtol=1e-12, atol=0.0)
+        # the decoder plays no part in classification
+        proba = model.predict_proba(x)
+        model.dec_w[0] += 1.0
+        assert np.array_equal(model.predict_proba(x), proba)
 
 
 class TestTraining:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from vibrosense import modelio
 
 from vibrosense.classify import (
+    DEFAULT_HIDDEN,
+    FINE_TUNE_LR_SCALE,
     ClassifierModel,
     TrainConfig,
     TransferBundle,
@@ -22,7 +25,7 @@ from vibrosense.classify import (
     train_transfer,
     tuning_sweep,
 )
-from vibrosense.core import ContractError, make_rng
+from vibrosense.core import ContractError, SplitMode, SplitSpec, make_rng, split_arrays
 from vibrosense.features import fit_encoder
 from vibrosense.nn import Mlp, gradient_check, softmax
 
@@ -148,6 +151,17 @@ class TestTransfer:
         assert tuned.provenance["source"] == "src"
         assert tuned.provenance["source_config_fingerprint"] == bundle.config_fingerprint
 
+    def test_fine_tune_runs_at_the_lr_scale(self):
+        bundle, feats, labels = self.setup_bundle()
+        cfg = TrainConfig(epochs=3, learning_rate=0.05, seed=4)
+        tuned = train_transfer(bundle, feats, labels, cfg=cfg)
+        ref = train_classifier(bundle.encoder.transform(feats), labels,
+                               cfg=replace(cfg, learning_rate=0.05 * FINE_TUNE_LR_SCALE),
+                               class_names=bundle.model.class_names, init_net=bundle.model.net)
+        for got, want in zip(tuned.net.parameters(), ref.net.parameters()):
+            assert got.tobytes() == want.tobytes()
+        assert tuned.provenance["fine_tune_lr_scale"] == FINE_TUNE_LR_SCALE == 0.1
+
     def test_width_mismatch_guard(self):
         bundle, _, _ = self.setup_bundle()
         enc_bad = fit_encoder(np.random.default_rng(0).normal(size=(4, 3)), ("a", "b", "c"))
@@ -210,6 +224,29 @@ class TestTuningSweep:
         feats, labels = blobs(n_per_class=30)
         with pytest.raises(ContractError):
             tuning_sweep(feats, labels, [], mode="sideways")
+
+    def test_baseline_is_default_hidden_on_a_stratified_split(self):
+        feats, labels = blobs(n_per_class=30, spread=1.0)
+        cfg = TrainConfig(epochs=3, seed=6)
+        results = tuning_sweep(feats, labels, [], base_cfg=cfg)
+        spec = SplitSpec(0.7, SplitMode.STRATIFIED_SHUFFLE, seed=6)
+        (ftr, ltr), (fte, lte) = split_arrays(feats, labels, spec)
+        model = train_classifier(ftr, ltr, DEFAULT_HIDDEN, cfg)
+        assert results[0]["accuracy"] == evaluate(model, fte, lte)[0]
+
+    def test_independent_steps_start_from_the_baseline(self):
+        # an untrained net scores near chance, so the "norm" step's accuracy
+        # tells whether the "untrained" step before it carried over
+        feats, labels = blobs(n_per_class=30, spread=0.3)
+        untrained, norm = TuningStep("untrained", epochs=0), TuningStep("norm", normalize=True)
+        cfg = TrainConfig(epochs=20, seed=7)
+        independent = tuning_sweep(feats, labels, [untrained, norm], base_cfg=cfg,
+                                   mode="independent")
+        assert independent[2] == tuning_sweep(feats, labels, [norm], base_cfg=cfg)[1]
+        cumulative = tuning_sweep(feats, labels, [untrained, norm], base_cfg=cfg)
+        both = TuningStep("norm", normalize=True, epochs=0)
+        assert cumulative[2] == tuning_sweep(feats, labels, [both], base_cfg=cfg)[1]
+        assert independent[2]["accuracy"] != cumulative[2]["accuracy"]
 
     def test_normalization_not_harmful_median_over_seeds(self):
         deltas = []
