@@ -6,7 +6,7 @@ Submodules:
 - core      shared domain types, metrics, splits, RNG
 - ingest    dataset wire formats, labeling, vibration/process alignment
 - synth     synthetic testbed vibration and chiller process generators
-- features  time-domain features and persistable normalization encoders
+- features  time-domain features, x/z axis selection, the z-score encoder
 - forecast  the forecasting model roster and rolling one-step evaluation
 - anomaly   the relative-error rule, ground-truth conventions, benchmarks
 - classify  defect classifiers, transfer learning, cross-speed grids

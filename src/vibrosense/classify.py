@@ -210,9 +210,9 @@ class TransferBundle:
     config_fingerprint: str
 
     def __post_init__(self):
-        if self.encoder.n_selected != self.model.input_width:
+        if len(self.encoder.feature_names) != self.model.input_width:
             raise ContractError(
-                f"encoder emits {self.encoder.n_selected} features but the model "
+                f"encoder emits {len(self.encoder.feature_names)} features but the model "
                 f"expects {self.model.input_width}"
             )
 

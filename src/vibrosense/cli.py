@@ -209,7 +209,7 @@ def _labeled_xz(records):
     Records may stream in: none is kept past its rows."""
     rows, labels = [], []
     for rec in records:
-        rows.append(features.select_axes(rec, features.AxisMode.XZ_ONLY))
+        rows.append(features.select_axes(rec))
         labels.append(np.full(len(rec), int(rec.label), dtype=np.int64))
     return np.concatenate(rows), np.concatenate(labels)
 
@@ -427,7 +427,7 @@ def run_transfer_experiment(
         )
         for label in DefectLabel
     )
-    enc = features.fit_encoder(fs, features.axis_feature_names(features.AxisMode.XZ_ONLY))
+    enc = features.fit_encoder(fs, features.axis_feature_names())
     source_model = classify.train_classifier(enc.transform(fs), ls, cfg=cfg)
     bundle = classify.make_bundle(source_model, enc, source_id=f"synthetic-piezo-rpm{rpm}", cfg=cfg)
     spec = SplitSpec(0.7, SplitMode.STRATIFIED_SHUFFLE, seed=cfg.seed)

@@ -4,7 +4,7 @@ work over free cores, shared by every module."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Dict, Optional, Sequence
 
@@ -25,10 +25,6 @@ class MachineState(IntEnum):
     OFF = 0
     ON = 1
     ABNORMAL = 2
-
-
-#: Rotational speeds of the motor testbed, revolutions per minute.
-TESTBED_RPMS = (100, 200, 300, 320, 340, 360, 380, 400, 500, 600)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Versioned text serialization with lossless (hex) float encoding.
 
-The one format for fitted forecasters, classifiers and feature encoders.
+The one format for fitted forecasters and classifiers.
 """
 
 from __future__ import annotations

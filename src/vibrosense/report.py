@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

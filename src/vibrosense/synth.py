@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from . import ingest
 from .core import ContractError, DefectLabel, MachineState, OperatingPoint, TimeSeries, VibrationRecord, make_rng
-from .ingest import DEFAULT_TIMEZONE, ProcessRow, WeeklySchedule
+from .ingest import ProcessRow, WeeklySchedule
 
 #: Base x/z amplitude per imbalance level; chosen so classes are separable in
 #: the (x, z) plane but overlap once the default noise_sigma=0.3 is added.

@@ -162,10 +162,12 @@ class TestTransfer:
             assert got.tobytes() == want.tobytes()
         assert tuned.provenance["fine_tune_lr_scale"] == FINE_TUNE_LR_SCALE == 0.1
 
-    def test_width_mismatch_guard(self):
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_width_mismatch_guard(self, width):
         bundle, _, _ = self.setup_bundle()
-        enc_bad = fit_encoder(np.random.default_rng(0).normal(size=(4, 3)), ("a", "b", "c"))
-        with pytest.raises(ContractError):
+        names = tuple(f"f{i}" for i in range(width))
+        enc_bad = fit_encoder(np.random.default_rng(0).normal(size=(4, width)), names)
+        with pytest.raises(ContractError, match=f"encoder emits {width} features but the model expects 2"):
             TransferBundle(bundle.model, enc_bad, "s", "f")
 
 

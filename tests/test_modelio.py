@@ -8,7 +8,7 @@ from vibrosense.classify import TrainConfig, save_classifier, train_classifier
 from vibrosense.cli import DEFAULT_VARIANTS, default_variants
 from vibrosense.core import ContractError, SplitSpec, TimeSeries, make_rng, split_series
 from vibrosense.forecast import ForecastModelConfig, fit, load_forecaster, rolling_forecast, save_forecaster
-from vibrosense.features import fit_encoder, save_encoder
+from vibrosense.features import fit_encoder
 from vibrosense.modelio import from_jsonable, load_model, save_model, to_jsonable
 from vibrosense.synth import generate_spiked_series
 
@@ -248,7 +248,6 @@ class TestModelFileBytes:
             "642bfc5229d63a97b0a2b2c61a1ec8046232e5844ec6dbc2d55940d41bb5873e",
             "b1d351e3a1414dba43d0a428749b568a090b7f5500896d2362c60ce510f8ba05",
         ),
-        "encoder": ("faf93daf441d3b814510cbcea960562aff33f208259c4ab6f432ce6e72c70dc6",),
         "classifier": (
             "6062bbbe877f663db52e23c0566c9ed4713218e590bc8fa9e17a82c8a15f1d30",
             "85f0102349171f2b32376faf559f9348720dcf6980e330942a1a7bde27af361b",
@@ -263,12 +262,10 @@ class TestModelFileBytes:
         save_forecaster(fit(default_variants(kind, 0)[0], series), tmp_path / kind)
         assert _sha256(tmp_path / kind) in self.SHA256[kind]
 
-    def test_encoder_and_classifier_files(self, tmp_path):
+    def test_classifier_file(self, tmp_path):
         rng = make_rng(5)
         rows, labels = rng.normal(size=(60, 6)), np.arange(60) % 3
         enc = fit_encoder(rows, tuple(f"f{i}" for i in range(6)))
-        save_encoder(enc, tmp_path / "encoder")
-        assert _sha256(tmp_path / "encoder") in self.SHA256["encoder"]
         model = train_classifier(enc.transform(rows), labels, cfg=TrainConfig(epochs=3))
         save_classifier(model, tmp_path / "classifier")
         assert _sha256(tmp_path / "classifier") in self.SHA256["classifier"]

@@ -13,7 +13,6 @@ from hypothesis.extra import numpy as hnp
 
 from vibrosense.classify import load_classifier
 from vibrosense.core import ContractError
-from vibrosense.features import load_encoder
 from vibrosense.forecast import load_forecaster
 from vibrosense.modelio import (FORMAT_NAME, FORMAT_VERSION, from_jsonable, load_model, save_model,
                                 to_jsonable)
@@ -49,7 +48,7 @@ def path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "file.json"
 
 
-@pytest.mark.parametrize("load", [load_model, load_forecaster, load_encoder, load_classifier])
+@pytest.mark.parametrize("load", [load_model, load_forecaster, load_classifier])
 def test_any_bytes_load_or_contract_error(path, load):
     @FEW
     @given(content=file_bytes)
