@@ -4,9 +4,10 @@ work over free cores, shared by every module."""
 from __future__ import annotations
 
 import os
+import pickle
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -254,6 +255,29 @@ def confusion_matrix(true_labels, pred_labels, class_names) -> ConfusionMatrix:
     return ConfusionMatrix(counts, class_names)
 
 
+class _Counter:
+    """The number of the next unstarted unit: an int64 in anonymous shared
+    memory, which forked workers inherit, under a lock that is a one-byte
+    token in a pipe, held by the process that has read it."""
+
+    def __init__(self):
+        import mmap
+
+        self._cell, self.token = memoryview(mmap.mmap(-1, 8)).cast("q"), os.pipe()
+        os.write(self.token[1], b".")
+
+    value = property(lambda self: self._cell[0], lambda self, v: self._cell.__setitem__(0, v))
+
+    def get_lock(self):
+        return self
+
+    def __enter__(self):
+        os.read(self.token[0], 1)
+
+    def __exit__(self, *exc):
+        os.write(self.token[1], b".")
+
+
 def _take_units(work, counter, n_units: int, deliver) -> None:
     """Run the next unstarted unit and `deliver` its outcome, until none is
     left. A unit that raises stops every process from starting another; the
@@ -273,41 +297,50 @@ def _take_units(work, counter, n_units: int, deliver) -> None:
         deliver(i, outcome)
 
 
-def _worker(work, counter, n_units: int, conn) -> None:
-    import pickle
-    import signal
-    import traceback
-
-    # an interrupt reaches the whole process group; the caller handles it
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-    def send(i, outcome):
-        ok, value = outcome
-        if not ok:
-            tb = "".join(traceback.format_exception(type(value), value, value.__traceback__))
-            try:
-                pickle.loads(pickle.dumps(value))
-            except Exception:
-                value = RuntimeError(f"{type(value).__name__}: {value}")
-            value = (value, tb)
-        conn.send((i, ok, value))
-
-    _take_units(work, counter, n_units, send)
-
-
-def _receive(conn, results: dict, block: bool) -> bool:
-    """Move the outcomes waiting on a worker's pipe into `results`, or all
-    of them up to the worker's exit when `block`. False once it has exited."""
+def _worker(work, counter, n_units: int, fd: int) -> None:
+    """A forked worker: it takes units, writes each outcome to the pipe `fd`
+    as a length-prefixed pickle and ends with `os._exit`, so that it runs no
+    `finally` block or atexit hook of the caller's."""
     try:
-        while block or conn.poll():
-            i, ok, value = conn.recv()
+        import signal
+        import traceback
+
+        # an interrupt reaches the whole process group; the caller handles it
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        out = open(fd, "wb")
+
+        def send(i, outcome):
+            ok, value = outcome
             if not ok:
-                value, tb = value
-                value.__cause__ = RuntimeError(f"raised in a worker process:\n{tb}")
-            results[i] = (ok, value)
-    except EOFError:
-        return False
-    return True
+                tb = "".join(traceback.format_exception(type(value), value, value.__traceback__))
+                try:
+                    pickle.loads(pickle.dumps(value))
+                except Exception:
+                    value = RuntimeError(f"{type(value).__name__}: {value}")
+                value = (value, tb)
+            data = pickle.dumps((i, ok, value))
+            out.write(len(data).to_bytes(8, "little") + data)
+            out.flush()
+
+        _take_units(work, counter, n_units, send)
+        os._exit(0)
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(1)
+
+
+def _receive(data: bytes, results: dict) -> None:
+    """Move the outcomes a worker wrote, up to its exit, into `results`; one
+    cut short by the worker's death is left out."""
+    view = memoryview(data)
+    while len(view) >= 8 and len(view) >= 8 + (n := int.from_bytes(view[:8], "little")):
+        i, ok, value = pickle.loads(view[8:8 + n])
+        view = view[8 + n:]
+        if not ok:
+            value, tb = value
+            value.__cause__ = RuntimeError(f"raised in a worker process:\n{tb}")
+        results[i] = (ok, value)
 
 
 def _blas_threads(cores: int) -> int:
@@ -322,19 +355,17 @@ def _blas_threads(cores: int) -> int:
 
 
 def _spread(work, n_units: int, describe) -> list:
-    """`[work(i) for i in range(n_units)]`, spread over the cores in the
-    process's affinity mask that BLAS leaves free: as many processes as
-    BLAS thread pools fit in the mask, at most one per unit: one per core
-    with one BLAS thread. The calling process takes units too, and the
-    others are forked workers. Each process takes the next unstarted
-    unit from a shared counter; a worker sends back each unit's outcome as
-    it finishes. Where several units raise, the lowest one's exception is
-    raised, as a serial loop would raise it; a worker that dies is an error
-    naming its unit. Where fewer than two processes would run (BLAS on
-    every core, one core, one unit or no affinity mask to read) it is a
-    plain loop that imports and forks nothing. Two callers use it:
-    `anomaly.run_benchmark` spreads its (family, variant) units and
-    `classify.cross_rpm_matrix` its two trainings; no unit calls it again."""
+    """`[work(i) for i in range(n_units)]` over the cores of the process's
+    affinity mask that BLAS leaves free, one process per BLAS thread pool
+    that fits, at most one per unit: the caller and `os.fork` workers, which
+    send back each outcome over a pipe and are reaped with `wait4`. Each
+    process takes the next unstarted unit. The lowest failing unit's
+    exception is raised, as a serial loop would raise it; a worker that dies
+    is an error naming its unit. With fewer than two processes (BLAS on
+    every core, one core, one unit or no mask to read) it is a plain loop
+    that forks nothing. `anomaly.run_benchmark` spreads its (family,
+    variant) units, `classify.cross_rpm_matrix` its two trainings; no unit
+    calls it again."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     processes = min(cores // _blas_threads(cores), n_units)
     if processes < 2:
@@ -343,46 +374,43 @@ def _spread(work, n_units: int, describe) -> list:
 
 
 def _forked(work, n_units: int, describe, processes: int) -> list:
-    """_spread over `processes` processes, the caller and forked workers."""
-    import multiprocessing
+    """_spread over `processes` processes. The caller reads the workers'
+    pipes once no unit is left: a worker whose unread outcomes fill its pipe
+    (64 KiB) waits until then, so its callers' outcomes are small or few."""
+    import signal
 
-    # every system with sched_getaffinity can fork
-    ctx = multiprocessing.get_context("fork")
-    counter = ctx.Value("l", 0)
-    results: Dict[int, tuple] = {}
-    workers = []
+    counter, results, workers, codes = _Counter(), {}, {}, []
     try:
         for _ in range(processes - 1):
-            conn, child_end = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker, args=(work, counter, n_units, child_end),
-                               daemon=True)
-            proc.start()
-            # closed before the next fork, so only this worker holds the
-            # sending end and its exit shows as the end of the pipe
-            child_end.close()
-            workers.append((proc, conn))
-        open_conns = [conn for _, conn in workers]
-
-        def keep(i, outcome):
-            results[i] = outcome
-            open_conns[:] = [c for c in open_conns if _receive(c, results, block=False)]
-
-        _take_units(work, counter, n_units, keep)
-        for conn in open_conns:
-            _receive(conn, results, block=True)
-        for proc, _ in workers:
-            proc.join()
+            fd, child_end = os.pipe()
+            reader = open(fd, "rb", buffering=0)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(work, counter, n_units, child_end)
+            finally:
+                # closed before the next fork, so only this worker holds the
+                # sending end and its exit shows as the end of the pipe
+                os.close(child_end)
+            workers[pid] = reader
+        _take_units(work, counter, n_units, results.__setitem__)
+        for reader in workers.values():
+            _receive(reader.read(), results)
+    except BaseException:
+        for pid in workers:
+            os.kill(pid, signal.SIGTERM)
+        raise
     finally:
-        for proc, conn in workers:
-            if proc.exitcode is None:
-                proc.terminate()
-            proc.join()
-            conn.close()
+        for pid, reader in workers.items():
+            codes.append(os.waitstatus_to_exitcode(os.wait4(pid, 0)[1]))
+            reader.close()
+        for fd in counter.token:
+            os.close(fd)
     out = []
     for i in range(n_units):
         if i not in results:
-            codes = sorted({proc.exitcode for proc, _ in workers if proc.exitcode})
-            raise RuntimeError(f"a worker process ended (exit code {', '.join(map(str, codes))}) "
+            ended = ", ".join(str(c) for c in sorted(set(codes)) if c)
+            raise RuntimeError(f"a worker process ended (exit code {ended}) "
                                f"while fitting {describe(i)}")
         ok, value = results[i]
         if not ok:

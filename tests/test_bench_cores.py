@@ -1,19 +1,20 @@
 """Independent work spread over cores by `core._spread`: the calling process
-and forked workers, one process per BLAS thread pool that fits in the
-affinity mask. `run_benchmark` spreads its (family, variant) units,
-`cross_rpm_matrix` its two trainings (the single-speed classifiers and the
-augmented one), and `nn.sgd_epochs` always trains in the calling process.
-Most tests pin BLAS to one thread, so each core of the mask gets a process.
+and `os.fork` workers, which report over pipes and are reaped with `wait4`
+(nothing loads `multiprocessing`), one process per BLAS thread pool that
+fits in the affinity mask. `run_benchmark` spreads its (family, variant)
+units, `cross_rpm_matrix` its two trainings (the single-speed classifiers
+and the augmented one), and `nn.sgd_epochs` always trains in the calling
+process. Most tests pin BLAS to one thread, so each core of the mask gets a
+process.
 The bench grid and its `--out` bytes, and the cross-speed grid, its models'
 weights and loss curves, must not depend on the number of cores, a unit's
 exception must reach the caller as a serial loop would raise it, and no
-worker may outlive the call.
+worker may outlive the call, not even as a zombie.
 
 Each test wraps `forecast.fit`, `nn.base._train` or `core._take_units` (the
 workers inherit the wrapper by fork) so that a chosen unit runs in a worker,
 not in a caller that took every unit before the worker started."""
 
-import multiprocessing
 import os
 import time
 
@@ -35,6 +36,11 @@ def _cores(monkeypatch, n, blas_threads="1"):
         monkeypatch.delenv(var, raising=False)
     if blas_threads is not None:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):  # every worker reaped, none running
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _until(done, timeout=30.0):
@@ -72,7 +78,7 @@ class _Fits:
         for pid in self.pids() - {str(self.caller)}:
             with pytest.raises(ProcessLookupError):  # reaped, not even a zombie
                 os.kill(int(pid), 0)
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
 
 
 def _datasets():
@@ -202,11 +208,11 @@ def test_a_worker_that_dies_is_an_error_naming_its_unit(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("n_cores, blas_threads, n_units", [(2, None, 5), (1, "1", 5), (2, "1", 1)])
 def test_one_process_is_a_plain_loop(monkeypatch, n_cores, blas_threads, n_units):
-    def no_context(*args, **kwargs):
-        raise AssertionError("a one-process run asked for a multiprocessing context")
+    def no_fork():
+        raise AssertionError("a one-process run forked")
 
     _cores(monkeypatch, n_cores, blas_threads)
-    monkeypatch.setattr(multiprocessing, "get_context", no_context)
+    monkeypatch.setattr(os, "fork", no_fork)
     caller = os.getpid()
     assert core._spread(lambda i: (i * i, os.getpid()), n_units, str) == [
         (i * i, caller) for i in range(n_units)]
@@ -226,7 +232,33 @@ def test_every_unit_runs_once_with_more_workers_than_cores(monkeypatch, tmp_path
     assert core._spread(work, 400, str) == [i * i for i in range(400)]
     assert time.monotonic() - t0 < 60
     assert sorted(int(i) for i in log.read_text().split()) == list(range(400))
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
+
+
+def test_an_interrupt_in_the_caller_ends_the_worker_inside_its_unit(monkeypatch, tmp_path):
+    log, ended = tmp_path / "pids", tmp_path / "ended"
+    caller = os.getpid()
+
+    def work(i):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if os.getpid() == caller:
+            _until(lambda: len(log.read_text().split()) == 2)  # the worker is inside a unit
+            raise KeyboardInterrupt
+        try:
+            _until(lambda: False)  # held until terminated
+        finally:
+            ended.touch()  # a terminated worker never gets here
+        return i
+
+    _cores(monkeypatch, 2)
+    with pytest.raises(KeyboardInterrupt):
+        core._spread(work, 2, str)
+    (worker,) = {int(pid) for pid in log.read_text().split()} - {caller}
+    with pytest.raises(ProcessLookupError):  # reaped, not even a zombie
+        os.kill(worker, 0)
+    _assert_no_child()
+    assert not ended.exists()
 
 
 @pytest.mark.parametrize("env, threads", [
@@ -264,7 +296,7 @@ def test_one_process_per_blas_pool_that_fits_in_the_mask(monkeypatch, tmp_path, 
     _cores(monkeypatch, n_cores, blas_threads)
     assert core._spread(work, 12, str) == list(range(12))
     assert len(set(log.read_text().split())) == processes
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 # --- cross_rpm_matrix: its two trainings side by side -------------------------
@@ -354,7 +386,7 @@ def test_a_classifier_diverging_in_the_worker_raises_as_on_one_core(monkeypatch)
         _grid(_per_rpm(scale=1e100))
     assert str(spread.value) == str(alone.value)
     assert "raised in a worker process" in str(spread.value.__cause__)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_a_classifier_that_overflows_when_evaluated_is_an_error_not_chance_accuracy(
@@ -396,4 +428,4 @@ def test_sgd_epochs_trains_every_stack_in_the_calling_process(monkeypatch, tmp_p
     curves = sgd_epochs(nets, xs, ys, 2, 5, 0.02, rngs)
     assert [len(c) for c in curves] == [2, 2, 2]
     assert calls.log.read_text().split() == [str(os.getpid())] * 2
-    assert multiprocessing.active_children() == []
+    _assert_no_child()

@@ -9,7 +9,6 @@ from vibrosense import modelio
 from vibrosense.classify import (
     DEFAULT_HIDDEN,
     FINE_TUNE_LR_SCALE,
-    ClassifierModel,
     TrainConfig,
     TransferBundle,
     TuningStep,

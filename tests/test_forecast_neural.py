@@ -15,7 +15,7 @@ from vibrosense.forecast import (
     make_windows,
 )
 from vibrosense.nn import ConvAutoencoder, Mlp, RecurrentNet, gradient_check, sgd_epochs
-from vibrosense.nn.base import sigmoid, softplus
+from vibrosense.nn.base import sigmoid
 from vibrosense.nn.conv import _Conv1d, _ConvTranspose1d, _same_padding
 from vibrosense.nn.recurrent import _LstmLayer
 

@@ -22,7 +22,9 @@ FEW = settings(max_examples=50, deadline=None, database=None, derandomize=True)
 KINDS = ["encoder", "classifier", "forecast/seasonal_naive", "forecast/ar", "forecast/arima",
          "forecast/random_forest", "forecast/mlp", "forecast/nope"]
 # payload keys the loaders look for, the codec's tags, and a few hyperparameter
-# names whose values cannot make a loader allocate much
+# names whose values cannot make a loader allocate much; "feature_names",
+# "scale", "selected_mask", "normalization" and "constant_features" are the
+# removed encoder file's keys, which no loader reads: they fuzz as unknown keys
 KEYS = ["hyperparameters", "seed", "state", "train_tail", "train_rms", "coefs", "intercept",
         "last_season", "trees", "feature", "threshold", "left", "right", "value", "weights",
         "mean", "std", "training_loss", "feature_names", "scale", "selected_mask",
