@@ -19,8 +19,7 @@ for level in DefectLabel:
         synth.SynthConfig(rpm=RPM, sample_rate_hz=3200.0, duration_s=1.0,
                           imbalance_level=level, noise_sigma=0.3, seed=0)
     )
-    fv = features.extract_time_domain(rec.x)
-    row = dict(zip(fv.names, fv.values))
+    row = dict(zip(features.TIME_DOMAIN_FEATURE_NAMES, features.extract_time_domain(rec.x)))
     print(f"{level.name:>12}: x rms={row['rms']:.3f}  peak={row['peak']:.3f}  "
           f"crest={row['crest']:.2f}")
 

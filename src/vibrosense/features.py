@@ -11,44 +11,30 @@ import numpy as np
 from .core import ContractError, VibrationRecord
 
 TIME_DOMAIN_FEATURE_NAMES = ("mean", "std", "rms", "peak", "crest")
+TRIAXIAL_FEATURE_NAMES = tuple(f"{ax}_{n}" for ax in "xyz" for n in TIME_DOMAIN_FEATURE_NAMES)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
-    names: tuple
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "names", tuple(self.names))
-        if values.size != len(self.names):
-            raise ContractError("values and names must be parallel")
-        if not np.all(np.isfinite(values)):
-            raise ContractError("feature values must be finite")
-
-
-def extract_time_domain(window, prefix: str = "") -> FeatureVector:
+def extract_time_domain(windows) -> np.ndarray:
     """Mean, population std, RMS, peak (max |v|), and crest factor (peak/RMS,
-    0 for an all-zero window) of one signal window."""
-    v = np.asarray(window, dtype=np.float64)
-    if v.size < 2:
-        raise ContractError(f"window must have >= 2 samples, got {v.size}")
-    mean = float(np.mean(v))
-    std = float(np.std(v))  # population
-    rms = float(np.sqrt(np.mean(v * v)))
-    peak = float(np.max(np.abs(v)))
-    crest = peak / rms if rms > 0 else 0.0
-    names = tuple(prefix + n for n in TIME_DOMAIN_FEATURE_NAMES)
-    return FeatureVector(np.array([mean, std, rms, peak, crest]), names)
+    0 for an all-zero window) along the last axis of a (..., n) array of
+    signal windows, as a float64 (..., 5) array; one window gives shape (5,)."""
+    v = np.asarray(windows, dtype=np.float64)
+    n = v.shape[-1] if v.ndim else v.size
+    if n < 2:
+        raise ContractError(f"window must have >= 2 samples, got {n}")
+    with np.errstate(all="ignore"):  # a non-finite result raises below
+        rms = np.sqrt(np.mean(v * v, axis=-1))
+        peak = np.max(np.abs(v), axis=-1)
+        crest = np.where(rms > 0, peak / rms, 0.0)
+        out = np.stack([np.mean(v, axis=-1), np.std(v, axis=-1), rms, peak, crest], axis=-1)
+    if not np.isfinite(out).all():
+        raise ContractError("feature values must be finite")
+    return out
 
 
-def extract_triaxial_features(record: VibrationRecord) -> FeatureVector:
-    """15 features: the 5 time-domain statistics per axis."""
-    parts = [extract_time_domain(getattr(record, ax), prefix=ax + "_") for ax in ("x", "y", "z")]
-    values = np.concatenate([p.values for p in parts])
-    names = tuple(n for p in parts for n in p.names)
-    return FeatureVector(values, names)
+def extract_triaxial_features(record: VibrationRecord) -> np.ndarray:
+    """The 15 TRIAXIAL_FEATURE_NAMES: the 5 time-domain statistics per axis."""
+    return extract_time_domain(np.stack([record.x, record.y, record.z])).reshape(15)
 
 
 def select_axes(record: VibrationRecord) -> np.ndarray:

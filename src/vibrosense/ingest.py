@@ -14,7 +14,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from .core import ContractError, DefectLabel, MachineState, OperatingPoint, VibrationRecord
-from .features import extract_triaxial_features
+from .features import TRIAXIAL_FEATURE_NAMES, extract_time_domain
 
 DEFAULT_TIMEZONE = "America/New_York"
 
@@ -105,18 +105,13 @@ def _parse_floats(tokens: Sequence[str], places: Sequence, where: str = "line {}
 
 def parse_timestamp(text: str, tz: str = DEFAULT_TIMEZONE) -> float:
     """Accepts ISO-8601 or M/D/YYYY H:MM[:SS]; interpreted as local wall time."""
-    return _parse_local(text, ZoneInfo(tz))
-
-
-def _parse_local(text: str, zone: ZoneInfo) -> float:
-    stamp = _parse_datetime(text)
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=zone)
-    return stamp.timestamp()
+    return _utc_s([_parse_datetime(text)], tz)[0]
 
 
 def _parse_datetime(text: str) -> dt.datetime:
-    """The datetime a timestamp text spells, naive unless it names an offset."""
+    """The datetime a timestamp text spells, naive unless it names an offset;
+    its wall time (naive) or UTC time (aware) must lie in the range the
+    wall-time conversions take."""
     text = text.strip()
     naive = None
     try:
@@ -130,15 +125,31 @@ def _parse_datetime(text: str) -> dt.datetime:
                 continue
     if naive is None:
         raise ContractError(f"unparseable timestamp '{text}'")
+    first, last = (_FIRST, _LAST) if naive.tzinfo is None else (_FIRST_UTC, _LAST_UTC)
+    if not first <= naive < last:
+        raise ContractError(f"timestamp '{text}' is out of range")
     return naive
 
 
+def _utc_s(stamps: Sequence[dt.datetime], tz: str) -> List[float]:
+    """UTC seconds of datetimes: a naive one is wall time in tz, an aware one
+    names its own UTC offset."""
+    utc = from_wall_us([(stamp - _NAIVE_EPOCH) // _ONE_US if stamp.tzinfo is None else 0
+                        for stamp in stamps], tz)
+    return [ts if stamp.tzinfo is None else stamp.timestamp()
+            for ts, stamp in zip(utc.tolist(), stamps)]
+
+
 def format_timestamp(timestamp_s: float, tz: str = DEFAULT_TIMEZONE) -> str:
-    return _format_local(timestamp_s, ZoneInfo(tz))
+    return _wall_texts(to_wall_us([timestamp_s], tz))[0]
 
 
-def _format_local(timestamp_s: float, zone: ZoneInfo) -> str:
-    return dt.datetime.fromtimestamp(timestamp_s, zone).replace(tzinfo=None).isoformat(sep=" ")
+def _wall_texts(wall_us: np.ndarray) -> List[str]:
+    """'YYYY-MM-DD HH:MM:SS[.ffffff]' of wall times, as datetime.isoformat
+    spells them: a zero fraction is left out."""
+    texts = np.datetime_as_string(wall_us.astype("datetime64[us]"), unit="us").tolist()
+    return [f"{text[:10]} {text[11:] if us % _US else text[11:19]}"
+            for text, us in zip(texts, wall_us.tolist())]
 
 
 # Array conversions between UTC and a zone's local wall time. A wall time is
@@ -155,10 +166,12 @@ _ONE_S = dt.timedelta(seconds=1)
 _ONE_US = dt.timedelta(microseconds=1)
 _NAIVE_EPOCH = dt.datetime(1970, 1, 1)
 _EPOCH_ORDINAL = _NAIVE_EPOCH.toordinal()
-# UTC seconds whose local time is a datetime in any zone: a day inside
-# datetime's range at either end, as no offset reaches a day
-_FIRST_S = (dt.datetime(1, 1, 2) - _NAIVE_EPOCH) / _ONE_S
-_LAST_S = (dt.datetime(9999, 12, 31) - _NAIVE_EPOCH) / _ONE_S
+# The range of the UTC times and the wall times the conversions take: a day
+# inside datetime's range at either end, so that no offset (less than a day)
+# takes a time or the end of its hour out of it
+_FIRST, _LAST = dt.datetime(1, 1, 2), dt.datetime(9999, 12, 31)
+_FIRST_US, _LAST_US = ((t - _NAIVE_EPOCH) // _ONE_US for t in (_FIRST, _LAST))
+_FIRST_UTC, _LAST_UTC = (t.replace(tzinfo=dt.timezone.utc) for t in (_FIRST, _LAST))
 # int64 microseconds convert to float64 exactly up to this magnitude
 _EXACT_US = 2**53
 
@@ -183,7 +196,7 @@ def to_wall_us(timestamps_s, tz: str = DEFAULT_TIMEZONE) -> np.ndarray:
     half-even to the microsecond, as datetime.fromtimestamp rounds it."""
     zone = ZoneInfo(tz)
     stamps = np.asarray(timestamps_s, dtype=np.float64)
-    out_of_range = ~((stamps >= _FIRST_S) & (stamps < _LAST_S))  # NaN included
+    out_of_range = ~((stamps >= _FIRST_US / _US) & (stamps < _LAST_US / _US))  # NaN included
     if out_of_range.any():
         bad = float(stamps[out_of_range][0])
         dt.datetime.fromtimestamp(bad, zone)  # raises for NaN, infinity, years past 9999
@@ -200,6 +213,9 @@ def from_wall_us(wall_us, tz: str = DEFAULT_TIMEZONE) -> np.ndarray:
     fold=0 (PEP 495), and the quotient is the correctly rounded one."""
     zone = ZoneInfo(tz)
     wall = np.asarray(wall_us, dtype=np.int64)
+    out_of_range = (wall < _FIRST_US) | (wall >= _LAST_US)
+    if out_of_range.any():
+        raise ValueError(f"wall time {int(wall[out_of_range][0])} us is out of range")
     # ZoneInfo.utcoffset reads a naive datetime as wall time, with its fold
     utc = wall - _hourly_offsets_us(
         wall, lambda s: zone.utcoffset(_NAIVE_EPOCH + dt.timedelta(seconds=s)) // _ONE_S)
@@ -320,13 +336,9 @@ def write_triaxial_csv(records: Sequence[VibrationRecord], path, header: bool = 
 
 
 def _process_rows(stamps, values: np.ndarray, tz: str) -> List[ProcessRow]:
-    """ProcessRows of datetimes and their rows of measurements; a naive
-    datetime is wall time in tz, an aware one names its own UTC offset."""
-    utc = from_wall_us([(stamp - _NAIVE_EPOCH) // _ONE_US if stamp.tzinfo is None else 0
-                        for stamp in stamps], tz)
+    """ProcessRows of datetimes (as _utc_s reads them) and their rows of measurements."""
     values = values.reshape(-1, len(PROCESS_MEASUREMENT_COLUMNS)).tolist()
-    return [ProcessRow._make([ts if stamp.tzinfo is None else stamp.timestamp(), *row])
-            for ts, stamp, row in zip(utc.tolist(), stamps, values)]
+    return [ProcessRow._make([ts, *row]) for ts, row in zip(_utc_s(stamps, tz), values)]
 
 
 def parse_process_csv(path, tz: str = DEFAULT_TIMEZONE) -> List[ProcessRow]:
@@ -375,16 +387,10 @@ def write_process_csv(rows: Sequence[ProcessRow], path, tz: str = DEFAULT_TIMEZO
         fh.write(",".join(PROCESS_HEADER) + "\r\n")
         for lo in range(0, len(rows), _BLOCK_ROWS):
             block = rows[lo : lo + _BLOCK_ROWS]
-            wall = to_wall_us([row.timestamp_s for row in block], tz)
-            # "YYYY-MM-DDTHH:MM:SS.ffffff"; isoformat drops a zero fraction
-            texts = np.datetime_as_string(wall.astype("datetime64[us]"), unit="us").tolist()
-            whole = (wall % _US == 0).tolist()
+            texts = _wall_texts(to_wall_us([row.timestamp_s for row in block], tz))
             # float() first: a row may hold np.float64, whose repr is not the number's
-            fh.writelines(
-                f"{text[:10]} {text[11:19] if whole_s else text[11:]},"
-                f"{','.join(map(repr, map(float, row[1:])))}\r\n"
-                for text, whole_s, row in zip(texts, whole, block)
-            )
+            fh.writelines(f"{text},{','.join(map(repr, map(float, row[1:])))}\r\n"
+                          for text, row in zip(texts, block))
 
 
 def parse_pharma_txt(path, tz: str = DEFAULT_TIMEZONE) -> List[PharmaRecord]:
@@ -398,11 +404,13 @@ def parse_pharma_txt(path, tz: str = DEFAULT_TIMEZONE) -> List[PharmaRecord]:
         raise ContractError(
             f"pharma file length must be a multiple of 5 lines, got {len(lines)}"
         )
-    zone = ZoneInfo(tz)
     records = []
     for g in range(len(lines) // 5):
         group = lines[5 * g : 5 * g + 5]
-        start = _parse_local(group[0], zone)
+        try:
+            start = parse_timestamp(group[0], tz)
+        except ContractError as exc:
+            raise ContractError(f"{exc} (record {g + 1})") from exc
         axes = []
         for axis, line in zip("xyz", group[1:4]):
             tokens = line.replace(",", " ").split()
@@ -418,10 +426,10 @@ def parse_pharma_txt(path, tz: str = DEFAULT_TIMEZONE) -> List[PharmaRecord]:
 
 
 def write_pharma_txt(records: Sequence[PharmaRecord], path, tz: str = DEFAULT_TIMEZONE) -> None:
-    zone = ZoneInfo(tz)
+    starts = _wall_texts(to_wall_us([rec.start_s for rec in records], tz))
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(_format_local(rec.start_s, zone) + "\n")
+        for start, rec in zip(starts, records):
+            fh.write(start + "\n")
             for axis in (rec.x, rec.y, rec.z):
                 fh.write(" ".join(map(repr, axis.tolist())) + "\n")
             fh.write(repr(rec.dt_s) + "\n")
@@ -441,11 +449,8 @@ class WeeklySchedule:
     off_end_hour: float = 23.0
     tz: str = DEFAULT_TIMEZONE
 
-    def is_off(self, timestamp_s: float) -> bool:
-        return bool(self.off_at(to_wall_us([timestamp_s], self.tz))[0])
-
     def off_at(self, wall_us: np.ndarray) -> np.ndarray:
-        """is_off for local wall times in this schedule's zone."""
+        """Whether each local wall time in this schedule's zone falls in the off window."""
         days, us = np.divmod(wall_us, DAY_US)
         hour, second = np.divmod(us // _US, 3600)
         minute, second = np.divmod(second, 60)
@@ -493,38 +498,33 @@ def align_and_impute(
     starting inside it contribute their 15 time-domain features, aggregated by
     per-feature median. Process measurements are appended and the machine
     state is carried from the process row. Empty buckets are dropped and
-    counted.
+    counted. Every record's features are checked, also a record no bucket takes.
     """
     if not vibration or not labeled_process:
         raise ContractError("both vibration and process sequences must be nonempty")
     vib_sorted = sorted(vibration, key=lambda r: r.start_s)
     starts = np.array([r.start_s for r in vib_sorted])
     proc_sorted = sorted(labeled_process, key=lambda p: p[0].timestamp_s)
-    t_lo = proc_sorted[0][0].timestamp_s
-    t_hi = proc_sorted[-1][0].timestamp_s + bucket_s
-    if starts[-1] < t_lo or starts[0] >= t_hi:
-        raise ContractError("no temporal overlap between vibration and process data")
-    vib_names = None
+    times = np.array([row.timestamp_s for row, _ in proc_sorted])
+    lo = np.searchsorted(starts, times, side="left").tolist()
+    hi = np.searchsorted(starts, times + bucket_s, side="left").tolist()
+    # every record's features, one call per record length
+    lengths = np.array([len(r) for r in vib_sorted])
+    feats = np.empty((len(starts), len(TRIAXIAL_FEATURE_NAMES)))
+    for n in np.unique(lengths).tolist():
+        at = np.flatnonzero(lengths == n)
+        axes = np.stack([(vib_sorted[i].x, vib_sorted[i].y, vib_sorted[i].z) for i in at.tolist()])
+        feats[at] = extract_time_domain(axes).reshape(len(at), -1)
     rows, labels = [], []
-    n_dropped = 0
-    for proc_row, state in proc_sorted:
-        lo = np.searchsorted(starts, proc_row.timestamp_s, side="left")
-        hi = np.searchsorted(starts, proc_row.timestamp_s + bucket_s, side="left")
-        if hi == lo:
-            n_dropped += 1
-            continue
-        feats = [extract_triaxial_features(vib_sorted[i]) for i in range(lo, hi)]
-        if vib_names is None:
-            vib_names = feats[0].names
-        vib_values = np.median(np.stack([f.values for f in feats]), axis=0)
-        rows.append(np.concatenate([vib_values, proc_row.measurements()]))
-        labels.append(int(state))
+    for a, b, (proc_row, state) in zip(lo, hi, proc_sorted):
+        if b > a:
+            rows.append(np.concatenate([np.median(feats[a:b], axis=0), proc_row.measurements()]))
+            labels.append(int(state))
     if not rows:
         raise ContractError("no temporal overlap between vibration and process data")
-    names = vib_names + tuple(PROCESS_MEASUREMENT_COLUMNS)
     return AlignedDataset(
         features=np.stack(rows),
         labels=np.array(labels, dtype=np.int64),
-        feature_names=names,
-        n_dropped_buckets=n_dropped,
+        feature_names=TRIAXIAL_FEATURE_NAMES + PROCESS_MEASUREMENT_COLUMNS,
+        n_dropped_buckets=len(proc_sorted) - len(rows),
     )

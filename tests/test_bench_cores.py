@@ -211,8 +211,12 @@ def test_one_process_is_a_plain_loop(monkeypatch, n_cores, blas_threads, n_units
     def no_fork():
         raise AssertionError("a one-process run forked")
 
+    def not_forked(*args):
+        raise AssertionError("a one-process run entered core._forked")
+
     _cores(monkeypatch, n_cores, blas_threads)
     monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(core, "_forked", not_forked)
     caller = os.getpid()
     assert core._spread(lambda i: (i * i, os.getpid()), n_units, str) == [
         (i * i, caller) for i in range(n_units)]

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import vibrosense
-from vibrosense import classify, cli
+from vibrosense import classify, cli, ingest
 from vibrosense.core import ContractError
 
 
@@ -291,6 +291,19 @@ class TestExitCodes:
                          "--sample-rate", "0"])
         assert code == cli.USER_ERROR
         assert "sample rate must be positive" in capsys.readouterr().err
+
+    # wall times, and UTC times of texts that name their offset, a day inside
+    # datetime's range at either end; bench labels the rows it reads
+    @pytest.mark.parametrize("command", [["ingest", "--format", "process", "--input"],
+                                         ["bench", "--models", "ar", "--datasets"]])
+    @pytest.mark.parametrize("stamp", ["9999-12-31 23:30:00", "0001-01-01 00:00:00",
+                                       "9999-12-30T20:00:00-05:00", "0001-01-02T01:00:00+05:00"])
+    def test_process_time_outside_the_conversion_range_is_user_error(self, tmp_path, capsys,
+                                                                     command, stamp):
+        path = tmp_path / "p.csv"
+        path.write_text(",".join(ingest.PROCESS_HEADER) + f"\n{stamp},1,2,3,4,5,6,7\n")
+        assert cli.main(command + [str(path), "--out", str(tmp_path / "out.json")]) == 1
+        assert f"timestamp '{stamp}' is out of range (line 2)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt", ["process", "pharma"])
     @pytest.mark.parametrize("flag, value", [("--sample-rate", "3200"), ("--rpm", "300"),

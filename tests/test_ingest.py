@@ -19,6 +19,7 @@ from vibrosense.ingest import (
     parse_process_csv,
     parse_timestamp,
     parse_triaxial_csv,
+    to_wall_us,
     write_pharma_txt,
     write_process_csv,
     write_triaxial_csv,
@@ -237,6 +238,28 @@ class TestPharma:
         lines[1] = " ".join(lines[1].split()[:-1])  # drop one x point
         p.write_text("\n".join(lines))
         with pytest.raises(ContractError, match=r"x-axis: expected 3200, got 3199 \(record 1\)"):
+            parse_pharma_txt(p)
+
+    @pytest.mark.parametrize("start", ["9999-12-31 23:30:00", "9999-12-31 00:00:00",
+                                       "0001-01-01 23:59:59", "1/1/0001 12:00"])
+    def test_start_outside_the_conversion_range_names_its_record(self, tmp_path, start):
+        recs = [self.make_record(i) for i in range(3)]
+        p = tmp_path / "a.txt"
+        write_pharma_txt(recs, p)
+        lines = p.read_text().split("\n")
+        lines[5] = start  # record 2's start
+        lines[11] = " ".join(lines[11].split()[:-1])  # record 3's x axis: a later error
+        p.write_text("\n".join(lines))
+        with pytest.raises(ContractError, match=rf"^timestamp '{start}' is out of range "
+                                                r"\(record 2\)$"):
+            parse_pharma_txt(p)
+
+    def test_unparseable_start_names_its_record(self, tmp_path):
+        p = tmp_path / "a.txt"
+        write_pharma_txt([self.make_record()], p)
+        p.write_text("2022-13-01" + p.read_text()[19:])
+        with pytest.raises(ContractError,
+                           match=r"^unparseable timestamp '2022-13-01' \(record 1\)$"):
             parse_pharma_txt(p)
 
     def test_group_count(self, tmp_path):
@@ -501,10 +524,10 @@ class TestLabeling:
     def test_window_edges(self):
         sched = WeeklySchedule()
         # Friday 2022-01-07 18:59 on, 19:00 off; Sunday 22:59 off, 23:00 on
-        assert not sched.is_off(parse_timestamp("2022-01-07 18:59:00"))
-        assert sched.is_off(parse_timestamp("2022-01-07 19:00:00"))
-        assert sched.is_off(parse_timestamp("2022-01-09 22:59:00"))
-        assert not sched.is_off(parse_timestamp("2022-01-09 23:00:00"))
+        texts = ["2022-01-07 18:59:00", "2022-01-07 19:00:00",
+                 "2022-01-09 22:59:00", "2022-01-09 23:00:00"]
+        wall = to_wall_us([parse_timestamp(text) for text in texts], sched.tz)
+        assert sched.off_at(wall).tolist() == [False, True, True, False]
 
 
 class TestAlignAndImpute:

@@ -1,9 +1,10 @@
-"""The array conversions between UTC and local wall time, and the process
-writer, parser, labeler, truth rule and generator built on them, against
-per-stamp ZoneInfo references. The zones cover transitions on and off the UTC
-hour (Lord Howe shifts by 30 minutes at 15:30 UTC), offsets that are not whole
-hours (Kolkata +05:30, Monrovia -00:44:30), stamps before 1970, and fractions
-of a microsecond, half-microsecond ties included."""
+"""The array conversions between UTC and local wall time, and what is built
+on them (the process and pharma writers and parsers, parse_timestamp and
+format_timestamp, the labeler, the truth rule and the generator), against
+per-stamp datetime and ZoneInfo references. The zones cover transitions on and
+off the UTC hour (Lord Howe shifts by 30 minutes at 15:30 UTC), offsets that
+are not whole hours (Kolkata +05:30, Monrovia -00:44:30), stamps before 1970,
+and fractions of a microsecond, half-microsecond ties included."""
 
 import datetime as dt
 from zoneinfo import ZoneInfo
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from vibrosense import anomaly, ingest, synth
-from vibrosense.core import MachineState, TimeSeries
+from vibrosense.core import ContractError, MachineState, TimeSeries
 from vibrosense.ingest import ProcessRow, WeeklySchedule
 
 NAIVE_EPOCH = dt.datetime(1970, 1, 1)
@@ -121,26 +122,104 @@ def _rows(stamps):
             for i, t in enumerate(stamps.tolist())]
 
 
+def _ref_format_local(timestamp_s, zone):
+    """The datetime formatting the array path replaced."""
+    return dt.datetime.fromtimestamp(timestamp_s, zone).replace(tzinfo=None).isoformat(sep=" ")
+
+
+def _ref_parse_local(text, zone):
+    """The datetime parsing the array path replaced: a naive text is wall time
+    in the zone (fold=0), an aware one keeps its own offset."""
+    stamp = ingest._parse_datetime(text)
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=zone)
+    return stamp.timestamp()
+
+
 @pytest.mark.parametrize("tz,days", CASES, ids=IDS)
-def test_write_process_csv_matches_format_timestamp(tmp_path, tz, days):
+def test_write_process_csv_matches_datetime_reference(tmp_path, tz, days):
+    zone = ZoneInfo(tz)
     stamps = _utc_stamps(tz, days)
     path = tmp_path / "p.csv"
     ingest.write_process_csv(_rows(stamps), path, tz=tz)
     texts = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
-    assert texts == [ingest.format_timestamp(t, tz) for t in stamps.tolist()]
+    want = [_ref_format_local(t, zone) for t in stamps.tolist()]
+    assert texts == want
+    assert [ingest.format_timestamp(t, tz) for t in stamps[::40].tolist()] == want[::40]
+
+
+def _wall_texts(days):
+    texts = [(NAIVE_EPOCH + w * ONE_US).isoformat(sep=" ") for w in _wall_stamps(days).tolist()]
+    return texts + ["1/2/1969 3:04", "2022-01-03T10:00:00+05:30"]  # the second names its offset
 
 
 @pytest.mark.parametrize("tz,days", CASES, ids=IDS)
-def test_parse_process_csv_matches_parse_timestamp(tmp_path, tz, days):
-    texts = [(NAIVE_EPOCH + w * ONE_US).isoformat(sep=" ") for w in _wall_stamps(days).tolist()]
-    texts += ["1/2/1969 3:04", "2022-01-03T10:00:00+05:30"]  # the second names its offset
+def test_parse_process_csv_matches_datetime_reference(tmp_path, tz, days):
+    zone = ZoneInfo(tz)
+    texts = _wall_texts(days)
     path = tmp_path / "p.csv"
     path.write_text(",".join(ingest.PROCESS_HEADER) + "\n"
                     + "".join(f"{text},{i},1,2,3,4,5,6\n" for i, text in enumerate(texts)))
     rows = ingest.parse_process_csv(path, tz=tz)
     got = {int(row.air_pressure_1): row.timestamp_s for row in rows}
-    assert got == {i: ingest.parse_timestamp(text, tz) for i, text in enumerate(texts)}
+    want = {i: _ref_parse_local(text, zone) for i, text in enumerate(texts)}
+    assert got == want
     assert [row.timestamp_s for row in rows] == sorted(got.values())
+    assert [ingest.parse_timestamp(text, tz) for text in texts[::40]] == [
+        want[i] for i in range(0, len(texts), 40)]
+
+
+#: (zone, its two daylight-saving changes in 2022)
+DST = [("America/New_York", [dt.date(2022, 3, 13), dt.date(2022, 11, 6)]),
+       ("Australia/Lord_Howe", [dt.date(2022, 4, 3), dt.date(2022, 10, 2)])]
+
+
+def _pharma_file(path, starts):
+    zeros = " ".join(["0"] * ingest.PHARMA_POINTS_PER_AXIS)
+    path.write_text("".join(f"{start}\n{zeros}\n{zeros}\n{zeros}\n0.5\n" for start in starts))
+
+
+@pytest.mark.parametrize("tz,days", DST, ids=["new_york", "lord_howe"])
+def test_pharma_start_times_match_datetime_reference(tmp_path, tz, days):
+    """Start times every 5 minutes from 00:00 to 04:00 on both change days,
+    skipped and repeated ones included, some with a fraction, and a text that
+    names its own offset; and UTC starts every 150 s around each change."""
+    zone = ZoneInfo(tz)
+    texts = [f"{day} {m // 60:02d}:{m % 60:02d}:00{'.25' * (m % 15 == 5)}"
+             for day in days for m in range(0, 241, 5)] + ["2022-03-13T02:30:00-05:00"]
+    path = tmp_path / "starts.txt"
+    _pharma_file(path, texts)
+    assert [rec.start_s for rec in ingest.parse_pharma_txt(path, tz)] == [
+        _ref_parse_local(text, zone) for text in texts]
+
+    midnights = [dt.datetime.combine(day, dt.time(), zone).timestamp() for day in days]
+    stamps = [m + 150.0 * k + 0.5 * (k % 3 == 1) for m in midnights for k in range(-40, 160)]
+    zeros = np.zeros(ingest.PHARMA_POINTS_PER_AXIS)
+    ingest.write_pharma_txt([ingest.PharmaRecord(t, zeros, zeros, zeros, 0.5) for t in stamps],
+                            path, tz)
+    assert path.read_text().split("\n")[::5][:-1] == [_ref_format_local(t, zone) for t in stamps]
+
+
+def test_one_range_for_both_directions():
+    """UTC times and wall times alike must lie in [0001-01-02, 9999-12-31), a
+    day inside datetime's range at either end."""
+    first, last = (dt.datetime(1, 1, 2) - NAIVE_EPOCH) // ONE_US, (
+        dt.datetime(9999, 12, 31) - NAIVE_EPOCH) // ONE_US
+    assert ingest.to_wall_us([first / 1e6, last / 1e6 - 1], "UTC").tolist() == [first, last - 10**6]
+    assert ingest.from_wall_us([first, last - 1], "UTC").tolist() == [first / 1e6, (last - 1) / 1e6]
+    for bad in [first / 1e6 - 1, last / 1e6, 253402300799.0]:  # the last: 9999-12-31 23:59:59 UTC
+        with pytest.raises(ValueError, match="out of range"):
+            ingest.format_timestamp(bad, "UTC")
+    for bad in [first - 1, last]:
+        with pytest.raises(ValueError, match="out of range"):
+            ingest.from_wall_us([0, bad], "UTC")
+    assert ingest.parse_timestamp("9999-12-30 23:59:59", "UTC") == last / 1e6 - 1
+    assert ingest.format_timestamp(last / 1e6 - 1, "UTC") == "9999-12-30 23:59:59"
+    assert ingest.parse_timestamp("0001-01-02T00:00:00", "UTC") == first / 1e6
+    assert ingest.format_timestamp(first / 1e6, "UTC") == "0001-01-02 00:00:00"
+    for text in ["9999-12-31 00:00:00", "0001-01-01 23:59:59.999999"]:
+        with pytest.raises(ContractError, match="out of range"):
+            ingest.parse_timestamp(text, "UTC")
 
 
 def test_new_york_skipped_and_repeated_hours_read_with_fold_0(tmp_path):
@@ -193,10 +272,11 @@ def test_label_process_rows_matches_per_row_reference(tz, days, window):
 
 
 @pytest.mark.parametrize("tz,days", CASES, ids=IDS)
-def test_is_off_matches_per_stamp_reference(tz, days):
+def test_off_at_matches_per_stamp_reference(tz, days):
     schedule = WeeklySchedule(6, 1.5, 6, 2.75, tz=tz)
-    for t in _utc_stamps(tz, days)[::50].tolist():
-        assert schedule.is_off(t) is _ref_is_off(schedule, dt.datetime.fromtimestamp(t, ZoneInfo(tz)))
+    stamps = _utc_stamps(tz, days)[::50].tolist()
+    assert schedule.off_at(ingest.to_wall_us(stamps, tz)).tolist() == [
+        _ref_is_off(schedule, dt.datetime.fromtimestamp(t, ZoneInfo(tz))) for t in stamps]
 
 
 @pytest.mark.parametrize("tz,days", CASES, ids=IDS)
