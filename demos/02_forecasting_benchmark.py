@@ -10,7 +10,7 @@ predictions.
 
 from vibrosense import anomaly, synth
 from vibrosense.cli import default_variants
-from vibrosense.core import SplitMode, SplitSpec
+from vibrosense.core import SplitSpec
 
 SEED = 11
 FAMILIES = ["seasonal_naive", "ar", "arima", "random_forest",
@@ -28,7 +28,7 @@ for i, name in enumerate(("synth-a", "synth-b")):
 grid = {family: default_variants(family, SEED) for family in FAMILIES}
 bench = anomaly.run_benchmark(
     datasets, grid,
-    SplitSpec(0.5, SplitMode.CHRONOLOGICAL, seed=SEED),
+    SplitSpec(0.5, seed=SEED),
     anomaly.AnomalyRuleConfig(lam=0.1),
 )
 print(anomaly.benchmark_tables(bench))

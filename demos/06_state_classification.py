@@ -1,11 +1,13 @@
 """Classify machine state (On / Off / Abnormal) with a dual-loss autoencoder.
 
-Synthetic process telemetry (5-minute cadence, weekly shutdown window, two
-abnormal days) is aligned with vibration feature windows; missing buckets are
-median-imputed. The classifier is an autoencoder whose latent code also feeds
-a softmax head; alpha weights reconstruction against classification loss.
+Synthetic process telemetry (5-minute cadence over a week that holds the
+weekend shutdown window and one abnormal day) is aligned with vibration
+feature windows; missing buckets are median-imputed. The classifier is an
+autoencoder whose latent code also feeds a softmax head; alpha weights
+reconstruction against classification loss.
 """
 
+import datetime as dt
 from dataclasses import replace
 
 import numpy as np
@@ -15,8 +17,18 @@ from vibrosense.classify import TrainConfig
 from vibrosense.core import DefectLabel, MachineState
 
 SEED = 0
-labeled = synth.generate_process(days=3, seed=SEED)
-print(f"process rows: {len(labeled)} (5-minute cadence over 3 days)")
+# Wednesday to Tuesday: the Friday-to-Sunday shutdown and a failing Monday
+labeled = synth.generate_process(days=7, failure_days=[dt.date(2022, 1, 10)], seed=SEED,
+                                 start_date=dt.date(2022, 1, 5))
+
+
+def state_counts(states):
+    return ", ".join(f"{int(np.sum(np.asarray(states) == s))} {s.name.lower()}"
+                     for s in MachineState)
+
+
+print(f"process rows: {len(labeled)} (5-minute cadence over 7 days): "
+      f"{state_counts([state for _, state in labeled])}")
 
 vib = []
 for row, state in labeled[::6]:
@@ -32,7 +44,7 @@ for row, state in labeled[::6]:
 
 aligned = ingest.align_and_impute(vib, labeled)
 print(f"aligned windows: {aligned.features.shape[0]} x {aligned.features.shape[1]} features "
-      f"({aligned.n_dropped_buckets} empty buckets dropped)")
+      f"({aligned.n_dropped_buckets} empty buckets dropped): {state_counts(aligned.labels)}")
 
 enc = features.fit_encoder(aligned.features, aligned.feature_names)
 for alpha in (0.0, 0.5):

@@ -23,7 +23,6 @@ from .core import (
     DetectionScore,
     MachineState,
     OperatingPoint,
-    SplitMode,
     SplitSpec,
     TimeSeries,
     VibrationRecord,
@@ -50,7 +49,6 @@ __all__ = [
     "DetectionScore",
     "MachineState",
     "OperatingPoint",
-    "SplitMode",
     "SplitSpec",
     "TimeSeries",
     "VibrationRecord",

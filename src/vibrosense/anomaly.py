@@ -32,29 +32,24 @@ GROUND_TRUTH_CONVENTION = (
 @dataclass(frozen=True)
 class AnomalyRuleConfig:
     lam: float = DEFAULT_LAMBDA
-    epsilon: float = 1e-6
     two_sided: bool = True
 
     def __post_init__(self):
-        if not (0 < self.lam < np.inf and 0 < self.epsilon < np.inf):
-            raise ContractError("lambda and epsilon must be finite and positive")
-
-    def scaled_to_rms(self, train_rms: float) -> "AnomalyRuleConfig":
-        """Same rule with the epsilon floor tied to a known training-split RMS."""
-        eps = max(EPSILON_RMS_FRACTION * train_rms, 1e-300)
-        return AnomalyRuleConfig(self.lam, eps, self.two_sided)
+        if not 0 < self.lam < np.inf:
+            raise ContractError("lambda must be finite and positive")
 
 
-def relative_error(predicted, actual, cfg: AnomalyRuleConfig):
+def relative_error(predicted, actual, epsilon: float):
     predicted = np.asarray(predicted, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
-    return (predicted - actual) / np.maximum(np.abs(predicted), cfg.epsilon)
+    return (predicted - actual) / np.maximum(np.abs(predicted), epsilon)
 
 
-def flag_anomaly(predicted, actual, cfg: AnomalyRuleConfig):
-    """True when the relative error exceeds lambda (magnitude by default,
-    signed over-prediction only when two_sided is off)."""
-    r = relative_error(predicted, actual, cfg)
+def flag_anomaly(predicted, actual, cfg: AnomalyRuleConfig, epsilon: float):
+    """True when the relative error, its denominator floored at epsilon,
+    exceeds lambda (magnitude by default, signed over-prediction only when
+    two_sided is off)."""
+    r = relative_error(predicted, actual, epsilon)
     flags = np.abs(r) > cfg.lam if cfg.two_sided else r > cfg.lam
     if np.ndim(flags) == 0:
         return bool(flags)
@@ -65,19 +60,21 @@ def flag_anomaly(predicted, actual, cfg: AnomalyRuleConfig):
 class DetectionResult:
     predictions: np.ndarray
     flags: np.ndarray
-    rule: AnomalyRuleConfig
+    epsilon: float
 
 
 def detect_series(model, test: TimeSeries, cfg: AnomalyRuleConfig) -> DetectionResult:
     """Rolling one-step predictions over the test split with per-point flags.
     Context is seeded from the model's training tail, and the epsilon floor
-    is rescaled to its training RMS; forecast.fit sets both."""
+    is EPSILON_RMS_FRACTION of its training RMS; forecast.fit sets both."""
     if not (hasattr(model, "train_tail") and hasattr(model, "train_rms")):
         raise ContractError("model carries no training tail or RMS; fit it with forecast.fit")
-    rule = cfg.scaled_to_rms(model.train_rms)
+    epsilon = max(EPSILON_RMS_FRACTION * model.train_rms, 1e-300)
+    if not epsilon < np.inf:  # the training RMS overflowed
+        raise ContractError("lambda and epsilon must be finite and positive")
     preds = forecast.rolling_forecast(model, model.train_tail, test.values)
-    flags = flag_anomaly(preds, test.values, rule)
-    return DetectionResult(predictions=preds, flags=flags, rule=rule)
+    flags = flag_anomaly(preds, test.values, cfg, epsilon)
+    return DetectionResult(predictions=preds, flags=flags, epsilon=epsilon)
 
 
 class TruthRule(Enum):
@@ -244,7 +241,7 @@ def run_benchmark(
         "convention": GROUND_TRUTH_CONVENTION,
         "rule": {"lambda": cfg.lam, "two_sided": cfg.two_sided,
                  "epsilon_rms_fraction": EPSILON_RMS_FRACTION},
-        "split": {"train_fraction": split.train_fraction, "mode": split.mode.name,
+        "split": {"train_fraction": split.train_fraction, "mode": "CHRONOLOGICAL",
                   "seed": split.seed},
         "datasets": dataset_info,
         "grid": grid_rows,

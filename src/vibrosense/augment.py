@@ -7,7 +7,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .core import ContractError, SplitMode, SplitSpec, make_rng, split_indices
+from .core import ContractError, make_rng, split_arrays
 
 #: An interpolant's partner is one of its anchor's this many nearest same-label neighbors.
 K_NEIGHBORS = 5
@@ -35,7 +35,6 @@ class LabeledSet:
 
 def aggregate_rpms(
     per_rpm: Dict[int, Tuple[np.ndarray, np.ndarray]],
-    train_fraction: float = 0.7,
     seed: int = 0,
 ) -> LabeledSet:
     """Concatenate the stratified training split of every speed's dataset,
@@ -54,11 +53,10 @@ def aggregate_rpms(
             raise ContractError(
                 f"feature schema mismatch: rpm {rpm} has {features.shape[1]} columns, expected {width}"
             )
-        spec = SplitSpec(train_fraction, SplitMode.STRATIFIED_SHUFFLE, seed=seed)
-        tr, _ = split_indices(features.shape[0], spec, labels=labels)
-        feats.append(features[tr])
-        labs.append(labels[tr])
-        prov.append(np.full(tr.size, rpm, dtype=np.int64))
+        (f_train, l_train), _ = split_arrays(features, labels, seed)
+        feats.append(f_train)
+        labs.append(l_train)
+        prov.append(np.full(l_train.size, rpm, dtype=np.int64))
     return LabeledSet(np.concatenate(feats), np.concatenate(labs), np.concatenate(prov))
 
 
@@ -103,12 +101,11 @@ def interpolate_within_rpm(
 
 def augmented_training_set(
     per_rpm: Dict[int, Tuple[np.ndarray, np.ndarray]],
-    train_fraction: float = 0.7,
     n_new_per_rpm: int = 20_000,
     seed: int = 0,
 ) -> LabeledSet:
     """Aggregated training splits plus per-speed interpolants."""
-    combined = aggregate_rpms(per_rpm, train_fraction=train_fraction, seed=seed)
+    combined = aggregate_rpms(per_rpm, seed=seed)
     feats = [combined.features]
     labs = [combined.labels]
     prov = [combined.provenance]

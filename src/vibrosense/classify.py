@@ -13,8 +13,7 @@ from . import augment, modelio, report
 from .core import (
     ConfusionMatrix,
     ContractError,
-    SplitMode,
-    SplitSpec,
+    TRAIN_FRACTION,
     _spread,
     confusion_matrix,
     make_rng,
@@ -269,7 +268,6 @@ def cross_rpm_matrix(
     per_rpm: Dict[int, Tuple[np.ndarray, np.ndarray]],
     hidden_sizes: Sequence[int] = DEFAULT_HIDDEN,
     cfg: TrainConfig = TrainConfig(),
-    train_fraction: float = 0.7,
     augment_n_per_rpm: int = 0,
     class_names: Optional[Sequence[str]] = None,
 ) -> dict:
@@ -281,16 +279,14 @@ def cross_rpm_matrix(
         raise ContractError("cross-rpm grid needs >= 2 rpm datasets")
     if augment_n_per_rpm < 0:
         raise ContractError(f"augment_n_per_rpm must be >= 0, got {augment_n_per_rpm}")
-    spec = SplitSpec(train_fraction, SplitMode.STRATIFIED_SHUFFLE, seed=cfg.seed)
-    splits = {rpm: split_arrays(*per_rpm[rpm], spec) for rpm in rpms}
+    splits = {rpm: split_arrays(*per_rpm[rpm], cfg.seed) for rpm in rpms}
 
     def train(unit):
         if unit == 0:
             return _train_each([splits[rpm][0] for rpm in rpms], hidden_sizes, cfg, class_names)
         # augmented row: the same per-rpm training splits pooled, plus
         # interpolants, so the single-rpm test splits stay untouched
-        combined = augment.augmented_training_set(per_rpm, train_fraction, augment_n_per_rpm,
-                                                  seed=cfg.seed)
+        combined = augment.augmented_training_set(per_rpm, augment_n_per_rpm, seed=cfg.seed)
         return _train_each([(combined.features, combined.labels)], hidden_sizes,
                            replace(cfg, seed=cfg.seed + len(rpms)), class_names)
 
@@ -303,7 +299,7 @@ def cross_rpm_matrix(
         row = {str(test_rpm): evaluate(model, *splits[test_rpm][1])[0] for test_rpm in rpms}
         row["average"] = float(np.mean([row[str(r)] for r in rpms]))
         grid[train_rpm] = row
-    return {"rpms": rpms, "grid": grid, "train_fraction": train_fraction,
+    return {"rpms": rpms, "grid": grid, "train_fraction": TRAIN_FRACTION,
             "augment_n_per_rpm": augment_n_per_rpm, "seed": cfg.seed}
 
 
@@ -326,7 +322,7 @@ def tuning_sweep(
     mode: str = "cumulative",
 ) -> List[dict]:
     """Accuracy after the baseline (DEFAULT_HIDDEN layers) and after each
-    tuning step, on a 0.7 stratified split seeded by base_cfg.seed.
+    tuning step, on a stratified split seeded by base_cfg.seed.
 
     Cumulative mode applies steps in ledger order; independent mode applies
     each step alone against the baseline.
@@ -335,8 +331,7 @@ def tuning_sweep(
         raise ContractError("mode must be 'cumulative' or 'independent'")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    split = SplitSpec(0.7, SplitMode.STRATIFIED_SHUFFLE, seed=base_cfg.seed)
-    (ftr, ltr), (fte, lte) = split_arrays(features, labels, split)
+    (ftr, ltr), (fte, lte) = split_arrays(features, labels, base_cfg.seed)
 
     def run(state: dict) -> float:
         x_train, x_test = ftr, fte

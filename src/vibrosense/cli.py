@@ -18,7 +18,6 @@ from .core import (
     DefectLabel,
     MachineState,
     OperatingPoint,
-    SplitMode,
     SplitSpec,
     make_rng,
     split_arrays,
@@ -301,7 +300,7 @@ def cmd_bench(args, cfg) -> dict:
     bench = anomaly.run_benchmark(
         datasets,
         grid,
-        SplitSpec(cfg["split"]["train_fraction"], SplitMode.CHRONOLOGICAL, seed=seed),
+        SplitSpec(cfg["split"]["train_fraction"], seed=seed),
         anomaly.AnomalyRuleConfig(lam=cfg["detection"]["lambda"],
                                   two_sided=cfg["detection"]["two_sided"]),
     )
@@ -347,8 +346,7 @@ def cmd_train(args, cfg) -> dict:
         class_names = ("normal", "not_normal")
     else:
         class_names = classify.DEFAULT_CLASS_NAMES
-    spec = SplitSpec(0.7, SplitMode.STRATIFIED_SHUFFLE, seed=tcfg.seed)
-    (ftr, ltr), (fte, lte) = split_arrays(feats, labels, spec)
+    (ftr, ltr), (fte, lte) = split_arrays(feats, labels, tcfg.seed)
     if args.augment:  # interpolants join the training split only
         f_new, l_new = augment.interpolate_within_rpm(ftr, ltr, args.augment, seed=tcfg.seed)
         ftr = np.concatenate([ftr, f_new])
@@ -430,8 +428,7 @@ def run_transfer_experiment(
     enc = features.fit_encoder(fs, features.axis_feature_names())
     source_model = classify.train_classifier(enc.transform(fs), ls, cfg=cfg)
     bundle = classify.make_bundle(source_model, enc, source_id=f"synthetic-piezo-rpm{rpm}", cfg=cfg)
-    spec = SplitSpec(0.7, SplitMode.STRATIFIED_SHUFFLE, seed=cfg.seed)
-    (ftr, ltr), (fte, lte) = split_arrays(ft, lt, spec)
+    (ftr, ltr), (fte, lte) = split_arrays(ft, lt, cfg.seed)
     target_cfg = replace(cfg, epochs=max(1, int(cfg.epochs * target_epoch_scale)))
     dnn_r = classify.train_classifier(enc.transform(ftr), ltr, cfg=target_cfg)
     dnn_tl = classify.train_transfer(bundle, ftr, ltr, cfg=target_cfg)

@@ -87,15 +87,15 @@ class VibrationRecord:
         return int(self.x.size)
 
 
-class SplitMode(IntEnum):
-    CHRONOLOGICAL = 0
-    STRATIFIED_SHUFFLE = 1
+#: The share of each label's feature rows that a classifier trains on.
+TRAIN_FRACTION = 0.7
 
 
 @dataclass(frozen=True)
 class SplitSpec:
+    """A series' chronological split; the benchmark report records its seed."""
+
     train_fraction: float
-    mode: SplitMode = SplitMode.CHRONOLOGICAL
     seed: int = 0
 
     def __post_init__(self):
@@ -182,10 +182,8 @@ def precision_recall_f1(flags_pred, flags_true) -> DetectionScore:
 
 
 def split_series(series: TimeSeries, spec: SplitSpec):
-    """Chronological train/test split of a time series. Shuffled splits are
-    refused: they would leak future samples into training."""
-    if spec.mode != SplitMode.CHRONOLOGICAL:
-        raise ContractError("time series can only be split chronologically")
+    """Chronological train/test split of a time series: the earliest
+    floor(n*f) points train, so no future sample leaks into training."""
     n = len(series)
     n_train = int(np.floor(n * spec.train_fraction))
     if n_train < 1 or n - n_train < 1:
@@ -197,45 +195,27 @@ def split_series(series: TimeSeries, spec: SplitSpec):
     return train, test
 
 
-def split_indices(n: int, spec: SplitSpec, labels=None):
-    """Index partition (train_idx, test_idx) of range(n).
-
-    Chronological mode takes the earliest floor(n*f) items. StratifiedShuffle
-    preserves per-label proportions within one sample and is deterministic
-    given the seed.
-    """
+def split_arrays(features, labels, seed: int):
+    """Stratified shuffle split of (features, labels) rows: each label keeps
+    TRAIN_FRACTION of its rows for training, drawn deterministically from seed."""
+    features = np.asarray(features)
+    labels = np.asarray(labels)
+    n = features.shape[0]
     if n < 2:
         raise ContractError("split needs at least 2 items")
-    n_train = int(np.floor(n * spec.train_fraction))
-    if n_train < 1 or n - n_train < 1:
-        raise ContractError(f"split needs >= 1 item per side, got {n} items at f={spec.train_fraction}")
-    if spec.mode == SplitMode.CHRONOLOGICAL:
-        idx = np.arange(n)
-        return idx[:n_train], idx[n_train:]
-    if labels is None:
-        raise ContractError("StratifiedShuffle requires labels")
-    labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ContractError("labels must have one entry per item")
-    rng = make_rng(spec.seed)
+    rng = make_rng(seed)
     train_parts, test_parts = [], []
     for lab in np.unique(labels):
         members = np.flatnonzero(labels == lab)
         members = rng.permutation(members)
-        k = int(round(len(members) * spec.train_fraction))
+        k = int(round(len(members) * TRAIN_FRACTION))
         k = min(max(k, 1), len(members) - 1) if len(members) >= 2 else k
         train_parts.append(members[:k])
         test_parts.append(members[k:])
-    train_idx = np.sort(np.concatenate(train_parts))
-    test_idx = np.sort(np.concatenate(test_parts))
-    return train_idx, test_idx
-
-
-def split_arrays(features, labels, spec: SplitSpec):
-    """Split (features, labels) row-wise per the spec's index partition."""
-    features = np.asarray(features)
-    labels = np.asarray(labels)
-    tr, te = split_indices(features.shape[0], spec, labels=labels)
+    tr = np.sort(np.concatenate(train_parts))
+    te = np.sort(np.concatenate(test_parts))
     return (features[tr], labels[tr]), (features[te], labels[te])
 
 

@@ -13,7 +13,7 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .core import ContractError, DefectLabel, MachineState, OperatingPoint, VibrationRecord
+from .core import ContractError, MachineState, OperatingPoint, VibrationRecord
 from .features import TRIAXIAL_FEATURE_NAMES, extract_time_domain
 
 DEFAULT_TIMEZONE = "America/New_York"
@@ -105,13 +105,14 @@ def _parse_floats(tokens: Sequence[str], places: Sequence, where: str = "line {}
 
 def parse_timestamp(text: str, tz: str = DEFAULT_TIMEZONE) -> float:
     """Accepts ISO-8601 or M/D/YYYY H:MM[:SS]; interpreted as local wall time."""
-    return _utc_s([_parse_datetime(text)], tz)[0]
+    return _utc_s([_parse_datetime(text, tz)], tz)[0]
 
 
-def _parse_datetime(text: str) -> dt.datetime:
-    """The datetime a timestamp text spells, naive unless it names an offset;
-    its wall time (naive) or UTC time (aware) must lie in the range the
-    wall-time conversions take."""
+def _parse_datetime(text: str, tz: str) -> dt.datetime:
+    """The datetime a timestamp text spells, naive (wall time in tz) unless it
+    names an offset. Its wall time (naive) or UTC time (aware), and the UTC
+    second _utc_s gives it, must lie in the range the wall-time conversions
+    take."""
     text = text.strip()
     naive = None
     try:
@@ -125,8 +126,9 @@ def _parse_datetime(text: str) -> dt.datetime:
                 continue
     if naive is None:
         raise ContractError(f"unparseable timestamp '{text}'")
-    first, last = (_FIRST, _LAST) if naive.tzinfo is None else (_FIRST_UTC, _LAST_UTC)
-    if not first <= naive < last:
+    first, inner_first, inner_last, last = _RANGES[naive.tzinfo is not None]
+    if not inner_first <= naive < inner_last and not (
+            first <= naive < last and _FIRST_S <= _utc_s([naive], tz)[0] < _LAST_S):
         raise ContractError(f"timestamp '{text}' is out of range")
     return naive
 
@@ -171,7 +173,15 @@ _EPOCH_ORDINAL = _NAIVE_EPOCH.toordinal()
 # takes a time or the end of its hour out of it
 _FIRST, _LAST = dt.datetime(1, 1, 2), dt.datetime(9999, 12, 31)
 _FIRST_US, _LAST_US = ((t - _NAIVE_EPOCH) // _ONE_US for t in (_FIRST, _LAST))
+_FIRST_S, _LAST_S = _FIRST_US / _US, _LAST_US / _US
 _FIRST_UTC, _LAST_UTC = (t.replace(tzinfo=dt.timezone.utc) for t in (_FIRST, _LAST))
+# The ends of a text's range, naive or aware, and between them the ends of
+# the stamps more than any offset away from both, which convert inside it.
+# Nearer an end, the zone's offset or the rounding to a float second can take
+# the UTC second out, so _parse_datetime checks that second itself.
+_MARGIN = dt.timedelta(days=2)
+_RANGES = {aware: (first, first + _MARGIN, last - _MARGIN, last)
+           for aware, first, last in ((False, _FIRST, _LAST), (True, _FIRST_UTC, _LAST_UTC))}
 # int64 microseconds convert to float64 exactly up to this magnitude
 _EXACT_US = 2**53
 
@@ -196,7 +206,7 @@ def to_wall_us(timestamps_s, tz: str = DEFAULT_TIMEZONE) -> np.ndarray:
     half-even to the microsecond, as datetime.fromtimestamp rounds it."""
     zone = ZoneInfo(tz)
     stamps = np.asarray(timestamps_s, dtype=np.float64)
-    out_of_range = ~((stamps >= _FIRST_US / _US) & (stamps < _LAST_US / _US))  # NaN included
+    out_of_range = ~((stamps >= _FIRST_S) & (stamps < _LAST_S))  # NaN included
     if out_of_range.any():
         bad = float(stamps[out_of_range][0])
         dt.datetime.fromtimestamp(bad, zone)  # raises for NaN, infinity, years past 9999
@@ -256,14 +266,13 @@ def parse_triaxial_csv(
     path,
     sample_rate_hz: float,
     operating_point: OperatingPoint,
-    label: Optional[DefectLabel] = None,
     burst_len: Optional[int] = None,
-    start_s: float = 0.0,
 ) -> List[VibrationRecord]:
     """Three numeric columns (X, Y, Z) per row, optional one-line header.
 
-    Returns one record for the whole file, or fixed-length bursts when
-    burst_len is given (a short trailing remainder is kept as its own burst).
+    Returns one unlabeled record for the whole file, starting at t = 0, or
+    fixed-length bursts when burst_len is given (a short trailing remainder is
+    kept as its own burst).
     """
     if not 0 < sample_rate_hz < np.inf:
         raise ContractError(f"sample rate must be positive and finite, got {sample_rate_hz}")
@@ -302,13 +311,12 @@ def parse_triaxial_csv(
     for lo, hi in bounds:
         records.append(
             VibrationRecord(
-                start_s=start_s + lo / sample_rate_hz,
+                start_s=lo / sample_rate_hz,
                 sample_rate_hz=sample_rate_hz,
                 x=x[lo:hi],
                 y=y[lo:hi],
                 z=z[lo:hi],
                 operating_point=operating_point,
-                label=label,
             )
         )
     return records
@@ -326,10 +334,9 @@ def _looks_numeric(token: str) -> bool:
 # by "\r\n", no field quoted. Float reprs and ISO timestamps never hold a
 # comma, a quote or a line break, so no field needs quoting.
 
-def write_triaxial_csv(records: Sequence[VibrationRecord], path, header: bool = True) -> None:
+def write_triaxial_csv(records: Sequence[VibrationRecord], path) -> None:
     with open(path, "w", newline="") as fh:
-        if header:
-            fh.write("X,Y,Z\r\n")
+        fh.write("X,Y,Z\r\n")
         for rec in records:
             fh.writelines(f"{x!r},{y!r},{z!r}\r\n"
                           for x, y, z in zip(rec.x.tolist(), rec.y.tolist(), rec.z.tolist()))
@@ -365,7 +372,7 @@ def parse_process_csv(path, tz: str = DEFAULT_TIMEZONE) -> List[ProcessRow]:
                 if len(row) < len(header):
                     raise ContractError(f"short row (line {lineno})")
                 try:
-                    stamps.append(_parse_datetime(row[timestamp_at]))
+                    stamps.append(_parse_datetime(row[timestamp_at], tz))
                 except ContractError as exc:
                     raise ContractError(f"{exc} (line {lineno})") from exc
                 tokens += measurements(row)
@@ -479,6 +486,11 @@ def label_process_rows(
     return list(zip(rows, map(_STATES.__getitem__, states.tolist())))
 
 
+#: The span after each process row's time that its aligned vibration records
+#: start in: the process data's 5-minute cadence.
+ALIGN_BUCKET_S = 300.0
+
+
 @dataclass(frozen=True)
 class AlignedDataset:
     features: np.ndarray
@@ -490,11 +502,10 @@ class AlignedDataset:
 def align_and_impute(
     vibration: Sequence[VibrationRecord],
     labeled_process: Sequence[Tuple[ProcessRow, MachineState]],
-    bucket_s: float = 300.0,
 ) -> AlignedDataset:
     """Join vibration and process data on the process timestamps.
 
-    Each process row owns the bucket [t, t + bucket_s); vibration records
+    Each process row owns the bucket [t, t + ALIGN_BUCKET_S); vibration records
     starting inside it contribute their 15 time-domain features, aggregated by
     per-feature median. Process measurements are appended and the machine
     state is carried from the process row. Empty buckets are dropped and
@@ -507,7 +518,7 @@ def align_and_impute(
     proc_sorted = sorted(labeled_process, key=lambda p: p[0].timestamp_s)
     times = np.array([row.timestamp_s for row, _ in proc_sorted])
     lo = np.searchsorted(starts, times, side="left").tolist()
-    hi = np.searchsorted(starts, times + bucket_s, side="left").tolist()
+    hi = np.searchsorted(starts, times + ALIGN_BUCKET_S, side="left").tolist()
     # every record's features, one call per record length
     lengths = np.array([len(r) for r in vib_sorted])
     feats = np.empty((len(starts), len(TRIAXIAL_FEATURE_NAMES)))

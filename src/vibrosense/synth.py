@@ -199,6 +199,13 @@ def chiller_series(labeled_rows) -> TimeSeries:
     )
 
 
+#: generate_spiked_series' AR(1) signal: its level, coefficient and noise
+#: scale; its points are one second apart from t = 0.
+SPIKED_LEVEL = 10.0
+SPIKED_AR_COEF = 0.2
+SPIKED_NOISE_SIGMA = 0.05
+
+
 @dataclass(frozen=True)
 class SpikedSeries:
     series: TimeSeries
@@ -217,11 +224,7 @@ def generate_spiked_series(
     n: int,
     n_spikes: int,
     spike_rel: float = 0.3,
-    level: float = 10.0,
-    ar_coef: float = 0.2,
-    noise_sigma: float = 0.05,
     seed: int = 0,
-    interval_s: float = 1.0,
 ) -> SpikedSeries:
     """Learnable AR(1) signal around a positive level with multiplicative
     spikes injected at random positions; the injection log is the ground truth
@@ -230,10 +233,10 @@ def generate_spiked_series(
     rng = make_rng(seed)
     values = np.empty(n)
     prev = 0.0
-    noise = rng.normal(0.0, noise_sigma, n)
+    noise = rng.normal(0.0, SPIKED_NOISE_SIGMA, n)
     for i in range(n):
-        prev = ar_coef * prev + noise[i]
-        values[i] = level + prev
+        prev = SPIKED_AR_COEF * prev + noise[i]
+        values[i] = SPIKED_LEVEL + prev
     # spikes only in the back half so a chronological split leaves them in test
     candidates = np.arange(n // 2 + 1, n)
     spikes = np.sort(rng.choice(candidates, size=n_spikes, replace=False))
@@ -242,6 +245,6 @@ def generate_spiked_series(
     if not np.all(np.isfinite(values[spikes])):
         raise ContractError(f"spike_rel = {spike_rel} makes a spiked value overflow")
     return SpikedSeries(
-        series=TimeSeries(start_s=0.0, interval_s=interval_s, values=values),
+        series=TimeSeries(start_s=0.0, interval_s=1.0, values=values),
         spike_indices=spikes,
     )

@@ -28,7 +28,6 @@ from vibrosense.classify import (
 from vibrosense.cli import _synth_per_rpm, run_transfer_experiment
 from vibrosense.core import (
     MachineState,
-    SplitMode,
     SplitSpec,
     make_rng,
     precision_recall_f1,
@@ -242,8 +241,7 @@ def test_criterion_07_binary_relaxation_per_rpm():
     with Budget(300) as b:
         for rpm in rpms:
             feats, labels = _synth_per_rpm([rpm], duration_s=1.0, noise=0.2, seed=0)[rpm]
-            spec = SplitSpec(0.7, SplitMode.STRATIFIED_SHUFFLE, seed=0)
-            (ftr, ltr), (fte, lte) = split_arrays(feats, labels, spec)
+            (ftr, ltr), (fte, lte) = split_arrays(feats, labels, 0)
             enc = fit_encoder(ftr, tuple(f"f{i}" for i in range(ftr.shape[1])))
             cfg = TrainConfig(epochs=25, seed=0)
             three = train_classifier(enc.transform(ftr), ltr, cfg=cfg)
@@ -319,7 +317,7 @@ def test_criterion_09_format_fidelity(tmp_path):
                           rng.normal(size=64), op, DefectLabel.NORMAL)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_triaxial_csv([rec], p1)
-    write_triaxial_csv(parse_triaxial_csv(p1, 3200.0, op, label=DefectLabel.NORMAL), p2)
+    write_triaxial_csv(parse_triaxial_csv(p1, 3200.0, op), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
     n = PHARMA_POINTS_PER_AXIS

@@ -19,6 +19,10 @@ from vibrosense.ingest import parse_timestamp
 from vibrosense.synth import generate_spiked_series
 
 
+#: A denominator floor far below every predicted magnitude of the hand cases.
+EPS = 1e-6
+
+
 def series(values, start=0.0, interval=1.0):
     return TimeSeries(start, interval, np.asarray(values, dtype=float))
 
@@ -26,24 +30,24 @@ def series(values, start=0.0, interval=1.0):
 class TestFlagRule:
     def test_hand_case_over_prediction(self):
         cfg = AnomalyRuleConfig(lam=0.1)
-        assert flag_anomaly(10.0, 8.0, cfg) is True  # |r| = 0.2
+        assert flag_anomaly(10.0, 8.0, cfg, EPS) is True  # |r| = 0.2
 
     def test_hand_case_identity(self):
         cfg = AnomalyRuleConfig(lam=0.1)
-        assert flag_anomaly(10.0, 10.0, cfg) is False
+        assert flag_anomaly(10.0, 10.0, cfg, EPS) is False
 
     def test_hand_case_floored_denominator(self):
-        cfg = AnomalyRuleConfig(lam=0.1, epsilon=1e-6)
-        assert flag_anomaly(0.0, 1.0, cfg) is True
+        cfg = AnomalyRuleConfig(lam=0.1)
+        assert flag_anomaly(0.0, 1.0, cfg, EPS) is True
 
     def test_two_sided_symmetry(self):
         cfg = AnomalyRuleConfig(lam=0.1)
-        assert flag_anomaly(10.0, 12.0, cfg) == flag_anomaly(10.0, 8.0, cfg)
+        assert flag_anomaly(10.0, 12.0, cfg, EPS) == flag_anomaly(10.0, 8.0, cfg, EPS)
 
     def test_one_sided_only_over_prediction(self):
         cfg = AnomalyRuleConfig(lam=0.1, two_sided=False)
-        assert flag_anomaly(10.0, 8.0, cfg) is True  # r = +0.2
-        assert flag_anomaly(10.0, 12.0, cfg) is False  # r = -0.2
+        assert flag_anomaly(10.0, 8.0, cfg, EPS) is True  # r = +0.2
+        assert flag_anomaly(10.0, 12.0, cfg, EPS) is False  # r = -0.2
 
     def test_monotonic_in_lambda(self):
         rng = make_rng(0)
@@ -51,23 +55,18 @@ class TestFlagRule:
         actual = rng.normal(0.0, 5.0, 1000)
         lambdas = np.sort(rng.uniform(0.01, 2.0, 8))
         counts = [
-            int(np.sum(flag_anomaly(predicted, actual, AnomalyRuleConfig(lam=lam))))
+            int(np.sum(flag_anomaly(predicted, actual, AnomalyRuleConfig(lam=lam), EPS)))
             for lam in lambdas
         ]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_relative_error_vectorized(self):
-        cfg = AnomalyRuleConfig()
-        r = relative_error([10.0, 10.0], [8.0, 10.0], cfg)
+        r = relative_error([10.0, 10.0], [8.0, 10.0], EPS)
         assert np.allclose(r, [0.2, 0.0])
 
     def test_default_lambda(self):
         assert DEFAULT_LAMBDA == 0.1
         assert AnomalyRuleConfig().lam == 0.1
-
-    def test_epsilon_scaled_to_train_rms(self):
-        cfg = AnomalyRuleConfig().scaled_to_rms(100.0)
-        assert cfg.epsilon == pytest.approx(EPSILON_RMS_FRACTION * 100.0)
 
     def test_guards(self):
         with pytest.raises(ContractError):
@@ -120,9 +119,21 @@ class TestDetectSeries:
         model = fit(ForecastModelConfig("seasonal_naive", {"m": 1}),
                     series([2e6, 2e6, 2e6, 2e6, 0.0]))
         result = detect_series(model, series([0.1]), AnomalyRuleConfig())
-        assert result.rule.epsilon == EPSILON_RMS_FRACTION * model.train_rms
+        assert result.epsilon == EPSILON_RMS_FRACTION * model.train_rms
         assert not result.flags.any()
-        assert flag_anomaly(result.predictions, [0.1], AnomalyRuleConfig()).all()
+        assert flag_anomaly(result.predictions, [0.1], AnomalyRuleConfig(), EPS).all()
+
+    def test_epsilon_floor_of_a_zero_training_rms_stays_positive(self):
+        model = fit(ForecastModelConfig("seasonal_naive", {"m": 1}), series([0.0] * 4))
+        result = detect_series(model, series([0.0, 1.0]), AnomalyRuleConfig())
+        assert result.epsilon == 1e-300
+        assert result.flags.tolist() == [False, True]
+
+    def test_a_training_rms_that_overflowed_is_refused(self):
+        model = fit(ForecastModelConfig("seasonal_naive", {"m": 1}), series([1.0] * 4))
+        model.train_rms = np.inf
+        with pytest.raises(ContractError, match="epsilon must be finite and positive"):
+            detect_series(model, series([1.0]), AnomalyRuleConfig())
 
 
 class TestGroundTruth:

@@ -21,7 +21,7 @@ def dataset(n, seed=0, width=2):
 class TestAggregate:
     def test_two_rpms_combined_count(self):
         per_rpm = {200: dataset(100, 0), 300: dataset(100, 1)}
-        combined = aggregate_rpms(per_rpm, train_fraction=0.7)
+        combined = aggregate_rpms(per_rpm)
         assert len(combined) == 140  # 70 per rpm
 
     def test_provenance_maps_back(self):
@@ -104,7 +104,7 @@ class TestInterpolation:
 class TestAugmentedTrainingSet:
     def test_counts(self):
         per_rpm = {200: dataset(100, 0), 300: dataset(100, 1)}
-        combined = augmented_training_set(per_rpm, train_fraction=0.7, n_new_per_rpm=50)
+        combined = augmented_training_set(per_rpm, n_new_per_rpm=50)
         assert len(combined) == 140 + 100
 
     def test_zero_interpolants(self):

@@ -24,7 +24,7 @@ from vibrosense.classify import (
     train_transfer,
     tuning_sweep,
 )
-from vibrosense.core import ContractError, SplitMode, SplitSpec, make_rng, split_arrays
+from vibrosense.core import ContractError, make_rng, split_arrays
 from vibrosense.features import fit_encoder
 from vibrosense.nn import Mlp, gradient_check, softmax
 
@@ -230,8 +230,7 @@ class TestTuningSweep:
         feats, labels = blobs(n_per_class=30, spread=1.0)
         cfg = TrainConfig(epochs=3, seed=6)
         results = tuning_sweep(feats, labels, [], base_cfg=cfg)
-        spec = SplitSpec(0.7, SplitMode.STRATIFIED_SHUFFLE, seed=6)
-        (ftr, ltr), (fte, lte) = split_arrays(feats, labels, spec)
+        (ftr, ltr), (fte, lte) = split_arrays(feats, labels, 6)
         model = train_classifier(ftr, ltr, DEFAULT_HIDDEN, cfg)
         assert results[0]["accuracy"] == evaluate(model, fte, lte)[0]
 

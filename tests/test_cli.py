@@ -93,7 +93,7 @@ class TestLoadConfig:
 #: A bad value for every CONFIG_SCHEMA key, as (section, key, file text, the
 #: library's reason).
 BAD_SETTINGS = [
-    ("detection", "lambda", "0", "lambda and epsilon must be finite and positive"),
+    ("detection", "lambda", "0", "lambda must be finite and positive"),
     ("detection", "two_sided", "maybe", "is not a valid bool"),
     ("training", "epochs", "-1", "train config epochs must be >= 0, got -1"),
     ("training", "batch_size", "0", "train config batch_size must be >= 1, got 0"),
@@ -174,7 +174,7 @@ class TestSettingsCheckedOnce:
         path = write_config(tmp_path, "[detection]\nlambda = 0\n")
         code, err = self._run(tmp_path, capsys, ["--config", path, "train", "--duration", "0.2"])
         assert code == cli.USER_ERROR
-        assert f"config file {path}: [detection] lambda = '0': lambda and epsilon" in err
+        assert f"config file {path}: [detection] lambda = '0': lambda must be finite" in err
 
     def test_split_flag_and_file_key_say_which_gave_the_value(self, tmp_path, capsys):
         path = write_config(tmp_path, "[split]\ntrain_fraction = 2\n")
@@ -293,11 +293,14 @@ class TestExitCodes:
         assert "sample rate must be positive" in capsys.readouterr().err
 
     # wall times, and UTC times of texts that name their offset, a day inside
-    # datetime's range at either end; bench labels the rows it reads
+    # datetime's range at either end; then two in range on their own clock
+    # but not as a UTC second: the first rounds up to the range's end as a
+    # float, the second is 03:55 UTC on 9999-12-31. bench labels the rows it reads
     @pytest.mark.parametrize("command", [["ingest", "--format", "process", "--input"],
                                          ["bench", "--models", "ar", "--datasets"]])
     @pytest.mark.parametrize("stamp", ["9999-12-31 23:30:00", "0001-01-01 00:00:00",
-                                       "9999-12-30T20:00:00-05:00", "0001-01-02T01:00:00+05:00"])
+                                       "9999-12-30T20:00:00-05:00", "0001-01-02T01:00:00+05:00",
+                                       "9999-12-30T23:59:59.999999+00:00", "9999-12-30 22:55:00"])
     def test_process_time_outside_the_conversion_range_is_user_error(self, tmp_path, capsys,
                                                                      command, stamp):
         path = tmp_path / "p.csv"
@@ -538,6 +541,16 @@ class TestBench:
         assert doc["datasets"]["synth-a"]["truth_rule"] == "injected_spikes"
         assert doc["datasets"][str(data)]["n_points"] != doc["datasets"]["synth-a"]["n_points"]
         assert all(c["error"] is None for c in doc["grid"])
+
+    def test_split_and_rule_sections(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[detection]\ntwo_sided = false\n")
+        out = tmp_path / "r.json"
+        assert cli.main(["--config", cfg, "bench", "--models", "seasonal_naive", "--datasets",
+                         "synth-a", "--split", "0.5", "--lambda", "0.2", "--seed", "3",
+                         "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["split"] == {"train_fraction": 0.5, "mode": "CHRONOLOGICAL", "seed": 3}
+        assert doc["rule"] == {"lambda": 0.2, "two_sided": False, "epsilon_rms_fraction": 1e-06}
 
     def test_tables_printed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BENCH_CFG)

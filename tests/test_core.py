@@ -7,8 +7,8 @@ from vibrosense.core import (
     DefectLabel,
     MachineState,
     OperatingPoint,
-    SplitMode,
     SplitSpec,
+    TRAIN_FRACTION,
     TimeSeries,
     VibrationRecord,
     confusion_matrix,
@@ -16,7 +16,6 @@ from vibrosense.core import (
     precision_recall_f1,
     rmse,
     split_arrays,
-    split_indices,
     split_series,
 )
 
@@ -77,35 +76,35 @@ class TestSplits:
         assert train.values[0] == 0.0 and test.values[0] == 66.0
         assert test.start_s == 66.0
 
-    def test_series_refuses_shuffle(self):
-        series = TimeSeries(0.0, 1.0, np.arange(10, dtype=float))
-        with pytest.raises(ContractError):
-            split_series(series, SplitSpec(0.5, SplitMode.STRATIFIED_SHUFFLE))
-
     def test_stratified_proportions(self):
+        assert TRAIN_FRACTION == 0.7
         labels = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2])
-        tr, te = split_indices(10, SplitSpec(0.7, SplitMode.STRATIFIED_SHUFFLE, seed=3),
-                               labels=labels)
+        (tr, ytr), (te, yte) = split_arrays(np.arange(10), labels, 3)
         assert tr.size + te.size == 10
         assert np.intersect1d(tr, te).size == 0
-        counts = {lab: int(np.sum(labels[tr] == lab)) for lab in (0, 1, 2)}
+        assert np.array_equal(labels[tr], ytr) and np.array_equal(labels[te], yte)
+        counts = {lab: int(np.sum(ytr == lab)) for lab in (0, 1, 2)}
         assert abs(counts[0] - 3) <= 1
         assert abs(counts[1] - 2) <= 1
         assert abs(counts[2] - 2) <= 1
 
     def test_deterministic(self):
         labels = np.arange(20) % 3
-        spec = SplitSpec(0.7, SplitMode.STRATIFIED_SHUFFLE, seed=9)
-        a = split_indices(20, spec, labels=labels)
-        b = split_indices(20, spec, labels=labels)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        a = split_arrays(np.arange(20), labels, 9)
+        b = split_arrays(np.arange(20), labels, 9)
+        assert np.array_equal(a[0][0], b[0][0]) and np.array_equal(a[1][0], b[1][0])
 
     def test_split_arrays_roundtrip(self):
         x = np.arange(20).reshape(10, 2).astype(float)
         y = np.arange(10) % 2
-        (xtr, ytr), (xte, yte) = split_arrays(x, y, SplitSpec(0.5, SplitMode.STRATIFIED_SHUFFLE))
+        (xtr, ytr), (xte, yte) = split_arrays(x, y, 0)
         assert xtr.shape[0] + xte.shape[0] == 10
         assert ytr.size + yte.size == 10
+
+    @pytest.mark.parametrize("n_features, n_labels", [(1, 1), (4, 3)])
+    def test_split_arrays_guards(self, n_features, n_labels):
+        with pytest.raises(ContractError):
+            split_arrays(np.zeros((n_features, 2)), np.zeros(n_labels), 0)
 
     def test_bad_fraction(self):
         with pytest.raises(ContractError):

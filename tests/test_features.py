@@ -101,7 +101,7 @@ def test_align_and_impute_matches_per_record_reference():
                for t, state in zip([900.0, 300.0, 0.0, 600.0],
                                    [MachineState.ON, MachineState.OFF,
                                     MachineState.ABNORMAL, MachineState.ON])]
-    got = ingest.align_and_impute(vibration[::-1], labeled, bucket_s=300.0)
+    got = ingest.align_and_impute(vibration[::-1], labeled)
     features, labels = _ref_align(vibration, labeled, 300.0)
     assert got.features.tobytes() == features.tobytes()
     assert got.labels.tolist() == labels

@@ -1,6 +1,6 @@
-"""Every module-level import in the package and in the tests is used: read by
-name somewhere in its module, annotations (quoted ones too) included. A
-package `__init__.py` imports to re-export, and a name listed in a module's
+"""Every module-level import in the package, the tests and the demos is used:
+read by name somewhere in its module, annotations (quoted ones too) included.
+A package `__init__.py` imports to re-export, and a name listed in a module's
 `__all__` is exported, so neither counts as unused."""
 
 import ast
@@ -13,6 +13,7 @@ import vibrosense
 PACKAGE = Path(vibrosense.__file__).parent
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
+DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 
 
 def _imported(tree):
@@ -54,8 +55,8 @@ def unused_imports(source: str):
     return [(name, line) for name, line in _imported(tree) if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: (
-    f"tests/{p.name}" if p in TEST_MODULES else str(p.relative_to(PACKAGE))))
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES + DEMOS, ids=lambda p: (
+    f"{p.parent.name}/{p.name}" if p in TEST_MODULES + DEMOS else str(p.relative_to(PACKAGE))))
 def test_module_level_imports_are_used(path):
     found = unused_imports(path.read_text())
     assert not found, ", ".join(f"{path.name}:{line} imports '{name}' unused" for name, line in found)

@@ -86,7 +86,8 @@ class TestTriaxialCsv:
                               rng.normal(size=50), OP, DefectLabel.NORMAL)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_triaxial_csv([rec], p1)
-        loaded = parse_triaxial_csv(p1, 3200.0, OP, label=DefectLabel.NORMAL)
+        loaded = parse_triaxial_csv(p1, 3200.0, OP)
+        assert loaded[0].label is None and loaded[0].start_s == 0.0
         assert np.array_equal(loaded[0].x, rec.x)
         assert np.array_equal(loaded[0].y, rec.y)
         assert np.array_equal(loaded[0].z, rec.z)

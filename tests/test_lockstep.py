@@ -14,7 +14,7 @@ import pytest
 from vibrosense import classify, forecast
 from vibrosense.anomaly import AnomalyDataset, TruthRule, run_benchmark
 from vibrosense.classify import TrainConfig, cross_rpm_matrix, train_classifier
-from vibrosense.core import ContractError, SplitMode, SplitSpec, TimeSeries, make_rng, split_arrays
+from vibrosense.core import ContractError, SplitSpec, TimeSeries, make_rng, split_arrays
 from vibrosense.forecast import ForecastModelConfig
 from vibrosense.nn import ConvAutoencoder, Mlp, RecurrentNet, base, sgd_epochs
 from vibrosense.synth import generate_spiked_series
@@ -281,8 +281,7 @@ def _grid_and_models(monkeypatch, per_rpm, cfg, augment):
 
 
 def _single_speed_references(per_rpm, cfg):
-    spec = SplitSpec(0.7, SplitMode.STRATIFIED_SHUFFLE, seed=cfg.seed)
-    trains = [split_arrays(*per_rpm[rpm], spec)[0] for rpm in sorted(per_rpm)]
+    trains = [split_arrays(*per_rpm[rpm], cfg.seed)[0] for rpm in sorted(per_rpm)]
     return _one_at_a_time(trains, (8, 8), cfg, None)
 
 
@@ -344,8 +343,7 @@ def test_cross_rpm_grid_raises_the_first_speeds_divergence(monkeypatch):
         monkeypatch.setattr(classify, "_train_each", _one_at_a_time)
         with pytest.raises(ContractError) as alone:
             cross_rpm_matrix(per_rpm, hidden_sizes=(8, 8), cfg=cfg)
-        spec = SplitSpec(0.7, SplitMode.STRATIFIED_SHUFFLE, seed=cfg.seed)
-        (x, y), _ = split_arrays(*per_rpm[300], spec)
+        (x, y), _ = split_arrays(*per_rpm[300], cfg.seed)
         with pytest.raises(ContractError) as later_speed:
             train_classifier(x, y, (8, 8), replace(cfg, seed=cfg.seed + 2))
     assert str(alone.value) == "non-finite training loss at epoch 3"

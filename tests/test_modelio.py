@@ -125,7 +125,7 @@ class TestForecasterPersistence:
         original, reloaded = detect_series(model, test, cfg), detect_series(loaded, test, cfg)
         assert np.array_equal(original.predictions, reloaded.predictions)
         assert np.array_equal(original.flags, reloaded.flags)
-        assert original.rule.epsilon == reloaded.rule.epsilon
+        assert original.epsilon == reloaded.epsilon
         again = tmp_path / f"{kind}-again.json"
         save_forecaster(loaded, again)
         assert again.read_bytes() == path.read_bytes()

@@ -130,7 +130,7 @@ def _ref_format_local(timestamp_s, zone):
 def _ref_parse_local(text, zone):
     """The datetime parsing the array path replaced: a naive text is wall time
     in the zone (fold=0), an aware one keeps its own offset."""
-    stamp = ingest._parse_datetime(text)
+    stamp = ingest._parse_datetime(text, zone.key)
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=zone)
     return stamp.timestamp()
