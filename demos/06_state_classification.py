@@ -28,18 +28,19 @@ def state_counts(states):
 
 
 print(f"process rows: {len(labeled)} (5-minute cadence over 7 days): "
-      f"{state_counts([state for _, state in labeled])}")
+      f"{state_counts(labeled.states)}")
 
+picked = labeled[::6]
 vib = []
-for row, state in labeled[::6]:
+for timestamp_s, state in zip(picked.timestamps_s.tolist(), picked.states.tolist()):
     level = DefectLabel.FAILURE if state == MachineState.ABNORMAL else DefectLabel.NORMAL
     rec = synth.generate_vibration(
         synth.SynthConfig(rpm=300, sample_rate_hz=3200.0, duration_s=0.05,
                           imbalance_level=level, noise_sigma=0.05,
-                          seed=SEED + int(row.timestamp_s) % 100000)
+                          seed=SEED + int(timestamp_s) % 100000)
     )
     scale = 0.05 if state == MachineState.OFF else 1.0
-    vib.append(replace(rec, start_s=row.timestamp_s,
+    vib.append(replace(rec, start_s=timestamp_s,
                        x=rec.x * scale, y=rec.y * scale, z=rec.z * scale))
 
 aligned = ingest.align_and_impute(vib, labeled)

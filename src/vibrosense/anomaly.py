@@ -70,8 +70,9 @@ def detect_series(model, test: TimeSeries, cfg: AnomalyRuleConfig) -> DetectionR
     if not (hasattr(model, "train_tail") and hasattr(model, "train_rms")):
         raise ContractError("model carries no training tail or RMS; fit it with forecast.fit")
     epsilon = max(EPSILON_RMS_FRACTION * model.train_rms, 1e-300)
-    if not epsilon < np.inf:  # the training RMS overflowed
-        raise ContractError("lambda and epsilon must be finite and positive")
+    if not epsilon < np.inf:
+        raise ContractError(f"the model's training RMS overflowed (train_rms = {model.train_rms}), "
+                            "so it sets no epsilon floor; scale the series down")
     preds = forecast.rolling_forecast(model, model.train_tail, test.values)
     flags = flag_anomaly(preds, test.values, cfg, epsilon)
     return DetectionResult(predictions=preds, flags=flags, epsilon=epsilon)

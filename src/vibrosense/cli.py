@@ -168,9 +168,7 @@ def _resolve_datasets(tokens: List[str], cfg: dict) -> List[anomaly.AnomalyDatas
     datasets = []
     for i, token in enumerate(sorted(tokens)):
         if token.endswith(".csv"):
-            rows = ingest.parse_process_csv(token)
-            labeled = ingest.label_process_rows(rows)
-            series = synth.chiller_series(labeled)
+            series = synth.chiller_series(ingest.parse_process_csv(token))
             datasets.append(
                 anomaly.AnomalyDataset(
                     name=token,
@@ -262,9 +260,9 @@ def cmd_ingest(args, cfg) -> dict:
 def cmd_synth(args, cfg) -> None:
     seed = cfg["training"]["seed"]
     if args.emit == "process":
-        labeled = synth.generate_process(days=args.days, seed=seed)
-        ingest.write_process_csv([r for r, _ in labeled], args.out)
-        print(f"wrote {len(labeled)} process rows to {args.out}")
+        rows = synth.generate_process(days=args.days, seed=seed)
+        ingest.write_process_csv(rows, args.out)
+        print(f"wrote {len(rows)} process rows to {args.out}")
         return
     config = synth.SynthConfig(
         rpm=args.rpm,
@@ -481,19 +479,20 @@ def cmd_autoenc(args, cfg) -> dict:
         raise ContractError(f"--vibration-stride must be >= 1, got {args.vibration_stride}")
     tcfg = classify.TrainConfig(**cfg["training"])
     labeled = synth.generate_process(days=args.days, seed=tcfg.seed)
+    picked = labeled[:: args.vibration_stride]
     vib = []
-    for row, state in labeled[:: args.vibration_stride]:
+    for timestamp_s, state in zip(picked.timestamps_s.tolist(), picked.states.tolist()):
         level = DefectLabel.FAILURE if state == MachineState.ABNORMAL else DefectLabel.NORMAL
         rec = synth.generate_vibration(
             synth.SynthConfig(
                 rpm=300, sample_rate_hz=3200.0, duration_s=0.05,
                 imbalance_level=level, noise_sigma=0.05,
-                seed=tcfg.seed + int(row.timestamp_s) % 100000,
+                seed=tcfg.seed + int(timestamp_s) % 100000,
             )
         )
         # a shut-down machine barely vibrates
         scale = 0.05 if state == MachineState.OFF else 1.0
-        vib.append(replace(rec, start_s=row.timestamp_s,
+        vib.append(replace(rec, start_s=timestamp_s,
                            x=rec.x * scale, y=rec.y * scale, z=rec.z * scale))
     aligned = ingest.align_and_impute(vib, labeled)
     enc = features.fit_encoder(aligned.features, aligned.feature_names)

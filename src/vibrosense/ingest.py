@@ -8,7 +8,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -36,8 +36,9 @@ PHARMA_POINTS_PER_AXIS = 3200
 
 
 class ProcessRow(NamedTuple):
-    """One process reading: its UTC timestamp in seconds, then the seven
-    measurements in PROCESS_MEASUREMENT_COLUMNS order."""
+    """One process reading, as iterating a ProcessTable yields it: its UTC
+    timestamp in seconds, then the seven measurements in
+    PROCESS_MEASUREMENT_COLUMNS order."""
 
     timestamp_s: float
     air_pressure_1: float
@@ -50,6 +51,57 @@ class ProcessRow(NamedTuple):
 
     def measurements(self) -> np.ndarray:
         return np.array(self[1:])
+
+
+_STATES = tuple(MachineState)  # indexed by value
+
+
+@dataclass(frozen=True, eq=False)
+class ProcessTable:
+    """Process readings as columns: UTC timestamps in seconds (n,), the seven
+    measurements in PROCESS_MEASUREMENT_COLUMNS order (n, 7), both float64,
+    and each reading's MachineState value (n,) once labeled, else None.
+
+    Iterating yields ProcessRows, or (ProcessRow, MachineState) pairs once
+    labeled, built _BLOCK_ROWS at a time; an int index gives one of those,
+    a slice gives a table.
+    """
+
+    timestamps_s: np.ndarray
+    values: np.ndarray
+    states: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        for name, dtype in (("timestamps_s", np.float64), ("values", np.float64),
+                            ("states", np.int64)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        n = self.timestamps_s.size
+        if (self.timestamps_s.ndim != 1
+                or self.values.shape != (n, len(PROCESS_MEASUREMENT_COLUMNS))
+                or self.states is not None and self.states.shape != (n,)):
+            raise ContractError("a process table holds n timestamps, (n, 7) measurements "
+                                "and n states or none")
+
+    def __len__(self) -> int:
+        return len(self.timestamps_s)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ProcessTable(self.timestamps_s[index], self.values[index],
+                                None if self.states is None else self.states[index])
+        i = range(len(self))[index]
+        return next(iter(self[i : i + 1]))
+
+    def __iter__(self):
+        for lo in range(0, len(self), _BLOCK_ROWS):
+            block = self[lo : lo + _BLOCK_ROWS]
+            rows = map(ProcessRow._make,
+                       np.column_stack([block.timestamps_s, block.values]).tolist())
+            if block.states is None:
+                yield from rows
+            else:
+                yield from zip(rows, map(_STATES.__getitem__, block.states.tolist()))
 
 
 @dataclass(frozen=True)
@@ -342,15 +394,9 @@ def write_triaxial_csv(records: Sequence[VibrationRecord], path) -> None:
                           for x, y, z in zip(rec.x.tolist(), rec.y.tolist(), rec.z.tolist()))
 
 
-def _process_rows(stamps, values: np.ndarray, tz: str) -> List[ProcessRow]:
-    """ProcessRows of datetimes (as _utc_s reads them) and their rows of measurements."""
-    values = values.reshape(-1, len(PROCESS_MEASUREMENT_COLUMNS)).tolist()
-    return [ProcessRow._make([ts, *row]) for ts, row in zip(_utc_s(stamps, tz), values)]
-
-
-def parse_process_csv(path, tz: str = DEFAULT_TIMEZONE) -> List[ProcessRow]:
+def parse_process_csv(path, tz: str = DEFAULT_TIMEZONE) -> ProcessTable:
     """Header must carry the timestamp plus the seven measurement columns.
-    Rows come back sorted by ascending timestamp."""
+    Rows come back sorted by ascending timestamp, equal ones in file order."""
     with open(path, newline="") as fh, _reading(path):
         reader = csv.reader(fh)
         try:
@@ -363,7 +409,9 @@ def parse_process_csv(path, tz: str = DEFAULT_TIMEZONE) -> List[ProcessRow]:
                 raise ContractError(f"process file missing column '{col}'")
         timestamp_at = header.index("Timestamp")
         measurements = itemgetter(*(header.index(col) for col in PROCESS_MEASUREMENT_COLUMNS))
-        rows, stamps, tokens, lines = [], [], [], []  # the block's stamps, measurements, lines
+        # converted blocks of UTC seconds and of measurements; the next block's
+        # stamps, measurement tokens and lines
+        times, blocks, stamps, tokens, lines = [], [], [], [], []
         try:
             for row in reader:
                 lineno = reader.line_num
@@ -379,25 +427,32 @@ def parse_process_csv(path, tz: str = DEFAULT_TIMEZONE) -> List[ProcessRow]:
                 lines.append(lineno)
                 if len(lines) == _BLOCK_ROWS:
                     block, tokens, lines = (tokens, lines), [], []
-                    rows += _process_rows(stamps, _parse_floats(*block), tz)
+                    blocks.append(_parse_floats(*block))
+                    times.append(np.array(_utc_s(stamps, tz), dtype=np.float64))
                     stamps = []
         except _ROW_ERRORS:
             _parse_floats(tokens, lines)  # raises for a bad number above the row
             raise
-        rows += _process_rows(stamps, _parse_floats(tokens, lines), tz)
-    rows.sort(key=lambda r: r.timestamp_s)
-    return rows
+        blocks.append(_parse_floats(tokens, lines))
+        times.append(np.array(_utc_s(stamps, tz), dtype=np.float64))
+    times = np.concatenate(times)
+    order = np.argsort(times, kind="stable")  # equal times keep file order, as list.sort does
+    values = np.concatenate(blocks).reshape(-1, len(PROCESS_MEASUREMENT_COLUMNS))
+    return ProcessTable(times[order], values[order])
 
 
-def write_process_csv(rows: Sequence[ProcessRow], path, tz: str = DEFAULT_TIMEZONE) -> None:
+def write_process_csv(rows, path, tz: str = DEFAULT_TIMEZONE) -> None:
+    """Writes a ProcessTable, or a sequence of ProcessRows, in table order."""
+    if not isinstance(rows, ProcessTable):
+        columns = np.array(rows, dtype=np.float64).reshape(-1, len(PROCESS_HEADER))
+        rows = ProcessTable(columns[:, 0], columns[:, 1:])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(PROCESS_HEADER) + "\r\n")
         for lo in range(0, len(rows), _BLOCK_ROWS):
             block = rows[lo : lo + _BLOCK_ROWS]
-            texts = _wall_texts(to_wall_us([row.timestamp_s for row in block], tz))
-            # float() first: a row may hold np.float64, whose repr is not the number's
-            fh.writelines(f"{text},{','.join(map(repr, map(float, row[1:])))}\r\n"
-                          for text, row in zip(texts, block))
+            texts = _wall_texts(to_wall_us(block.timestamps_s, tz))
+            fh.writelines(f"{text},{','.join(map(repr, values))}\r\n"
+                          for text, values in zip(texts, block.values.tolist()))
 
 
 def parse_pharma_txt(path, tz: str = DEFAULT_TIMEZONE) -> List[PharmaRecord]:
@@ -470,20 +525,17 @@ class WeeklySchedule:
         return (pos >= start) | (pos < end)
 
 
-_STATES = tuple(MachineState)  # indexed by value
-
-
 def label_process_rows(
-    rows: Sequence[ProcessRow],
+    rows: ProcessTable,
     abnormal_dates: Iterable[dt.date] = DEFAULT_ABNORMAL_DATES,
     schedule: WeeklySchedule = WeeklySchedule(),
-) -> List[Tuple[ProcessRow, MachineState]]:
-    """Abnormal on listed calendar days (whole day), Off inside the weekly
-    shutdown window, On otherwise."""
-    wall = to_wall_us([row.timestamp_s for row in rows], schedule.tz)
+) -> ProcessTable:
+    """The rows, labeled: Abnormal on listed calendar days (whole day), Off
+    inside the weekly shutdown window, On otherwise."""
+    wall = to_wall_us(rows.timestamps_s, schedule.tz)
     states = np.where(falls_on(wall, abnormal_dates), MachineState.ABNORMAL,
                       np.where(schedule.off_at(wall), MachineState.OFF, MachineState.ON))
-    return list(zip(rows, map(_STATES.__getitem__, states.tolist())))
+    return ProcessTable(rows.timestamps_s, rows.values, states)
 
 
 #: The span after each process row's time that its aligned vibration records
@@ -501,7 +553,7 @@ class AlignedDataset:
 
 def align_and_impute(
     vibration: Sequence[VibrationRecord],
-    labeled_process: Sequence[Tuple[ProcessRow, MachineState]],
+    labeled_process: ProcessTable,
 ) -> AlignedDataset:
     """Join vibration and process data on the process timestamps.
 
@@ -511,14 +563,16 @@ def align_and_impute(
     state is carried from the process row. Empty buckets are dropped and
     counted. Every record's features are checked, also a record no bucket takes.
     """
-    if not vibration or not labeled_process:
+    if not vibration or not len(labeled_process):
         raise ContractError("both vibration and process sequences must be nonempty")
+    if labeled_process.states is None:
+        raise ContractError("the process rows must be labeled")
     vib_sorted = sorted(vibration, key=lambda r: r.start_s)
     starts = np.array([r.start_s for r in vib_sorted])
-    proc_sorted = sorted(labeled_process, key=lambda p: p[0].timestamp_s)
-    times = np.array([row.timestamp_s for row, _ in proc_sorted])
-    lo = np.searchsorted(starts, times, side="left").tolist()
-    hi = np.searchsorted(starts, times + ALIGN_BUCKET_S, side="left").tolist()
+    order = np.argsort(labeled_process.timestamps_s, kind="stable")
+    times = labeled_process.timestamps_s[order]
+    lo = np.searchsorted(starts, times, side="left")
+    hi = np.searchsorted(starts, times + ALIGN_BUCKET_S, side="left")
     # every record's features, one call per record length
     lengths = np.array([len(r) for r in vib_sorted])
     feats = np.empty((len(starts), len(TRIAXIAL_FEATURE_NAMES)))
@@ -526,16 +580,13 @@ def align_and_impute(
         at = np.flatnonzero(lengths == n)
         axes = np.stack([(vib_sorted[i].x, vib_sorted[i].y, vib_sorted[i].z) for i in at.tolist()])
         feats[at] = extract_time_domain(axes).reshape(len(at), -1)
-    rows, labels = [], []
-    for a, b, (proc_row, state) in zip(lo, hi, proc_sorted):
-        if b > a:
-            rows.append(np.concatenate([np.median(feats[a:b], axis=0), proc_row.measurements()]))
-            labels.append(int(state))
-    if not rows:
+    kept = np.flatnonzero(hi > lo)
+    if not len(kept):
         raise ContractError("no temporal overlap between vibration and process data")
+    medians = [np.median(feats[a:b], axis=0) for a, b in zip(lo[kept].tolist(), hi[kept].tolist())]
     return AlignedDataset(
-        features=np.stack(rows),
-        labels=np.array(labels, dtype=np.int64),
+        features=np.concatenate([np.stack(medians), labeled_process.values[order[kept]]], axis=1),
+        labels=labeled_process.states[order[kept]].astype(np.int64),
         feature_names=TRIAXIAL_FEATURE_NAMES + PROCESS_MEASUREMENT_COLUMNS,
-        n_dropped_buckets=len(proc_sorted) - len(rows),
+        n_dropped_buckets=len(times) - len(kept),
     )

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable
 
 import numpy as np
 
 from . import ingest
 from .core import ContractError, DefectLabel, MachineState, OperatingPoint, TimeSeries, VibrationRecord, make_rng
-from .ingest import ProcessRow, WeeklySchedule
+from .ingest import ProcessTable, WeeklySchedule
 
 #: Base x/z amplitude per imbalance level; chosen so classes are separable in
 #: the (x, z) plane but overlap once the default noise_sigma=0.3 is added.
@@ -137,14 +137,14 @@ def generate_process(
     start_date: dt.date = dt.date(2022, 1, 3),
     schedule: WeeklySchedule = WeeklySchedule(),
     interval_s: float = 300.0,
-) -> List[Tuple[ProcessRow, MachineState]]:
-    """Labeled process rows, `interval_s` (at most a day) apart from each
-    local midnight.
+) -> ProcessTable:
+    """A labeled table of process rows, `interval_s` (at most a day) apart
+    from each local midnight.
 
     Supply temperature sits at the 53 F setpoint while On, drifts toward
     ambient while Off, and ramps up to (at most) 65 F across a failure day.
-    The rows are built a column at a time, bit for bit as a row-at-a-time
-    loop drawing each row's seven normals in turn would build them.
+    The columns are bit for bit what a row-at-a-time loop drawing each row's
+    seven normals in turn would build.
     """
     if days < 1:
         raise ContractError("days must be >= 1")
@@ -179,24 +179,21 @@ def generate_process(
     supply1 = (np.where(failing, ramped[k], np.where(off, AMBIENT_F, CHILLER_SETPOINT_F))
                + np.where(failing, 0.2, np.where(off, 1.0, CHILLER_ON_SIGMA_F)) * z[0])
     supply1 = np.where(failing, np.minimum(supply1, CHILLER_FAILURE_PEAK_F), supply1)
-    columns = np.stack([stamps, 90.0 + 1.5 * z[2], 88.0 + 1.5 * z[3], supply1,
-                        supply1 + 0.3 * z[1], ambient[k] + 1.0 * z[4], 55.0 + 5.0 * z[5],
-                        45.0 + 2.0 * z[6]], axis=1)
-    return list(zip(map(ProcessRow._make, columns.tolist()),
-                    map(ingest._STATES.__getitem__, state.tolist())))
+    values = np.stack([90.0 + 1.5 * z[2], 88.0 + 1.5 * z[3], supply1, supply1 + 0.3 * z[1],
+                       ambient[k] + 1.0 * z[4], 55.0 + 5.0 * z[5], 45.0 + 2.0 * z[6]], axis=1)
+    return ProcessTable(stamps, values, state)
 
 
-def chiller_series(labeled_rows) -> TimeSeries:
+_CHILLER_1 = ingest.PROCESS_MEASUREMENT_COLUMNS.index("Chiller 1 Supply Tmp")
+
+
+def chiller_series(rows: ProcessTable) -> TimeSeries:
     """Chiller 1 supply temperature as a uniformly sampled series."""
-    rows = [r for r, _ in labeled_rows]
     if len(rows) < 2:
         raise ContractError("need at least 2 process rows")
-    interval = rows[1].timestamp_s - rows[0].timestamp_s
-    return TimeSeries(
-        start_s=rows[0].timestamp_s,
-        interval_s=interval,
-        values=np.array([r.chiller1_supply_tmp for r in rows]),
-    )
+    start_s, second_s = rows.timestamps_s[:2].tolist()
+    return TimeSeries(start_s=start_s, interval_s=second_s - start_s,
+                      values=rows.values[:, _CHILLER_1].copy())
 
 
 #: generate_spiked_series' AR(1) signal: its level, coefficient and noise

@@ -132,7 +132,7 @@ class TestDetectSeries:
     def test_a_training_rms_that_overflowed_is_refused(self):
         model = fit(ForecastModelConfig("seasonal_naive", {"m": 1}), series([1.0] * 4))
         model.train_rms = np.inf
-        with pytest.raises(ContractError, match="epsilon must be finite and positive"):
+        with pytest.raises(ContractError, match=r"training RMS overflowed \(train_rms = inf\)"):
             detect_series(model, series([1.0]), AnomalyRuleConfig())
 
 

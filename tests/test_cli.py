@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -541,6 +542,19 @@ class TestBench:
         assert doc["datasets"]["synth-a"]["truth_rule"] == "injected_spikes"
         assert doc["datasets"][str(data)]["n_points"] != doc["datasets"]["synth-a"]["n_points"]
         assert all(c["error"] is None for c in doc["grid"])
+
+    def test_week_of_process_rows(self, tmp_path, capsys, monkeypatch):
+        # more than one 1024-row block, parsed to the chiller series
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["synth", "--emit", "process", "--days", "7", "--out", "week.csv"]) == 0
+        assert cli.main(["bench", "--models", "seasonal_naive,ar", "--datasets", "week.csv",
+                         "--out", "r.json"]) == 0
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc["datasets"]["week.csv"]["n_points"] == 2016
+        assert doc["datasets"]["week.csv"]["truth_rule"] == "date_ranges"
+        assert len(doc["grid"]) == 4
+        assert all(c["error"] is None and c["n_test"] > 0 and math.isfinite(c["rmse"])
+                   for c in doc["grid"])
 
     def test_split_and_rule_sections(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[detection]\ntwo_sided = false\n")

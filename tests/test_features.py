@@ -97,10 +97,9 @@ def test_align_and_impute_matches_per_record_reference():
     starts = [0.0, 10.0, 299.5, 600.0, 900.0, 1000.0, 1199.0, 1200.0]
     vibration = [make_record(*rng.normal(size=(3, 160 if i % 2 else 129)), start_s=t)
                  for i, t in enumerate(starts)]
-    labeled = [(ingest.ProcessRow(t, *rng.normal(size=7)), state)
-               for t, state in zip([900.0, 300.0, 0.0, 600.0],
-                                   [MachineState.ON, MachineState.OFF,
-                                    MachineState.ABNORMAL, MachineState.ON])]
+    labeled = ingest.ProcessTable([900.0, 300.0, 0.0, 600.0], rng.normal(size=(4, 7)),
+                                  [MachineState.ON, MachineState.OFF,
+                                   MachineState.ABNORMAL, MachineState.ON])
     got = ingest.align_and_impute(vibration[::-1], labeled)
     features, labels = _ref_align(vibration, labeled, 300.0)
     assert got.features.tobytes() == features.tobytes()
@@ -116,7 +115,8 @@ def test_align_and_impute_rejects_a_non_finite_sample(start_s):
     good = np.arange(8.0)
     vibration = [make_record(good, good, good, start_s=1.0), make_record(x, good, good, start_s)]
     with pytest.raises(ContractError, match="finite"):
-        ingest.align_and_impute(vibration, [(ingest.ProcessRow(0.0, *[0.0] * 7), MachineState.ON)])
+        ingest.align_and_impute(vibration, ingest.ProcessTable([0.0], np.zeros((1, 7)),
+                                                               [MachineState.ON]))
 
 
 class TestAxisSelection:

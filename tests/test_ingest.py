@@ -1,5 +1,6 @@
 import datetime as dt
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from vibrosense.ingest import (
     PROCESS_MEASUREMENT_COLUMNS,
     PharmaRecord,
     ProcessRow,
+    ProcessTable,
     WeeklySchedule,
     align_and_impute,
     label_process_rows,
@@ -117,6 +119,11 @@ def make_process_rows(n, start="2022-01-04 10:00:00", step_s=300.0):
     ]
 
 
+def table_of(rows, states=None):
+    """A list of ProcessRows as a table, labeled when states are given."""
+    return ProcessTable([row[0] for row in rows], [row[1:] for row in rows], states)
+
+
 class TestProcessRow:
     FIELD_OF_COLUMN = {
         "Air Pressure 1": "air_pressure_1",
@@ -200,6 +207,75 @@ class TestProcessCsv:
         loaded = parse_process_csv(p)
         stamps = [r.timestamp_s for r in loaded]
         assert stamps == sorted(stamps)
+
+    def test_equal_times_keep_file_order(self, tmp_path):
+        # the skipped 02:xx wall times of 2022-03-13 read as the instants of 03:xx
+        written = [row for row, _ in synth.generate_process(days=2, start_date=dt.date(2022, 3, 12))]
+        stamps = [row.timestamp_s for row in written]
+        assert len(stamps) - len(set(stamps)) == 12
+        p = tmp_path / "p.csv"
+        write_process_csv(written, p)
+        assert list(parse_process_csv(p)) == sorted(written, key=lambda r: r.timestamp_s)
+
+
+def _bytes_kept_alive(make):
+    """What make() returns and anything else it leaves allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        kept = make()
+        alive, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept is not None
+    return alive
+
+
+class TestProcessTable:
+    def table(self, n, labeled=False):
+        values = np.arange(7.0 * n).reshape(n, 7)
+        states = np.arange(n) % 3 if labeled else None
+        return ProcessTable(1.6e9 + 300.0 * np.arange(n), values, states)
+
+    def test_iterates_rows_across_blocks(self):
+        table = self.table(2500)
+        rows = list(table)
+        assert rows == [ProcessRow(t, *v) for t, v in
+                        zip(table.timestamps_s.tolist(), table.values.tolist())]
+        assert all(type(row) is ProcessRow and type(row.timestamp_s) is float for row in rows)
+
+    def test_labeled_iterates_row_state_pairs(self):
+        table = self.table(1030, labeled=True)
+        pairs = list(table)
+        assert [row for row, _ in pairs] == list(ProcessTable(table.timestamps_s, table.values))
+        assert [state for _, state in pairs] == [MachineState(i % 3) for i in range(1030)]
+        assert all(type(state) is MachineState for _, state in pairs)
+
+    def test_an_index_gives_an_item_and_a_slice_a_table(self):
+        table = self.table(10, labeled=True)
+        items = list(table)
+        assert table[3] == items[3] and table[-1] == items[-1]
+        with pytest.raises(IndexError):
+            table[10]
+        part = table[2:9:3]
+        assert type(part) is ProcessTable and list(part) == items[2:9:3]
+
+    @pytest.mark.parametrize("stamps, values, states", [
+        (np.zeros(2), np.zeros((3, 7)), None),
+        (np.zeros(2), np.zeros((2, 8)), None),
+        (np.zeros((2, 1)), np.zeros((2, 7)), None),
+        (0.0, np.zeros((1, 7)), None),
+        (np.zeros(2), np.zeros((2, 7)), [1]),
+    ], ids=["rows", "columns", "stamp-shape", "stamp-scalar", "states"])
+    def test_columns_of_other_lengths_are_refused(self, stamps, values, states):
+        with pytest.raises(ContractError, match="process table"):
+            ProcessTable(stamps, values, states)
+
+    def test_72_days_keep_under_2_mb_alive(self, tmp_path):
+        # 20,736 rows: their columns take 1.33 MB, row objects took over 6 MB
+        p = tmp_path / "p.csv"
+        write_process_csv(synth.generate_process(days=72), p)
+        assert _bytes_kept_alive(lambda: synth.generate_process(days=72)) < 2e6
+        assert _bytes_kept_alive(lambda: parse_process_csv(p)) < 2e6
 
 
 class TestPharma:
@@ -297,7 +373,10 @@ class TestWriterBytes:
     def test_synth_output(self, tmp_path, fmt, seed):
         p = tmp_path / fmt
         if fmt == "process":
-            write_process_csv([r for r, _ in synth.generate_process(days=7, seed=seed)], p)
+            table = synth.generate_process(days=7, seed=seed)
+            write_process_csv(table, p)
+            write_process_csv([row for row, _ in table], tmp_path / "rows")
+            assert (tmp_path / "rows").read_bytes() == p.read_bytes()
         else:
             rec = synth.generate_vibration(synth.SynthConfig(
                 rpm=300, sample_rate_hz=3200.0, duration_s=1.0,
@@ -506,20 +585,20 @@ class TestFirstErrorAcrossBlocks:
             parse_process_csv(p)
         good = self.process(tmp_path, {}, blank_after=100)
         rows = parse_process_csv(good)
-        assert rows == make_process_rows(self.N)
+        assert list(rows) == make_process_rows(self.N)
 
 class TestLabeling:
     def test_saturday_off(self):
         # 2022-01-08 is a Saturday
-        rows = [ProcessRow(parse_timestamp("2022-01-08 12:00:00"), *[0.0] * 7)]
+        rows = ProcessTable([parse_timestamp("2022-01-08 12:00:00")], np.zeros((1, 7)))
         assert label_process_rows(rows)[0][1] == MachineState.OFF
 
     def test_abnormal_date(self):
-        rows = [ProcessRow(parse_timestamp("2022-02-01 12:00:00"), *[0.0] * 7)]
+        rows = ProcessTable([parse_timestamp("2022-02-01 12:00:00")], np.zeros((1, 7)))
         assert label_process_rows(rows)[0][1] == MachineState.ABNORMAL
 
     def test_normal_tuesday_on(self):
-        rows = [ProcessRow(parse_timestamp("2022-01-04 10:00:00"), *[0.0] * 7)]
+        rows = ProcessTable([parse_timestamp("2022-01-04 10:00:00")], np.zeros((1, 7)))
         assert label_process_rows(rows)[0][1] == MachineState.ON
 
     def test_window_edges(self):
@@ -540,7 +619,7 @@ class TestAlignAndImpute:
     def test_median_imputation(self):
         rows = make_process_rows(1)
         t0 = rows[0].timestamp_s
-        labeled = [(rows[0], MachineState.ON)]
+        labeled = table_of(rows, [MachineState.ON])
         # three windows in the bucket with x_mean values 1, 2, 100
         vib = [self.vib_at(t0 + k, s) for k, s in ((0, 1.0), (10, 2.0), (20, 100.0))]
         aligned = align_and_impute(vib, labeled)
@@ -550,7 +629,7 @@ class TestAlignAndImpute:
 
     def test_single_window_unchanged(self):
         rows = make_process_rows(1)
-        labeled = [(rows[0], MachineState.ON)]
+        labeled = table_of(rows, [MachineState.ON])
         vib = [self.vib_at(rows[0].timestamp_s + 5.0, 7.0)]
         aligned = align_and_impute(vib, labeled)
         assert aligned.features[0][aligned.feature_names.index("x_mean")] == 7.0
@@ -558,15 +637,21 @@ class TestAlignAndImpute:
 
     def test_empty_buckets_dropped(self):
         rows = make_process_rows(3)
-        labeled = [(r, MachineState.ON) for r in rows]
+        labeled = table_of(rows, [MachineState.ON] * len(rows))
         vib = [self.vib_at(rows[1].timestamp_s + 1.0, 1.0)]
         aligned = align_and_impute(vib, labeled)
         assert aligned.features.shape[0] == 1
         assert aligned.n_dropped_buckets == 2
 
+    def test_unlabeled_rows_are_refused(self):
+        rows = make_process_rows(1)
+        vib = [self.vib_at(rows[0].timestamp_s + 5.0, 7.0)]
+        with pytest.raises(ContractError, match="labeled"):
+            align_and_impute(vib, table_of(rows))
+
     def test_no_overlap(self):
         rows = make_process_rows(2)
-        labeled = [(r, MachineState.ON) for r in rows]
+        labeled = table_of(rows, [MachineState.ON] * len(rows))
         vib = [self.vib_at(rows[0].timestamp_s - 10_000.0, 1.0)]
         with pytest.raises(ContractError, match="no temporal overlap"):
             align_and_impute(vib, labeled)

@@ -113,13 +113,19 @@ def test_to_wall_us_rejects_what_fromtimestamp_rejects(bad):
 def test_empty_input():
     assert ingest.to_wall_us([], "UTC").shape == (0,)
     assert ingest.from_wall_us([], "UTC").shape == (0,)
-    assert ingest.label_process_rows([]) == []
+    labeled = ingest.label_process_rows(ingest.ProcessTable([], np.empty((0, 7))))
+    assert len(labeled) == 0 and list(labeled) == []
 
 
 def _rows(stamps):
     """One process row per stamp; Air Pressure 1 holds the row's index."""
     return [ProcessRow(t, float(i), 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
             for i, t in enumerate(stamps.tolist())]
+
+
+def _table(stamps):
+    """_rows(stamps) as a table."""
+    return ingest.ProcessTable(stamps, [row[1:] for row in _rows(stamps)])
 
 
 def _ref_format_local(timestamp_s, zone):
@@ -262,12 +268,12 @@ def _ref_label_process_rows(rows, abnormal_dates, schedule):
 @pytest.mark.parametrize("window", [(6, 1.5, 6, 2.75), (6, 2.25, 0, 1.0), (3, 0.0, 3, 24.0)],
                          ids=["sunday_night", "wrapping", "wednesday"])
 def test_label_process_rows_matches_per_row_reference(tz, days, window):
-    rows = _rows(_utc_stamps(tz, days))
+    rows = _table(_utc_stamps(tz, days))
     schedule = WeeklySchedule(*window, tz=tz)
     abnormal = {days[0], dt.date(1942, 5, 15)}
     got = ingest.label_process_rows(rows, abnormal, schedule)
     want = _ref_label_process_rows(rows, abnormal, schedule)
-    assert got == want
+    assert list(got) == want
     assert all(type(state) is MachineState for _, state in got)
 
 
