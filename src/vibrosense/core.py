@@ -235,49 +235,28 @@ def confusion_matrix(true_labels, pred_labels, class_names) -> ConfusionMatrix:
     return ConfusionMatrix(counts, class_names)
 
 
-class _Counter:
-    """The number of the next unstarted unit: an int64 in anonymous shared
-    memory, which forked workers inherit, under a lock that is a one-byte
-    token in a pipe, held by the process that has read it."""
-
-    def __init__(self):
-        import mmap
-
-        self._cell, self.token = memoryview(mmap.mmap(-1, 8)).cast("q"), os.pipe()
-        os.write(self.token[1], b".")
-
-    value = property(lambda self: self._cell[0], lambda self, v: self._cell.__setitem__(0, v))
-
-    def get_lock(self):
-        return self
-
-    def __enter__(self):
-        os.read(self.token[0], 1)
-
-    def __exit__(self, *exc):
-        os.write(self.token[1], b".")
+def _next_unit(pipe, n_units: int, stop: bool = False) -> int:
+    """Read the message in `pipe`, the number `i` of the next unstarted
+    unit, and write back `min(i + 1, n_units)`, or `n_units` if `stop`."""
+    i = int.from_bytes(os.read(pipe[0], 8), "little")
+    os.write(pipe[1], (n_units if stop else min(i + 1, n_units)).to_bytes(8, "little"))
+    return i
 
 
-def _take_units(work, counter, n_units: int, deliver) -> None:
+def _take_units(work, pipe, n_units: int, deliver) -> None:
     """Run the next unstarted unit and `deliver` its outcome, until none is
     left. A unit that raises stops every process from starting another; the
     units already running finish, so every unit before it has an outcome."""
-    while True:
-        with counter.get_lock():
-            i = counter.value
-            counter.value = i + 1
-        if i >= n_units:
-            return
+    while (i := _next_unit(pipe, n_units)) < n_units:
         try:
             outcome = (True, work(i))
         except Exception as exc:
-            with counter.get_lock():
-                counter.value = n_units
+            _next_unit(pipe, n_units, stop=True)
             outcome = (False, exc)
         deliver(i, outcome)
 
 
-def _worker(work, counter, n_units: int, fd: int) -> None:
+def _worker(work, pipe, n_units: int, fd: int) -> None:
     """A forked worker: it takes units, writes each outcome to the pipe `fd`
     as a length-prefixed pickle and ends with `os._exit`, so that it runs no
     `finally` block or atexit hook of the caller's."""
@@ -302,7 +281,7 @@ def _worker(work, counter, n_units: int, fd: int) -> None:
             out.write(len(data).to_bytes(8, "little") + data)
             out.flush()
 
-        _take_units(work, counter, n_units, send)
+        _take_units(work, pipe, n_units, send)
         os._exit(0)
     except BaseException:
         traceback.print_exc()
@@ -339,7 +318,9 @@ def _spread(work, n_units: int, describe) -> list:
     affinity mask that BLAS leaves free, one process per BLAS thread pool
     that fits, at most one per unit: the caller and `os.fork` workers, which
     send back each outcome over a pipe and are reaped with `wait4`. Each
-    process takes the next unstarted unit. The lowest failing unit's
+    process takes the next unstarted unit. One pipe holds its number as the
+    one 8-byte message: a process reads it to take the unit and writes back
+    the next, so whoever holds it holds the lock. The lowest failing unit's
     exception is raised, as a serial loop would raise it; a worker that dies
     is an error naming its unit. With fewer than two processes (BLAS on
     every core, one core, one unit or no mask to read) it is a plain loop
@@ -359,7 +340,8 @@ def _forked(work, n_units: int, describe, processes: int) -> list:
     (64 KiB) waits until then, so its callers' outcomes are small or few."""
     import signal
 
-    counter, results, workers, codes = _Counter(), {}, {}, []
+    pipe, results, workers, codes = os.pipe(), {}, {}, []
+    os.write(pipe[1], bytes(8))  # the first unstarted unit: 0
     try:
         for _ in range(processes - 1):
             fd, child_end = os.pipe()
@@ -367,13 +349,13 @@ def _forked(work, n_units: int, describe, processes: int) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _worker(work, counter, n_units, child_end)
+                    _worker(work, pipe, n_units, child_end)
             finally:
                 # closed before the next fork, so only this worker holds the
                 # sending end and its exit shows as the end of the pipe
                 os.close(child_end)
             workers[pid] = reader
-        _take_units(work, counter, n_units, results.__setitem__)
+        _take_units(work, pipe, n_units, results.__setitem__)
         for reader in workers.values():
             _receive(reader.read(), results)
     except BaseException:
@@ -384,7 +366,7 @@ def _forked(work, n_units: int, describe, processes: int) -> list:
         for pid, reader in workers.items():
             codes.append(os.waitstatus_to_exitcode(os.wait4(pid, 0)[1]))
             reader.close()
-        for fd in counter.token:
+        for fd in pipe:
             os.close(fd)
     out = []
     for i in range(n_units):

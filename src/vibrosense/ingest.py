@@ -350,7 +350,9 @@ def parse_triaxial_csv(
         except _ROW_ERRORS:
             _parse_floats(tokens, lines)  # raises for a bad number above the row
             raise
-    xyz = np.concatenate([*blocks, _parse_floats(tokens, lines)]).reshape(-1, 3)
+    blocks.append(_parse_floats(tokens, lines))
+    xyz = np.concatenate(blocks).reshape(-1, 3)
+    del blocks  # gone before the per-axis copy is made
     if not len(xyz):
         raise ContractError(f"no data rows in {path}")
     x, y, z = xyz.T.copy()
@@ -438,6 +440,7 @@ def parse_process_csv(path, tz: str = DEFAULT_TIMEZONE) -> ProcessTable:
     times = np.concatenate(times)
     order = np.argsort(times, kind="stable")  # equal times keep file order, as list.sort does
     values = np.concatenate(blocks).reshape(-1, len(PROCESS_MEASUREMENT_COLUMNS))
+    del blocks  # gone before the reordered copy is made
     return ProcessTable(times[order], values[order])
 
 

@@ -15,6 +15,7 @@ Each test wraps `forecast.fit`, `nn.base._train` or `core._take_units` (the
 workers inherit the wrapper by fork) so that a chosen unit runs in a worker,
 not in a caller that took every unit before the worker started."""
 
+import mmap
 import os
 import time
 
@@ -359,23 +360,35 @@ def test_cross_rpm_grid_and_models_do_not_depend_on_the_core_count(monkeypatch, 
 
 
 def _worker_takes(monkeypatch, unit):
-    """Two cores, with the shared counter handed out so that the worker
-    takes `unit` of the grid's two and the caller the other."""
+    """Two cores, with the units handed out so that the worker takes `unit`
+    of the grid's two and the caller the other. A take that passes on the
+    number k sets byte k - 1 of memory that both processes share, so the
+    highest byte set tells the next unstarted unit."""
     _cores(monkeypatch, 2)
-    caller, real = os.getpid(), core._take_units
+    caller, real_take, real_next = os.getpid(), core._take_units, core._next_unit
+    passed = mmap.mmap(-1, mmap.PAGESIZE)
 
-    def take(work, counter, n_units, deliver):
+    def next_unit(pipe, n_units, stop=False):
+        i = real_next(pipe, n_units, stop)
+        passed[(n_units if stop else min(i + 1, n_units)) - 1] = 1
+        return i
+
+    def next_unstarted():
+        return passed.rfind(b"\x01") + 1
+
+    def take(work, pipe, n_units, deliver):
         first = (os.getpid() == caller) == (unit == 1)
         if not first:  # until the other process has taken unit 0
-            _until(lambda: counter.value >= 1)
-            return real(work, counter, n_units, deliver)
+            _until(lambda: next_unstarted() >= 1)
+            return real_take(work, pipe, n_units, deliver)
 
         def held(i, outcome):  # unit 0 done: held until the other has taken unit 1
-            _until(lambda: counter.value >= 2)
+            _until(lambda: next_unstarted() >= 2)
             deliver(i, outcome)
 
-        return real(work, counter, n_units, held)
+        return real_take(work, pipe, n_units, held)
 
+    monkeypatch.setattr(core, "_next_unit", next_unit)
     monkeypatch.setattr(core, "_take_units", take)
 
 

@@ -1,6 +1,11 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
+from test_bench_cores import _cores, _until
+from vibrosense import core
 from vibrosense.core import (
     ConfusionMatrix,
     ContractError,
@@ -182,3 +187,35 @@ class TestDomainTypes:
     def test_make_rng_refuses_negative_seed(self):
         with pytest.raises(ContractError, match="seed must be a non-negative integer, got -1"):
             make_rng(-1)
+
+
+def test_no_file_descriptor_outlives_a_spread(monkeypatch, tmp_path):
+    """Two processes over four units: the pipe that carries the next unit's
+    number and each worker's outcome pipe are closed whether the spread
+    returns, raises its lowest failing unit's exception or is interrupted
+    in the caller while the worker is inside a unit."""
+    _cores(monkeypatch, 2)
+    caller, before = os.getpid(), len(os.listdir("/proc/self/fd"))
+
+    assert core._spread(lambda i: i * i, 4, str) == [0, 1, 4, 9]
+
+    def fail(i):
+        if i:
+            raise ValueError(f"unit {i}")
+        return i
+
+    with pytest.raises(ValueError, match="^unit 1$"):
+        core._spread(fail, 4, str)
+
+    inside = tmp_path / "inside"
+
+    def interrupt(i):
+        if os.getpid() == caller:
+            _until(inside.exists)
+            raise KeyboardInterrupt
+        inside.touch()
+        time.sleep(60)  # until terminated
+
+    with pytest.raises(KeyboardInterrupt):
+        core._spread(interrupt, 4, str)
+    assert len(os.listdir("/proc/self/fd")) == before

@@ -96,6 +96,16 @@ class TestTriaxialCsv:
         write_triaxial_csv(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_peak_under_three_times_the_samples(self, tmp_path):
+        # 15 s at 3200 Hz: the converted blocks are gone before the per-axis
+        # copy is made
+        p = tmp_path / "t.csv"
+        write_triaxial_csv([synth.generate_vibration(
+            synth.SynthConfig(300, 3200.0, 15.0, DefectLabel.NORMAL))], p)
+        (rec,), _, peak = _bytes_kept_alive(lambda: parse_triaxial_csv(p, 3200.0, OP))
+        assert len(rec) == 48000
+        assert peak < 3 * (rec.x.nbytes + rec.y.nbytes + rec.z.nbytes)
+
 
 class TestTimestamps:
     def test_iso(self):
@@ -219,15 +229,16 @@ class TestProcessCsv:
 
 
 def _bytes_kept_alive(make):
-    """What make() returns and anything else it leaves allocated, in bytes."""
+    """What make() returns, the bytes left allocated when it returns (its
+    result included) and the peak bytes allocated on the way."""
     tracemalloc.start()
     try:
         kept = make()
-        alive, _ = tracemalloc.get_traced_memory()
+        alive, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert kept is not None
-    return alive
+    return kept, alive, peak
 
 
 class TestProcessTable:
@@ -274,8 +285,11 @@ class TestProcessTable:
         # 20,736 rows: their columns take 1.33 MB, row objects took over 6 MB
         p = tmp_path / "p.csv"
         write_process_csv(synth.generate_process(days=72), p)
-        assert _bytes_kept_alive(lambda: synth.generate_process(days=72)) < 2e6
-        assert _bytes_kept_alive(lambda: parse_process_csv(p)) < 2e6
+        assert _bytes_kept_alive(lambda: synth.generate_process(days=72))[1] < 2e6
+        table, alive, peak = _bytes_kept_alive(lambda: parse_process_csv(p))
+        assert alive < 2e6
+        # the converted blocks are gone before the copy sorted by time is made
+        assert peak < 3 * (table.timestamps_s.nbytes + table.values.nbytes)
 
 
 class TestPharma:
