@@ -20,9 +20,10 @@ DEFAULT_LAMBDA = 0.1
 #: Denominator floor as a fraction of the training-split RMS (scale-aware).
 EPSILON_RMS_FRACTION = 1e-6
 
-#: Scoring convention for defect-labeled vibration data: Failure counts as a
-#: true anomaly, Normal as a non-anomaly, and NearFailure samples are excluded
-#: from precision/recall/F1 scoring.
+#: The convention every bench report records. Its first clause predates the two
+#: truth rules (date ranges and injected spikes): no defect labels are read and
+#: no point is excluded from scoring. The string keeps its bytes, because every
+#: report carries it.
 GROUND_TRUTH_CONVENTION = (
     "failure=anomaly, normal=clean, near-failure excluded from scoring; "
     "rolling one-step evaluation with true history (teacher forcing)"
@@ -79,40 +80,27 @@ def detect_series(model, test: TimeSeries, cfg: AnomalyRuleConfig) -> DetectionR
 
 
 class TruthRule(Enum):
-    LABEL_COLUMN = "label_column"
     DATE_RANGES = "date_ranges"
     INJECTED_SPIKES = "injected_spikes"
 
 
 @dataclass
 class AnomalyDataset:
-    """A univariate series plus its anomaly ground-truth source.
-
-    Exactly one of `label_flags`, `abnormal_dates`, `spike_indices` backs the
-    chosen truth rule. `eval_mask` (optional) limits scoring to selected
-    points, e.g. to exclude near-failure samples.
+    """A univariate series plus its anomaly ground-truth source: the
+    `abnormal_dates` (wall dates in `tz`) of the date-range rule, or the
+    `spike_indices` of the injected-spike rule. Every point is scored.
     """
 
     name: str
     series: TimeSeries
     truth_rule: TruthRule
-    label_flags: Optional[np.ndarray] = None
     abnormal_dates: Optional[frozenset] = None
     spike_indices: Optional[np.ndarray] = None
-    eval_mask: Optional[np.ndarray] = None
     tz: str = DEFAULT_TIMEZONE
 
 
 def ground_truth_labels(dataset: AnomalyDataset) -> np.ndarray:
     """Per-point boolean anomaly flags for the whole series."""
-    n = len(dataset.series)
-    if dataset.truth_rule == TruthRule.LABEL_COLUMN:
-        if dataset.label_flags is None:
-            raise ContractError("LabelColumn rule needs label_flags")
-        flags = np.asarray(dataset.label_flags, dtype=bool)
-        if flags.shape != (n,):
-            raise ContractError("label_flags length must match the series")
-        return flags
     if dataset.truth_rule == TruthRule.DATE_RANGES:
         if dataset.abnormal_dates is None:
             raise ContractError("DateRanges rule needs abnormal_dates")
@@ -120,19 +108,18 @@ def ground_truth_labels(dataset: AnomalyDataset) -> np.ndarray:
         return ingest.falls_on(wall, dataset.abnormal_dates)
     if dataset.spike_indices is None:
         raise ContractError("InjectedSpikes rule needs the generator's injection log")
-    flags = np.zeros(n, dtype=bool)
+    flags = np.zeros(len(dataset.series), dtype=bool)
     flags[np.asarray(dataset.spike_indices, dtype=np.int64)] = True
     return flags
 
 
-def _score(flags_pred, flags_true, mask):
-    if mask is not None:
-        flags_pred = flags_pred[mask]
-        flags_true = flags_true[mask]
+# A function of its own, not inlined: perfbench's tracer looks it up by name
+# and times it as scoring.
+def _score(flags_pred, flags_true):
     return precision_recall_f1(flags_pred, flags_true)
 
 
-def _cell(dataset: str, family: str, variant, model, test: TimeSeries, truth_test, mask_test,
+def _cell(dataset: str, family: str, variant, model, test: TimeSeries, truth_test,
           cfg: AnomalyRuleConfig) -> dict:
     """One grid cell: the fitted `model` (or the ContractError its fit
     raised) detecting over the test split, scored against the truth."""
@@ -151,7 +138,7 @@ def _cell(dataset: str, family: str, variant, model, test: TimeSeries, truth_tes
         if isinstance(model, ContractError):
             raise model
         result = detect_series(model, test, cfg)
-        score = _score(result.flags, truth_test, mask_test)
+        score = _score(result.flags, truth_test)
         cell.update(
             rmse=rmse(result.predictions, test.values),
             precision=score.precision,
@@ -172,9 +159,9 @@ def _cell(dataset: str, family: str, variant, model, test: TimeSeries, truth_tes
 def _fit_unit(family: str, variant, datasets, splits, cfg: AnomalyRuleConfig) -> List[dict]:
     """One grid unit: `variant` fitted on every dataset in one call, so the
     family can train same-shaped networks together, and its cell on each."""
-    fitted = forecast.fit(variant, [train for train, _, _, _ in splits])
-    return [_cell(ds.name, family, variant, model, test, truth_test, mask_test, cfg)
-            for ds, model, (_, test, truth_test, mask_test) in zip(datasets, fitted, splits)]
+    fitted = forecast.fit(variant, [train for train, _, _ in splits])
+    return [_cell(ds.name, family, variant, model, test, truth_test, cfg)
+            for ds, model, (_, test, truth_test) in zip(datasets, fitted, splits)]
 
 
 def run_benchmark(
@@ -206,11 +193,7 @@ def run_benchmark(
             "fingerprint": report.data_fingerprint(ds.series.values),
         }
         train, test = split_series(ds.series, split)
-        truth_test = ground_truth_labels(ds)[len(train) :]
-        mask_test = None
-        if ds.eval_mask is not None:
-            mask_test = np.asarray(ds.eval_mask, dtype=bool)[len(train) :]
-        splits.append((train, test, truth_test, mask_test))
+        splits.append((train, test, ground_truth_labels(ds)[len(train) :]))
 
     units = [(family, v, variant) for family, variants in model_grid.items()
              for v, variant in enumerate(variants)]
@@ -252,26 +235,42 @@ def run_benchmark(
 
 
 def benchmark_tables(bench: dict) -> str:
-    """Human-readable RMSE and detection tables from a benchmark report."""
-    dataset_names = sorted(bench["best_rmse"])
-    families = sorted(next(iter(bench["best_rmse"].values())))
+    """Human-readable RMSE and detection tables from a benchmark report; a
+    malformed report raises a ContractError naming the first key it lacks."""
+    def get(*path):
+        node = bench
+        for depth, key in enumerate(path):
+            if not isinstance(node, dict) or key not in node:
+                where = f" under '{'.'.join(path[:depth])}'" if depth else ""
+                raise ContractError(f"no key '{key}'{where}")
+            node = node[key]
+        return node
+
+    def names(*path):
+        node = get(*path)
+        if not isinstance(node, dict) or not node:
+            raise ContractError(f"'{'.'.join(path)}' holds no entry")
+        return sorted(node)
+
+    dataset_names = names("best_rmse")
+    families = names("best_rmse", dataset_names[0])
     rmse_rows = []
     for fam in families:
         row = [fam]
         for ds in dataset_names:
-            cell = bench["best_rmse"][ds][fam]
-            row.append("error" if cell["error"] else cell["rmse"])
+            row.append("error" if get("best_rmse", ds, fam, "error")
+                       else get("best_rmse", ds, fam, "rmse"))
         rmse_rows.append(row)
     out = ["RMSE (best variant per family; lower is better)",
            report.format_table(["model"] + dataset_names, rmse_rows), ""]
     det_rows = []
     for fam in families:
         for ds in dataset_names:
-            cell = bench["best_f1"][ds][fam]
-            if cell["error"]:
+            if get("best_f1", ds, fam, "error"):
                 det_rows.append([fam, ds, "error", "error", "error"])
             else:
-                det_rows.append([fam, ds, cell["precision"], cell["recall"], cell["f1"]])
+                det_rows.append([fam, ds, *(get("best_f1", ds, fam, key)
+                                            for key in ("precision", "recall", "f1"))])
     out.append("Detection (best variant per family by F1)")
     out.append(report.format_table(["model", "dataset", "precision", "recall", "f1"], det_rows))
     return "\n".join(out)

@@ -4,7 +4,7 @@ two losses."""
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,8 +19,10 @@ DEFAULT_HEAD_WIDTHS = (128, 3)
 
 
 class AutoencClassifier(Model):
-    """Encoder input->128->64, mirrored decoder 64->128->input, and a
-    two-layer classification head 64->128->3 on the latent code.
+    """An encoder through `encoder_widths`, the mirrored decoder back to the
+    input, and a classification head through `head_widths` on the latent code.
+    `train_autoenc_classifier` builds it at the paper's widths: encoder
+    input->128->64, decoder 64->128->input, head 64->128->3.
 
     loss = alpha * MSE(reconstruction) + (1 - alpha) * CrossEntropy(head).
     """
@@ -28,10 +30,10 @@ class AutoencClassifier(Model):
     def __init__(
         self,
         input_width: int,
-        alpha: float = 0.5,
-        encoder_widths: Sequence[int] = DEFAULT_ENCODER_WIDTHS,
-        head_widths: Sequence[int] = DEFAULT_HEAD_WIDTHS,
-        rng: Optional[np.random.Generator] = None,
+        alpha: float,
+        encoder_widths: Sequence[int],
+        head_widths: Sequence[int],
+        rng: np.random.Generator,
     ):
         if not 0.0 <= alpha <= 1.0:
             raise ContractError("alpha must lie in [0, 1]")
@@ -39,7 +41,6 @@ class AutoencClassifier(Model):
             raise ContractError("encoder and head need at least one layer each")
         self.input_width = input_width
         self.alpha = alpha
-        rng = rng if rng is not None else make_rng(0)
         enc_sizes = [input_width, *encoder_widths]
         dec_sizes = [*reversed(encoder_widths), input_width]
         self.enc_w, self.enc_b = dense_init(enc_sizes, rng)
@@ -89,27 +90,22 @@ def train_autoenc_classifier(
     states,
     alpha: float = 0.5,
     cfg: TrainConfig = TrainConfig(epochs=20, batch_size=32, learning_rate=0.01),
-    encoder_widths: Sequence[int] = DEFAULT_ENCODER_WIDTHS,
-    head_widths: Sequence[int] = DEFAULT_HEAD_WIDTHS,
 ) -> AutoencClassifier:
-    """Joint SGD on the weighted dual loss; both loss curves are recorded
-    per epoch. Deterministic given cfg.seed."""
+    """Joint SGD on the weighted dual loss of an AutoencClassifier at the
+    default widths; both loss curves are recorded per epoch. Deterministic
+    given cfg.seed."""
     features = np.asarray(features, dtype=np.float64)
     states = np.asarray(states, dtype=np.int64).ravel()
     if features.ndim != 2 or features.shape[0] != states.size:
         raise ContractError("features must be 2-d and row-parallel with states")
     if not np.all(np.isfinite(features)):
         raise ContractError("features must be finite")
-    if states.size == 0 or states.min() < 0 or states.max() >= head_widths[-1]:
-        raise ContractError(f"states must be one or more values in [0, {head_widths[-1]})")
+    n_states = DEFAULT_HEAD_WIDTHS[-1]
+    if states.size == 0 or states.min() < 0 or states.max() >= n_states:
+        raise ContractError(f"states must be one or more values in [0, {n_states})")
     rng = make_rng(cfg.seed)
-    model = AutoencClassifier(
-        input_width=features.shape[1],
-        alpha=alpha,
-        encoder_widths=encoder_widths,
-        head_widths=head_widths,
-        rng=rng,
-    )
+    model = AutoencClassifier(features.shape[1], alpha, DEFAULT_ENCODER_WIDTHS,
+                              DEFAULT_HEAD_WIDTHS, rng)
 
     def record_losses():
         recon, ce = model.component_losses(features, states)

@@ -114,9 +114,9 @@ def _training_data(features, labels, class_names):
     return features, labels, tuple(class_names)
 
 
-def _train_each(trains, hidden_sizes, cfg: TrainConfig, class_names) -> List[ClassifierModel]:
+def _train_each(trains, cfg: TrainConfig) -> List[ClassifierModel]:
     """One fresh classifier per (features, labels) in trains, the i-th trained
-    as train_classifier trains it with seed cfg.seed + i, all in one
+    as train_classifier trains it by default with seed cfg.seed + i, all in one
     sgd_epochs call (which stacks those of one training shape and class
     count); each ends bit for bit where it would alone. The first failure in
     trains' order raises the error that training them one at a time raises,
@@ -124,12 +124,12 @@ def _train_each(trains, hidden_sizes, cfg: TrainConfig, class_names) -> List[Cla
     data, failure = [], None
     for features, labels in trains:
         try:
-            data.append(_training_data(features, labels, class_names))
+            data.append(_training_data(features, labels, None))
         except ContractError as exc:
             failure = exc
             break
     rngs = [make_rng(cfg.seed + i) for i in range(len(data))]
-    nets = [Mlp([x.shape[1], *hidden_sizes, len(names)], loss="ce", rng=rng)
+    nets = [Mlp([x.shape[1], *DEFAULT_HIDDEN, len(names)], loss="ce", rng=rng)
             for (x, _, names), rng in zip(data, rngs)]
     curves = [[] for _ in nets]
     if cfg.epochs > 0:
@@ -266,14 +266,13 @@ def binary_relax(labels) -> np.ndarray:
 
 def cross_rpm_matrix(
     per_rpm: Dict[int, Tuple[np.ndarray, np.ndarray]],
-    hidden_sizes: Sequence[int] = DEFAULT_HIDDEN,
     cfg: TrainConfig = TrainConfig(),
     augment_n_per_rpm: int = 0,
-    class_names: Optional[Sequence[str]] = None,
 ) -> dict:
-    """Train one model per speed and test on every speed, plus an
-    augmented-data row trained on all speeds' training splits (and optional
-    interpolants). Cells are accuracies; rows carry their averages."""
+    """Train one model per speed (DEFAULT_HIDDEN layers, class names for the
+    label count) and test on every speed, plus an augmented-data row trained
+    on all speeds' training splits (and optional interpolants). Cells are
+    accuracies; rows carry their averages."""
     rpms = sorted(per_rpm)
     if len(rpms) < 2:
         raise ContractError("cross-rpm grid needs >= 2 rpm datasets")
@@ -283,12 +282,12 @@ def cross_rpm_matrix(
 
     def train(unit):
         if unit == 0:
-            return _train_each([splits[rpm][0] for rpm in rpms], hidden_sizes, cfg, class_names)
+            return _train_each([splits[rpm][0] for rpm in rpms], cfg)
         # augmented row: the same per-rpm training splits pooled, plus
         # interpolants, so the single-rpm test splits stay untouched
         combined = augment.augmented_training_set(per_rpm, augment_n_per_rpm, seed=cfg.seed)
-        return _train_each([(combined.features, combined.labels)], hidden_sizes,
-                           replace(cfg, seed=cfg.seed + len(rpms)), class_names)
+        return _train_each([(combined.features, combined.labels)],
+                           replace(cfg, seed=cfg.seed + len(rpms)))
 
     # the two trainings are independent: side by side on the cores BLAS
     # leaves free, and a single-speed error outranks the augmented one's

@@ -517,7 +517,11 @@ def cmd_report(args, cfg) -> None:
         return
     doc = report.load_json_report(args.show)
     if "best_rmse" in doc:
-        print(anomaly.benchmark_tables(doc))
+        try:
+            tables = anomaly.benchmark_tables(doc)
+        except ContractError as exc:
+            raise ContractError(f"bench report {args.show}: {exc}") from None
+        print(tables)
     else:
         print(report.canonical_json(doc))
 

@@ -266,10 +266,10 @@ def _train(members, xs, ys, rngs, epochs, batch_size, learning_rate, on_epoch) -
     return results
 
 
-def finite_difference_gradients(
-    model: Model, x: np.ndarray, y: np.ndarray, h: float = 1e-5
-) -> np.ndarray:
-    """Central-difference gradient of the model loss over all parameters."""
+def finite_difference_gradients(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Central-difference gradient (step 1e-5) of the model loss over all
+    parameters."""
+    h = 1e-5
     flat = model.get_flat_params().copy()
     grad = np.empty_like(flat)
     for i in range(flat.size):
@@ -285,10 +285,10 @@ def finite_difference_gradients(
     return grad
 
 
-def gradient_check(model: Model, x: np.ndarray, y: np.ndarray, h: float = 1e-5) -> float:
+def gradient_check(model: Model, x: np.ndarray, y: np.ndarray) -> float:
     """Max relative error between analytic and central-difference gradients."""
     _, grads = model.loss_and_grad(x, y)
     analytic = np.concatenate([g.ravel() for g in grads])
-    numeric = finite_difference_gradients(model, x, y, h=h)
+    numeric = finite_difference_gradients(model, x, y)
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))

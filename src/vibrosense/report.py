@@ -36,13 +36,9 @@ def load_json_report(path) -> dict:
     return read_json_object(path)
 
 
-def format_table(headers: Sequence[str], rows: Sequence[Sequence], precision: int = 4) -> str:
-    def fmt(cell):
-        if isinstance(cell, float):
-            return f"{cell:.{precision}f}"
-        return str(cell)
-
-    text_rows = [[fmt(c) for c in row] for row in rows]
+def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """Left-aligned columns under a dashed rule; floats at four decimals."""
+    text_rows = [[f"{c:.4f}" if isinstance(c, float) else str(c) for c in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in text_rows:
         for i, cell in enumerate(row):

@@ -158,12 +158,6 @@ class TestGroundTruth:
         assert int(flags.sum()) == 288  # exactly the first day's rows
         assert flags[:288].all() and not flags[288:].any()
 
-    def test_label_column(self):
-        values = np.ones(4)
-        ds = AnomalyDataset("l", series(values), TruthRule.LABEL_COLUMN,
-                            label_flags=np.array([0, 1, 0, 1], dtype=bool))
-        assert int(ground_truth_labels(ds).sum()) == 2
-
     def test_missing_backing_data(self):
         ds = AnomalyDataset("bad", series(np.ones(4)), TruthRule.DATE_RANGES)
         with pytest.raises(ContractError):
@@ -233,16 +227,6 @@ class TestBenchmark:
             assert cell["error"] == "epochs must be a positive integer, got 0"
             assert cell["rmse"] is None
         assert all(c["error"] is None for c in bench["grid"] if c["model"] != "mlp")
-
-    def test_eval_mask_excludes_points(self):
-        sp = generate_spiked_series(120, 4, seed=1)
-        mask = np.zeros(120, dtype=bool)
-        mask[-10:] = True
-        ds = AnomalyDataset("m", sp.series, TruthRule.INJECTED_SPIKES,
-                            spike_indices=sp.spike_indices, eval_mask=mask)
-        bench = run_benchmark([ds], {"sn": [ForecastModelConfig("seasonal_naive")]},
-                              SplitSpec(0.66))
-        assert bench["grid"][0]["n_test"] == 41
 
     def test_empty_inputs(self):
         with pytest.raises(ContractError):

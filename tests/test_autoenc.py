@@ -154,7 +154,8 @@ class TestInference:
 
     def test_guards(self):
         with pytest.raises(ContractError):
-            AutoencClassifier(input_width=4, alpha=1.5)
+            AutoencClassifier(input_width=4, alpha=1.5, encoder_widths=(5, 3), head_widths=(4, 3),
+                              rng=make_rng(0))
         model = toy_model(alpha=0.5)
         with pytest.raises(ContractError):
             model.predict_proba(np.zeros((2, 7)))

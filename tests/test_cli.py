@@ -708,6 +708,19 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert str(path) in err and detail in err
 
+    @pytest.mark.parametrize("content, detail", [
+        # these raised a bare StopIteration and a KeyError, and exited 2
+        ('{"best_rmse": {}}', "'best_rmse' holds no entry"),
+        ('{"best_rmse": {"a": 1}}', "'best_rmse.a' holds no entry"),
+        ('{"best_rmse": {"a": {"b": {}}}, "best_f1": {}}', "no key 'error' under 'best_rmse.a.b'"),
+        ('{"best_rmse": {"a": {"b": {"error": null, "rmse": 1.5}}}}', "no key 'best_f1'"),
+    ])
+    def test_bench_report_lacking_a_key_is_user_error(self, tmp_path, capsys, content, detail):
+        path = tmp_path / "bench.json"
+        path.write_text(content)
+        assert cli.main(["report", "--show", str(path)]) == cli.USER_ERROR
+        assert capsys.readouterr().err == f"error: bench report {path}: {detail}\n"
+
     @pytest.mark.parametrize("argv, detail", [
         (["report"], "one of the arguments --compare --show is required"),
         (["report", "--show", "a.json", "--compare", "a.json", "b.json"], "not allowed with"),

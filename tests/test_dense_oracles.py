@@ -301,10 +301,9 @@ def _ref_train_classifier(features, labels, hidden_sizes, cfg, init_net=None, fr
     return net, losses
 
 
-def _ref_train_autoenc(features, states, alpha, cfg, encoder_widths, head_widths):
+def _ref_train_autoenc(features, states, alpha, cfg):
     rng = make_rng(cfg.seed)
-    model = AutoencClassifier(features.shape[1], alpha, encoder_widths, head_widths,
-                              rng=make_rng(0))
+    model = AutoencClassifier(features.shape[1], alpha, (128, 64), (128, 3), rng=make_rng(0))
     _ref_autoenc_init(model, rng)
     params = model.parameters()
     n = features.shape[0]
@@ -450,8 +449,8 @@ class TestAutoencOracle:
     def test_training(self, alpha):
         feats, states = blobs(seed=46)
         cfg = TrainConfig(epochs=4, batch_size=8, learning_rate=0.05, seed=47)
-        model = train_autoenc_classifier(feats, states, alpha, cfg, (7, 6, 3), (4, 3))
-        ref = _ref_train_autoenc(feats, states, alpha, cfg, (7, 6, 3), (4, 3))
+        model = train_autoenc_classifier(feats, states, alpha, cfg)
+        ref = _ref_train_autoenc(feats, states, alpha, cfg)
         assert len(model.recon_loss_curve) == len(model.class_loss_curve) == 4
         assert_same_floats(model.recon_loss_curve, ref.recon_loss_curve)
         assert_same_floats(model.class_loss_curve, ref.class_loss_curve)
@@ -460,8 +459,8 @@ class TestAutoencOracle:
     def test_zero_epochs_returns_untrained_model(self):
         feats, states = blobs(seed=48)
         cfg = TrainConfig(epochs=0, seed=49)
-        model = train_autoenc_classifier(feats, states, 0.5, cfg, (7, 6, 3), (4, 3))
-        ref = _ref_train_autoenc(feats, states, 0.5, cfg, (7, 6, 3), (4, 3))
+        model = train_autoenc_classifier(feats, states, 0.5, cfg)
+        ref = _ref_train_autoenc(feats, states, 0.5, cfg)
         assert model.recon_loss_curve == [] and model.class_loss_curve == []
         assert_same_bytes(model.parameters(), ref.parameters())
 

@@ -8,11 +8,21 @@ or a method) is reached: its name appears in the package, the demos or the
 benchmark outside its own definition, as a name, an attribute, an imported
 name or a word of a string that is not a docstring. The match is by name
 alone, so a definition whose name is used for something else counts as
-reached; special names (`__len__`) are the interpreter's, not counted."""
+reached; special names (`__len__`) are the interpreter's, not counted.
+
+Every defaulted parameter of a function, method or constructor in the
+package, and every defaulted dataclass field, is set by some call in the
+package, the demos or the benchmark (tests are not entry points), or is kept
+on purpose in `KEPT`, with its reason. A call sets a parameter by keyword, or
+by position (a method's `self` or `cls` is not counted); `partial(f, ...)`
+calls f, `super().__init__` the class's first base, a class without its own
+`__init__` its base's, and `dataclasses.replace` sets the fields it names on
+every dataclass. A `*` or `**` argument sets all of its callee's parameters.
+Callees are matched by name alone, as definitions are above."""
 
 import ast
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -168,3 +178,216 @@ def test_the_reach_scan_finds_one_unreached_function():
     caller = "from library import helper\nTARGETS = ['library.Model.fit']\n"
     assert unreached_definitions({"library.py": library}, [library, caller]) == [
         ("library.py", "orphan", 10)]
+
+
+def _decorated(node, name):
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if _callee(d) == name:
+            return True
+    return False
+
+
+def _callee(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _parameters(fn, method):
+    """(name, position or None, defaulted) of each parameter of `fn`; a
+    method's first parameter is its instance or class, and has no position."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first_default = len(positional) - len(a.defaults)
+    skip = 1 if method and not _decorated(fn, "staticmethod") else 0
+    for i, arg in enumerate(positional[skip:], skip):
+        yield arg.arg, i - skip, i >= first_default
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        yield arg.arg, None, default is not None
+
+
+def _fields(cls):
+    """(name, position, defaulted) of each constructor field of a dataclass."""
+    position = 0
+    for node in cls.body:
+        if not isinstance(node, ast.AnnAssign) or "ClassVar" in ast.unparse(node.annotation):
+            continue
+        value = node.value
+        if isinstance(value, ast.Call) and _callee(value.func) == "field" and any(
+                k.arg == "init" and getattr(k.value, "value", True) is False for k in value.keywords):
+            continue
+        yield node.target.id, position, value is not None
+        position += 1
+
+
+def _signatures(tree):
+    """(callee, qualified name, parameters, line) of each function, method,
+    constructor and dataclass in `tree`; a constructor's callee is its class."""
+    def visit(node, cls, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if _decorated(child, "dataclass"):
+                    yield child.name, prefix + child.name, list(_fields(child)), child.lineno
+                yield from visit(child, child, prefix + child.name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callee = cls.name if cls is not None and child.name == "__init__" else child.name
+                yield (callee, prefix + child.name, list(_parameters(child, cls is not None)),
+                       child.lineno)
+                yield from visit(child, None, prefix + child.name + ".")
+            else:
+                yield from visit(child, cls, prefix)
+    yield from visit(tree, None, "")
+
+
+REPLACE = "dataclasses.replace"
+
+
+def _calls(tree):
+    """(callee, positional count, keywords, spread) of each call in `tree`;
+    the callee of `dataclasses.replace` is REPLACE, and of a call whose
+    function has no name (`f()()`) None."""
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func, args = child.func, child.args
+                callee = _callee(func)
+                if callee == "partial" and args:
+                    callee, args = _callee(args[0]), args[1:]
+                elif callee == "replace" and args and (
+                        isinstance(func, ast.Name) or _callee(func.value) == "dataclasses"):
+                    callee = REPLACE
+                elif callee == "__init__" and isinstance(func.value, ast.Call) and \
+                        _callee(func.value.func) == "super" and cls is not None and cls.bases:
+                    callee = _callee(cls.bases[0])
+                spread = any(isinstance(a, ast.Starred) for a in args) or any(
+                    k.arg is None for k in child.keywords)
+                yield callee, len(args), {k.arg for k in child.keywords}, spread
+            yield from visit(child, child if isinstance(child, ast.ClassDef) else cls)
+    yield from visit(tree, None)
+
+
+def unset_defaults(defining: dict, using: list):
+    """(file, qualified name, parameter, line) of each defaulted parameter or
+    dataclass field in the `defining` sources (by file) that no call in the
+    `using` sources sets."""
+    inherits, dataclasses, signatures = {}, set(), []
+    for path, source in defining.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if _decorated(node, "dataclass"):
+                dataclasses.add(node.name)
+            elif node.bases and not any(getattr(m, "name", None) == "__init__" for m in node.body):
+                inherits[node.name] = _callee(node.bases[0])
+        signatures += [(path, *s) for s in _signatures(tree)]
+    keywords, positions, spread = defaultdict(set), Counter(), set()
+    for source in using:
+        for callee, n, names, spreads in _calls(ast.parse(source)):
+            while callee in inherits:
+                callee = inherits[callee]
+            for target in dataclasses if callee == REPLACE else [callee]:
+                keywords[target] |= names
+                positions[target] = max(positions[target], 0 if callee == REPLACE else n)
+                if spreads:
+                    spread.add(target)
+    return [(path, qualname, name, line)
+            for path, callee, qualname, params, line in signatures
+            for name, position, defaulted in params
+            if defaulted and callee not in spread and name not in keywords[callee]
+            and (position is None or position >= positions[callee])]
+
+
+_ZONE = "the data file's zone, the contract for real logger files"
+_SHUTDOWN = "a real logger file's shutdown window"
+_FAMILY = ("a forecaster family's hyperparameter: every model file and bench cell records it "
+           "through ForecastModelConfig.resolved()")
+
+#: Defaulted parameters and fields that no entry point sets but that stay,
+#: as "module.qualified.name": (parameters, reason).
+KEPT = {
+    "ingest.format_timestamp": ("tz", _ZONE),
+    "ingest.parse_process_csv": ("tz", _ZONE),
+    "ingest.write_process_csv": ("tz", _ZONE),
+    "ingest.parse_pharma_txt": ("tz", _ZONE),
+    "ingest.write_pharma_txt": ("tz", _ZONE),
+    "anomaly.AnomalyDataset": ("tz", _ZONE),
+    "ingest.WeeklySchedule": ("off_start_weekday off_start_hour off_end_weekday off_end_hour tz",
+                              _SHUTDOWN),
+    "synth.generate_process": ("schedule interval_s", "a logger's shutdown window and row "
+                               "spacing, which the generator's tests vary"),
+    "ingest.label_process_rows": ("abnormal_dates schedule",
+                                  "a real logger file's abnormal days and shutdown window"),
+    "classify.train_transfer": ("freeze_hidden", "perfbench/spans.py times classify._train_frozen "
+                                "by name, so the frozen path goes when the benchmark drops it"),
+    "forecast.classical.SeasonalNaive.__init__": ("m", _FAMILY),
+    "forecast.classical.Arima.__init__": ("p d q fit_intercept", _FAMILY),
+    "forecast.forest.RandomForestForecaster.__init__": ("n_trees max_depth lag_window seed",
+                                                        _FAMILY),
+    "forecast.neural.MlpForecaster.__init__": (
+        "hidden_layers neurons learning_rate batch_size epochs lag_window seed", _FAMILY),
+    "forecast.neural.RnnForecaster.__init__": (
+        "hidden_layers neurons learning_rate batch_size epochs lag_window seed", _FAMILY),
+    "forecast.neural.LstmForecaster.__init__": (
+        "blocks neurons dense_units learning_rate batch_size epochs lag_window seed", _FAMILY),
+    "forecast.neural.GaussianRnnForecaster.__init__": (
+        "hidden_layers cells learning_rate batch_size epochs lag_window seed", _FAMILY),
+    "forecast.neural.AutoencoderForecaster.__init__": (
+        "window filters kernel n_layers dropout learning_rate batch_size epochs seed", _FAMILY),
+}
+
+
+def test_every_defaulted_parameter_is_set_by_an_entry_point():
+    package = sorted(PACKAGE.rglob("*.py"))
+    found = unset_defaults({p: p.read_text() for p in package},
+                           [p.read_text() for p in package + DEMOS + BENCHMARK])
+    unset = {(".".join(path.relative_to(PACKAGE).with_suffix("").parts) + "." + qualname, name): line
+             for path, qualname, name, line in found}
+    kept = {(where, name) for where, (names, _) in KEPT.items() for name in names.split()}
+    assert not unset.keys() - kept, ", ".join(
+        f"{where}({name}) at line {unset[where, name]} has a default that nothing sets"
+        for where, name in sorted(unset.keys() - kept))
+    assert not kept - unset.keys(), ", ".join(
+        f"KEPT lists {where}({name}), which the scan no longer finds unset"
+        for where, name in sorted(kept - unset.keys()))
+
+
+def test_the_default_scan_finds_one_unset_parameter():
+    library = (
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\n"
+        "class Config:\n"
+        "    name: str\n"
+        "    rate: float = 0.1\n"
+        "    tags: list = field(default_factory=list)\n"
+        "    cache: dict = field(default=None, init=False)\n"
+        "class Model:\n"
+        "    def __init__(self, width, depth=2, bias=True):\n"
+        "        self.width = width\n"
+        "    def fit(self, x, epochs=1, *, verbose=False):\n"
+        "        return x\n"
+        "class Wide(Model):\n"
+        "    pass\n"
+        "class Deep(Model):\n"
+        "    def __init__(self, layers=3):\n"
+        "        super().__init__(4, layers)\n"
+        "def train(x, lr=0.1, seed=0):\n"
+        "    return x\n"
+        "def score(x, scale=1.0):\n"
+        "    return x\n"
+        "def unset(x, limit=5):\n"
+        "    return x\n"
+    )
+    caller = (
+        "import dataclasses\n"
+        "from functools import partial\n"
+        "Model(3).fit([1], 5, verbose=True)\n"      # epochs: position 1 once self is skipped
+        "Deep(layers=4)\n"                          # depth: Deep's super().__init__ sets it
+        "Wide(2, bias=False)\n"                     # bias: Wide constructs as Model does
+        "partial(train, [1], 0.5)(seed=1)\n"        # lr: position 1 of partial's train call
+        "train([1], seed=2)\n"
+        "score(*[[1], 2.0])\n"                      # scale: a spread sets every parameter
+        "dataclasses.replace(Config('a'), rate=1.0, tags=[])\n"
+        "unset([1])\n"
+    )
+    assert unset_defaults({"library.py": library}, [library, caller]) == [
+        ("library.py", "unset", "limit", 22)]

@@ -255,10 +255,10 @@ def _per_rpm(seed, rows=(60, 60, 60, 60), scales=(1.0, 1.0, 1.0, 1.0)):
     return per_rpm
 
 
-def _one_at_a_time(trains, hidden_sizes, cfg, class_names):
+def _one_at_a_time(trains, cfg):
     """The grid's single-speed models as one train_classifier call each."""
-    return [train_classifier(x, y, hidden_sizes, replace(cfg, seed=cfg.seed + i),
-                             class_names=class_names) for i, (x, y) in enumerate(trains)]
+    return [train_classifier(x, y, cfg=replace(cfg, seed=cfg.seed + i))
+            for i, (x, y) in enumerate(trains)]
 
 
 def _grid_and_models(monkeypatch, per_rpm, cfg, augment):
@@ -275,14 +275,13 @@ def _grid_and_models(monkeypatch, per_rpm, cfg, augment):
     with monkeypatch.context() as patch:
         patch.setattr(classify, "evaluate", evaluate)
         stacks = _record_stacks(patch)
-        result = cross_rpm_matrix(per_rpm, hidden_sizes=(8, 8), cfg=cfg,
-                                  augment_n_per_rpm=augment)
+        result = cross_rpm_matrix(per_rpm, cfg=cfg, augment_n_per_rpm=augment)
     return result, models, [len(stack) for stack in stacks]
 
 
 def _single_speed_references(per_rpm, cfg):
     trains = [split_arrays(*per_rpm[rpm], cfg.seed)[0] for rpm in sorted(per_rpm)]
-    return _one_at_a_time(trains, (8, 8), cfg, None)
+    return _one_at_a_time(trains, cfg)
 
 
 def _assert_same_models(models, refs):
@@ -302,7 +301,7 @@ def test_cross_rpm_grid_matches_one_training_per_speed(monkeypatch, seed, augmen
     assert groups == [4, 1]  # the four speeds in one stacked run, then the augmented row
     _assert_same_models(models[:4], _single_speed_references(per_rpm, cfg))
     monkeypatch.setattr(classify, "_train_each", _one_at_a_time)
-    expected = cross_rpm_matrix(per_rpm, hidden_sizes=(8, 8), cfg=cfg, augment_n_per_rpm=augment)
+    expected = cross_rpm_matrix(per_rpm, cfg=cfg, augment_n_per_rpm=augment)
     assert result == expected
 
 
@@ -314,7 +313,7 @@ def test_cross_rpm_grid_groups_speeds_by_training_rows(monkeypatch):
     assert groups == [2, 1, 1, 1]
     _assert_same_models(models[:4], _single_speed_references(per_rpm, cfg))
     monkeypatch.setattr(classify, "_train_each", _one_at_a_time)
-    assert result == cross_rpm_matrix(per_rpm, hidden_sizes=(8, 8), cfg=cfg, augment_n_per_rpm=200)
+    assert result == cross_rpm_matrix(per_rpm, cfg=cfg, augment_n_per_rpm=200)
 
 
 def test_grid_models_group_by_class_count():
@@ -322,8 +321,8 @@ def test_grid_models_group_by_class_count():
     gen = np.random.default_rng(4)
     trains = [(gen.normal(size=(30, 3)), np.arange(30) % k) for k in (3, 2, 3)]
     cfg = TrainConfig(epochs=3, batch_size=8, seed=6)
-    models = classify._train_each(trains, (5,), cfg, None)
-    refs = _one_at_a_time(trains, (5,), cfg, None)
+    models = classify._train_each(trains, cfg)
+    refs = _one_at_a_time(trains, cfg)
     assert [m.n_classes for m in models] == [3, 2, 3]
     for model, ref in zip(models, refs):
         assert _weights(model.net) == _weights(ref.net)
@@ -331,21 +330,22 @@ def test_grid_models_group_by_class_count():
 
 
 def test_cross_rpm_grid_raises_the_first_speeds_divergence(monkeypatch):
-    # one training step an epoch at a huge rate: 200 rpm overflows at epoch 3
-    # and 300 rpm, with larger inputs, at epoch 2; training one speed at a time
-    # stops at 200 rpm, so its error is the one raised
+    # one training step an epoch at a huge rate: 100 rpm overflows at epoch 4,
+    # 200 rpm at epoch 3 and 300 rpm, with the largest inputs, at epoch 2;
+    # training one speed at a time stops at 100 rpm, so its error is the one
+    # raised
     per_rpm = _per_rpm(5, rows=(40, 40, 40, 40), scales=(1.0, 1e10, 1e30, 1.0))
     cfg = TrainConfig(epochs=8, batch_size=64, learning_rate=1e10, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ContractError) as grouped:
-            cross_rpm_matrix(per_rpm, hidden_sizes=(8, 8), cfg=cfg)
+            cross_rpm_matrix(per_rpm, cfg=cfg)
         monkeypatch.setattr(classify, "_train_each", _one_at_a_time)
         with pytest.raises(ContractError) as alone:
-            cross_rpm_matrix(per_rpm, hidden_sizes=(8, 8), cfg=cfg)
+            cross_rpm_matrix(per_rpm, cfg=cfg)
         (x, y), _ = split_arrays(*per_rpm[300], cfg.seed)
         with pytest.raises(ContractError) as later_speed:
-            train_classifier(x, y, (8, 8), replace(cfg, seed=cfg.seed + 2))
-    assert str(alone.value) == "non-finite training loss at epoch 3"
+            train_classifier(x, y, cfg=replace(cfg, seed=cfg.seed + 2))
+    assert str(alone.value) == "non-finite training loss at epoch 4"
     assert str(later_speed.value) == "non-finite training loss at epoch 2"
     assert str(grouped.value) == str(alone.value)
