@@ -8,13 +8,12 @@ reconstruction against classification loss.
 """
 
 import datetime as dt
-from dataclasses import replace
 
 import numpy as np
 
 from vibrosense import autoenc, features, ingest, synth
 from vibrosense.classify import TrainConfig
-from vibrosense.core import DefectLabel, MachineState
+from vibrosense.core import MachineState
 
 SEED = 0
 # Wednesday to Tuesday: the Friday-to-Sunday shutdown and a failing Monday
@@ -30,19 +29,7 @@ def state_counts(states):
 print(f"process rows: {len(labeled)} (5-minute cadence over 7 days): "
       f"{state_counts(labeled.states)}")
 
-picked = labeled[::6]
-vib = []
-for timestamp_s, state in zip(picked.timestamps_s.tolist(), picked.states.tolist()):
-    level = DefectLabel.FAILURE if state == MachineState.ABNORMAL else DefectLabel.NORMAL
-    rec = synth.generate_vibration(
-        synth.SynthConfig(rpm=300, sample_rate_hz=3200.0, duration_s=0.05,
-                          imbalance_level=level, noise_sigma=0.05,
-                          seed=SEED + int(timestamp_s) % 100000)
-    )
-    scale = 0.05 if state == MachineState.OFF else 1.0
-    vib.append(replace(rec, start_s=timestamp_s,
-                       x=rec.x * scale, y=rec.y * scale, z=rec.z * scale))
-
+vib = synth.vibration_for_states(labeled[::6], SEED)
 aligned = ingest.align_and_impute(vib, labeled)
 print(f"aligned windows: {aligned.features.shape[0]} x {aligned.features.shape[1]} features "
       f"({aligned.n_dropped_buckets} empty buckets dropped): {state_counts(aligned.labels)}")

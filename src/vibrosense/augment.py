@@ -7,7 +7,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .core import ContractError, make_rng, split_arrays
+from .core import ContractError, make_rng
 
 #: An interpolant's partner is one of its anchor's this many nearest same-label neighbors.
 K_NEIGHBORS = 5
@@ -29,35 +29,21 @@ class LabeledSet:
         if self.labels.shape != (n,) or self.provenance.shape != (n,):
             raise ContractError("features, labels, provenance must be row-parallel")
 
-    def __len__(self):
-        return int(self.features.shape[0])
 
-
-def aggregate_rpms(
-    per_rpm: Dict[int, Tuple[np.ndarray, np.ndarray]],
-    seed: int = 0,
-) -> LabeledSet:
-    """Concatenate the stratified training split of every speed's dataset,
-    tagging each sample with its source rpm."""
+def aggregate_rpms(per_rpm: Dict[int, Tuple[np.ndarray, np.ndarray]]) -> LabeledSet:
+    """Pool the given training sets of every speed, in speed order, tagging
+    each sample with its source rpm."""
     if len(per_rpm) < 2:
         raise ContractError("aggregation needs >= 2 rpm datasets")
-    width = None
-    feats, labs, prov = [], [], []
-    for rpm in sorted(per_rpm):
-        features, labels = per_rpm[rpm]
-        features = np.asarray(features, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
-        if width is None:
-            width = features.shape[1]
-        elif features.shape[1] != width:
-            raise ContractError(
-                f"feature schema mismatch: rpm {rpm} has {features.shape[1]} columns, expected {width}"
-            )
-        (f_train, l_train), _ = split_arrays(features, labels, seed)
-        feats.append(f_train)
-        labs.append(l_train)
-        prov.append(np.full(l_train.size, rpm, dtype=np.int64))
-    return LabeledSet(np.concatenate(feats), np.concatenate(labs), np.concatenate(prov))
+    rpms = sorted(per_rpm)
+    feats, labs = zip(*(per_rpm[rpm] for rpm in rpms))
+    for rpm, f in zip(rpms, feats):
+        if f.shape[1] != feats[0].shape[1]:
+            raise ContractError(f"feature schema mismatch: rpm {rpm} has {f.shape[1]} columns, "
+                                f"expected {feats[0].shape[1]}")
+    return LabeledSet(np.concatenate(feats), np.concatenate(labs),
+                      np.concatenate([np.full(l.size, rpm, dtype=np.int64)
+                                      for rpm, l in zip(rpms, labs)]))
 
 
 def interpolate_within_rpm(
@@ -104,8 +90,9 @@ def augmented_training_set(
     n_new_per_rpm: int = 20_000,
     seed: int = 0,
 ) -> LabeledSet:
-    """Aggregated training splits plus per-speed interpolants."""
-    combined = aggregate_rpms(per_rpm, seed=seed)
+    """The given training sets of every speed, pooled, plus n_new_per_rpm
+    interpolants within each speed's set."""
+    combined = aggregate_rpms(per_rpm)
     feats = [combined.features]
     labs = [combined.labels]
     prov = [combined.provenance]

@@ -55,10 +55,6 @@ class ClassifierModel:
     provenance: dict = field(default_factory=dict)
 
     @property
-    def n_classes(self) -> int:
-        return self.net.layer_sizes[-1]
-
-    @property
     def input_width(self) -> int:
         return self.net.layer_sizes[0]
 
@@ -285,7 +281,8 @@ def cross_rpm_matrix(
             return _train_each([splits[rpm][0] for rpm in rpms], cfg)
         # augmented row: the same per-rpm training splits pooled, plus
         # interpolants, so the single-rpm test splits stay untouched
-        combined = augment.augmented_training_set(per_rpm, augment_n_per_rpm, seed=cfg.seed)
+        combined = augment.augmented_training_set({rpm: splits[rpm][0] for rpm in rpms},
+                                                  augment_n_per_rpm, seed=cfg.seed)
         return _train_each([(combined.features, combined.labels)],
                            replace(cfg, seed=cfg.seed + len(rpms)))
 

@@ -16,7 +16,6 @@ from . import anomaly, augment, autoenc, classify, features, forecast, ingest, r
 from .core import (
     ContractError,
     DefectLabel,
-    MachineState,
     OperatingPoint,
     SplitSpec,
     make_rng,
@@ -211,21 +210,18 @@ def _labeled_xz(records):
     return np.concatenate(rows), np.concatenate(labels)
 
 
+def _labeled_bursts(rpm, duration_s, noise, first, step, amp_rpm_exponent):
+    """One 3.2 kHz burst per defect label at `rpm`, label l seeded first + step * l."""
+    return (synth.generate_vibration(synth.SynthConfig(
+        rpm=rpm, sample_rate_hz=3200.0, duration_s=duration_s, imbalance_level=label,
+        noise_sigma=noise, seed=first + step * int(label), amp_rpm_exponent=amp_rpm_exponent,
+    )) for label in DefectLabel)
+
+
 def _synth_per_rpm(rpms, duration_s, noise, seed, amp_rpm_exponent=0.0):
-    return {rpm: _labeled_xz(
-        synth.generate_vibration(
-            synth.SynthConfig(
-                rpm=rpm,
-                sample_rate_hz=3200.0,
-                duration_s=duration_s,
-                imbalance_level=label,
-                noise_sigma=noise,
-                seed=seed + rpm + 1000 * int(label),
-                amp_rpm_exponent=amp_rpm_exponent,
-            )
-        )
-        for label in DefectLabel
-    ) for rpm in rpms}
+    return {rpm: _labeled_xz(_labeled_bursts(rpm, duration_s, noise, seed + rpm, 1000,
+                                             amp_rpm_exponent))
+            for rpm in rpms}
 
 
 #: ingest flags that only a tri-axial file takes, by argparse dest.
@@ -398,31 +394,13 @@ def run_transfer_experiment(
     scarce decimated target data against fine-tuning the source model."""
     mems_rate = 10.0
     target_duration = max(target_samples // 3, 2) / mems_rate
-    fs, ls = _labeled_xz(
-        synth.generate_vibration(
-            synth.SynthConfig(
-                rpm=rpm, sample_rate_hz=3200.0, duration_s=source_duration_s,
-                imbalance_level=label, noise_sigma=noise,
-                seed=cfg.seed + 7 * int(label),
-            )
-        )
-        for label in DefectLabel
-    )
-    ft, lt = _labeled_xz(
-        synth.decimate_to_mems(
-            synth.generate_vibration(
-                synth.SynthConfig(
-                    rpm=rpm, sample_rate_hz=3200.0,
-                    duration_s=target_duration,
-                    imbalance_level=label, noise_sigma=noise,
-                    seed=cfg.seed + 7 * int(label) + 3,
-                )
-            ),
-            target_rate_hz=mems_rate,
-            extra_noise_sigma=extra_noise, seed=cfg.seed + int(label),
-        )
-        for label in DefectLabel
-    )
+    fs, ls = _labeled_xz(_labeled_bursts(rpm, source_duration_s, noise, cfg.seed, 7, 0.0))
+    # map keeps no 3.2 kHz burst past its decimation, as a loop variable would
+    ft, lt = _labeled_xz(map(
+        lambda rec: synth.decimate_to_mems(rec, target_rate_hz=mems_rate,
+                                           extra_noise_sigma=extra_noise,
+                                           seed=cfg.seed + int(rec.label)),
+        _labeled_bursts(rpm, target_duration, noise, cfg.seed + 3, 7, 0.0)))
     enc = features.fit_encoder(fs, features.axis_feature_names())
     source_model = classify.train_classifier(enc.transform(fs), ls, cfg=cfg)
     bundle = classify.make_bundle(source_model, enc, source_id=f"synthetic-piezo-rpm{rpm}", cfg=cfg)
@@ -479,21 +457,7 @@ def cmd_autoenc(args, cfg) -> dict:
         raise ContractError(f"--vibration-stride must be >= 1, got {args.vibration_stride}")
     tcfg = classify.TrainConfig(**cfg["training"])
     labeled = synth.generate_process(days=args.days, seed=tcfg.seed)
-    picked = labeled[:: args.vibration_stride]
-    vib = []
-    for timestamp_s, state in zip(picked.timestamps_s.tolist(), picked.states.tolist()):
-        level = DefectLabel.FAILURE if state == MachineState.ABNORMAL else DefectLabel.NORMAL
-        rec = synth.generate_vibration(
-            synth.SynthConfig(
-                rpm=300, sample_rate_hz=3200.0, duration_s=0.05,
-                imbalance_level=level, noise_sigma=0.05,
-                seed=tcfg.seed + int(timestamp_s) % 100000,
-            )
-        )
-        # a shut-down machine barely vibrates
-        scale = 0.05 if state == MachineState.OFF else 1.0
-        vib.append(replace(rec, start_s=timestamp_s,
-                           x=rec.x * scale, y=rec.y * scale, z=rec.z * scale))
+    vib = synth.vibration_for_states(labeled[:: args.vibration_stride], tcfg.seed)
     aligned = ingest.align_and_impute(vib, labeled)
     enc = features.fit_encoder(aligned.features, aligned.feature_names)
     model = autoenc.train_autoenc_classifier(

@@ -14,7 +14,7 @@ from ..core import ContractError, TimeSeries, rms
 from .. import modelio
 from .base import make_windows
 from .classical import Arima, AutoRegression, SeasonalNaive, autoregression_fit
-from .forest import RandomForestForecaster, best_split_for_feature, fit_regression_tree
+from .forest import RandomForestForecaster, fit_regression_tree
 from .neural import (
     AutoencoderForecaster,
     GaussianRnnForecaster,
@@ -41,7 +41,6 @@ __all__ = [
     "GaussianRnnForecaster",
     "AutoencoderForecaster",
     "autoregression_fit",
-    "best_split_for_feature",
     "fit_regression_tree",
     "make_windows",
 ]

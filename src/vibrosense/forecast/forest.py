@@ -87,18 +87,6 @@ def _best_splits(block: np.ndarray, targets: np.ndarray):
     return 0.5 * (v[best, cols] + v[best + 1, cols]), reduction[best, cols]
 
 
-def best_split_for_feature(values: np.ndarray, targets: np.ndarray):
-    """Exhaustive best threshold by weighted-variance reduction for one
-    feature. Returns (threshold, score) or None when the feature is constant."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size < 2:
-        return None
-    thresholds, scores = _best_splits(values[:, None], np.asarray(targets, dtype=np.float64))
-    if scores[0] == -np.inf:
-        return None
-    return float(thresholds[0]), float(scores[0])
-
-
 def _grow(rows, targets, depth, max_depth, feat_rng, nodes):
     idx = len(nodes["feature"])
     for key in nodes:

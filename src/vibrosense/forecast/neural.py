@@ -206,11 +206,6 @@ class GaussianRnnForecaster(_WindowForecaster):
                              head_sizes=[], loss="gaussian_nll", activation="tanh")
         super().__init__(network, lag_window, epochs, batch_size, learning_rate, seed)
 
-    def predict_distribution(self, context):
-        window = (self._context(context)[-self.lag_window :] - self._mean) / self._std
-        mu, sigma = self.net.predict_distribution(window[None, :])
-        return float(mu[0]) * self._std + self._mean, float(sigma[0]) * self._std
-
 
 class AutoencoderForecaster(_WindowForecaster):
     """Convolutional window autoencoder; the one-step forecast is the last

@@ -63,8 +63,7 @@ class ProcessTable:
     and each reading's MachineState value (n,) once labeled, else None.
 
     Iterating yields ProcessRows, or (ProcessRow, MachineState) pairs once
-    labeled, built _BLOCK_ROWS at a time; an int index gives one of those,
-    a slice gives a table.
+    labeled, built _BLOCK_ROWS at a time; a slice gives a table.
     """
 
     timestamps_s: np.ndarray
@@ -86,12 +85,9 @@ class ProcessTable:
     def __len__(self) -> int:
         return len(self.timestamps_s)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return ProcessTable(self.timestamps_s[index], self.values[index],
-                                None if self.states is None else self.states[index])
-        i = range(len(self))[index]
-        return next(iter(self[i : i + 1]))
+    def __getitem__(self, index: slice) -> ProcessTable:
+        return ProcessTable(self.timestamps_s[index], self.values[index],
+                            None if self.states is None else self.states[index])
 
     def __iter__(self):
         for lo in range(0, len(self), _BLOCK_ROWS):

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, replace
+from typing import Iterable, List
 
 import numpy as np
 
@@ -121,6 +121,24 @@ def decimate_to_mems(
         operating_point=record.operating_point,
         label=record.label,
     )
+
+
+def vibration_for_states(rows: ProcessTable, seed: int) -> List[VibrationRecord]:
+    """One 50 ms burst at 300 rpm per row of a labeled table, starting at the
+    row's time: Abnormal rows at the failure level, the others at the normal
+    level, Off rows at a twentieth of the amplitude (a shut-down machine
+    barely vibrates). The row at time t is seeded seed + int(t) % 100000."""
+    bursts = []
+    for timestamp_s, state in zip(rows.timestamps_s.tolist(), rows.states.tolist()):
+        level = DefectLabel.FAILURE if state == MachineState.ABNORMAL else DefectLabel.NORMAL
+        rec = generate_vibration(SynthConfig(
+            rpm=300, sample_rate_hz=3200.0, duration_s=0.05, imbalance_level=level,
+            noise_sigma=0.05, seed=seed + int(timestamp_s) % 100000,
+        ))
+        scale = 0.05 if state == MachineState.OFF else 1.0
+        bursts.append(replace(rec, start_s=timestamp_s,
+                              x=rec.x * scale, y=rec.y * scale, z=rec.z * scale))
+    return bursts
 
 
 #: Chiller temperature regimes (degrees Fahrenheit).

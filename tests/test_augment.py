@@ -19,20 +19,21 @@ def dataset(n, seed=0, width=2):
 
 
 class TestAggregate:
-    def test_two_rpms_combined_count(self):
-        per_rpm = {200: dataset(100, 0), 300: dataset(100, 1)}
+    def test_two_rpms_pool_every_given_row(self):
+        per_rpm = {300: dataset(60, 1), 200: dataset(100, 0)}
         combined = aggregate_rpms(per_rpm)
-        assert len(combined) == 140  # 70 per rpm
+        assert combined.labels.size == 160  # the given sets whole, not split again
+        # in speed order, each speed's rows as given
+        assert np.array_equal(combined.features, np.concatenate([per_rpm[200][0], per_rpm[300][0]]))
+        assert np.array_equal(combined.labels, np.concatenate([per_rpm[200][1], per_rpm[300][1]]))
 
     def test_provenance_maps_back(self):
         per_rpm = {200: dataset(30, 0), 300: dataset(30, 1)}
         combined = aggregate_rpms(per_rpm)
         assert set(np.unique(combined.provenance)) == {200, 300}
         mask = combined.provenance == 200
-        # every rpm-200 sample is an actual row of the rpm-200 input
-        src = per_rpm[200][0]
-        for row in combined.features[mask]:
-            assert any(np.array_equal(row, s) for s in src)
+        # the rpm-200 samples are the rows of the rpm-200 input
+        assert np.array_equal(combined.features[mask], per_rpm[200][0])
 
     def test_schema_mismatch(self):
         per_rpm = {200: dataset(20, 0, width=2), 300: dataset(20, 1, width=3)}
@@ -105,12 +106,13 @@ class TestAugmentedTrainingSet:
     def test_counts(self):
         per_rpm = {200: dataset(100, 0), 300: dataset(100, 1)}
         combined = augmented_training_set(per_rpm, n_new_per_rpm=50)
-        assert len(combined) == 140 + 100
+        assert combined.labels.size == 200 + 100
+        assert np.array_equal(np.bincount(combined.provenance)[[200, 300]], [150, 150])
 
     def test_zero_interpolants(self):
         per_rpm = {200: dataset(50, 0), 300: dataset(50, 1)}
         combined = augmented_training_set(per_rpm, n_new_per_rpm=0)
-        assert len(combined) == 70
+        assert combined.labels.size == 100
 
     def test_row_parallel_guard(self):
         with pytest.raises(ContractError):

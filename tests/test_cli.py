@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import vibrosense
-from vibrosense import classify, cli, ingest
-from vibrosense.core import ContractError
+from vibrosense import classify, cli, ingest, synth
+from vibrosense.core import ContractError, DefectLabel
 
 
 def write_config(tmp_path, text):
@@ -681,6 +682,56 @@ class TestTrainingCommands:
                          "--epochs", "3", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert len(doc["recon_loss_curve"]) == 3
+
+
+def _xz_rows(records):
+    """Each record's (x, z) sample rows, stacked, and each row's label."""
+    records = list(records)
+    return (np.concatenate([np.column_stack([r.x, r.z]) for r in records]),
+            np.concatenate([np.full(len(r.x), int(r.label)) for r in records]))
+
+
+def _burst(rpm, duration_s, label, noise, seed, amp_rpm_exponent=0.0):
+    return synth.generate_vibration(synth.SynthConfig(
+        rpm=rpm, sample_rate_hz=3200.0, duration_s=duration_s, imbalance_level=label,
+        noise_sigma=noise, seed=seed, amp_rpm_exponent=amp_rpm_exponent))
+
+
+class TestSyntheticRecipes:
+    """Each labeled-burst recipe's seeds, spelled out: a report changes with
+    any of them."""
+
+    def test_per_speed_sets_seed_each_label_at_seed_plus_rpm_plus_1000_per_label(self):
+        got = cli._synth_per_rpm([100, 300], duration_s=0.05, noise=0.3, seed=9,
+                                 amp_rpm_exponent=1.0)
+        assert list(got) == [100, 300]
+        for rpm in (100, 300):
+            want = _xz_rows(_burst(rpm, 0.05, label, 0.3, 9 + rpm + 1000 * label, 1.0)
+                            for label in DefectLabel)
+            assert np.array_equal(got[rpm][0], want[0])
+            assert np.array_equal(got[rpm][1], want[1])
+
+    def test_transfer_source_and_target_sets(self, monkeypatch):
+        sets, real = [], cli._labeled_xz
+
+        def kept(records):
+            sets.append(real(records))
+            return sets[-1]
+
+        monkeypatch.setattr(cli, "_labeled_xz", kept)
+        cfg = classify.TrainConfig(epochs=1, seed=5)
+        result = cli.run_transfer_experiment(rpm=200, source_duration_s=0.1, target_samples=30,
+                                             noise=0.3, extra_noise=0.2, cfg=cfg)
+        source = _xz_rows(_burst(200, 0.1, label, 0.3, 5 + 7 * label) for label in DefectLabel)
+        # 30 target samples: 10 per label at 10 Hz, decimated from 1 s at 3.2 kHz
+        target = _xz_rows(
+            synth.decimate_to_mems(_burst(200, 1.0, label, 0.3, 5 + 3 + 7 * label),
+                                   target_rate_hz=10.0, extra_noise_sigma=0.2, seed=5 + label)
+            for label in DefectLabel)
+        assert len(sets) == 2
+        for (feats, labels), (want_feats, want_labels) in zip(sets, [source, target]):
+            assert np.array_equal(feats, want_feats) and np.array_equal(labels, want_labels)
+        assert (result["n_source"], result["n_target"]) == (3 * 320, 30)
 
 
 class TestReportCommand:

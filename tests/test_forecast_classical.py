@@ -12,12 +12,11 @@ from vibrosense.forecast import (
     RandomForestForecaster,
     SeasonalNaive,
     autoregression_fit,
-    best_split_for_feature,
     fit,
     fit_regression_tree,
     rolling_forecast,
 )
-from vibrosense.forecast.forest import TreeNodes
+from vibrosense.forecast.forest import TreeNodes, _best_splits
 
 
 def series(values):
@@ -148,8 +147,7 @@ class TestRegressionTree:
         rng = make_rng(5)
         values = rng.normal(size=40)
         targets = rng.normal(size=40)
-        got = best_split_for_feature(values, targets)
-        assert got is not None
+        thresholds, scores = _best_splits(values[:, None], targets)
         # oracle: try every midpoint directly
         best_score, best_thr = -np.inf, None
         for thr in (np.sort(values)[1:] + np.sort(values)[:-1]) / 2:
@@ -162,11 +160,11 @@ class TestRegressionTree:
             score = parent - left - right
             if score > best_score:
                 best_score, best_thr = score, thr
-        assert got[0] == pytest.approx(best_thr)
-        assert got[1] == pytest.approx(best_score)
+        assert thresholds[0] == pytest.approx(best_thr)
+        assert scores[0] == pytest.approx(best_score)
 
-    def test_constant_feature_none(self):
-        assert best_split_for_feature(np.ones(10), np.arange(10.0)) is None
+    def test_constant_feature_scores_minus_inf(self):
+        assert _best_splits(np.ones((10, 1)), np.arange(10.0))[1][0] == -np.inf
 
 
 class TestRandomForest:
@@ -412,7 +410,9 @@ class TestBatchedPrediction:
             (np.full(6, 2.0), rng.normal(size=6)),
         ]
         for values, targets in cases:
-            assert best_split_for_feature(values, targets) == _ref_best_split_for_feature(values, targets)
+            thresholds, scores = _best_splits(values[:, None], targets)
+            got = None if scores[0] == -np.inf else (float(thresholds[0]), float(scores[0]))
+            assert got == _ref_best_split_for_feature(values, targets)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_block_split_search_grows_the_per_feature_tree(self, seed):

@@ -150,14 +150,14 @@ class TestGaussianRnn:
     def test_sigma_positive(self):
         values = sine(80, noise=0.1)
         model = GaussianRnnForecaster(hidden_layers=1, cells=6, epochs=2, seed=0).fit(series(values))
-        _, sigma = model.predict_distribution(values[-10:])
-        assert sigma > 0
+        _, sigma = model.net.predict_distribution(values[None, -10:])
+        assert sigma[0] > 0
 
     def test_short_context_rejected(self):
         values = sine(80, noise=0.1)
         model = GaussianRnnForecaster(hidden_layers=1, cells=6, epochs=1, seed=0).fit(series(values))
         with pytest.raises(ContractError, match="context must hold >= 10 values"):
-            model.predict_distribution(values[-3:])
+            model.predict_one_step(values[-3:])
 
     def test_standard_normal_nll_identity(self):
         rng = make_rng(7)

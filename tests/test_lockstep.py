@@ -323,7 +323,7 @@ def test_grid_models_group_by_class_count():
     cfg = TrainConfig(epochs=3, batch_size=8, seed=6)
     models = classify._train_each(trains, cfg)
     refs = _one_at_a_time(trains, cfg)
-    assert [m.n_classes for m in models] == [3, 2, 3]
+    assert [m.net.layer_sizes[-1] for m in models] == [3, 2, 3]
     for model, ref in zip(models, refs):
         assert _weights(model.net) == _weights(ref.net)
         assert model.training_loss == ref.training_loss

@@ -7,7 +7,7 @@ import pytest
 
 from vibrosense import ingest
 from vibrosense.core import ContractError, DefectLabel, MachineState, make_rng
-from vibrosense.ingest import ProcessRow, WeeklySchedule
+from vibrosense.ingest import ProcessRow, ProcessTable, WeeklySchedule
 from vibrosense.synth import (
     AMBIENT_F,
     CHILLER_FAILURE_PEAK_F,
@@ -22,6 +22,7 @@ from vibrosense.synth import (
     generate_process,
     generate_spiked_series,
     generate_vibration,
+    vibration_for_states,
 )
 
 
@@ -233,6 +234,23 @@ def test_generate_process_matches_row_at_a_time_reference_bit_for_bit(kwargs):
     assert [state for _, state in got] == [state for _, state in want]
     assert all(type(state) is MachineState for _, state in got)
     assert all(type(value) is float for row, _ in got for value in row)
+
+
+def test_vibration_for_states_gives_each_row_a_burst_of_its_state():
+    # 2022-01-03 00:00, 00:05 and 00:10 UTC: int(t) % 100000 is 68000, 68300, 68600
+    stamps = 1641168000.0 + 300.0 * np.arange(3)
+    states = [MachineState.OFF, MachineState.ON, MachineState.ABNORMAL]
+    table = ProcessTable(stamps, np.zeros((3, 7)), states)
+    bursts = vibration_for_states(table, seed=4)
+    assert len(bursts) == 3
+    for rec, t, level, scale in zip(bursts, stamps, [DefectLabel.NORMAL, DefectLabel.NORMAL,
+                                                     DefectLabel.FAILURE], [0.05, 1.0, 1.0]):
+        want = generate_vibration(SynthConfig(
+            rpm=300, sample_rate_hz=3200.0, duration_s=0.05, imbalance_level=level,
+            noise_sigma=0.05, seed=4 + int(t) % 100000))
+        assert rec.start_s == t and rec.label == level and len(rec) == 160
+        for axis in "xyz":
+            assert np.array_equal(getattr(rec, axis), getattr(want, axis) * scale)
 
 
 class TestSpikedSeries:
