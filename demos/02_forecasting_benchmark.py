@@ -28,7 +28,7 @@ for i, name in enumerate(("synth-a", "synth-b")):
 grid = {family: default_variants(family, SEED) for family in FAMILIES}
 bench = anomaly.run_benchmark(
     datasets, grid,
-    SplitSpec(0.5, seed=SEED),
+    SplitSpec(0.5),
     anomaly.AnomalyRuleConfig(lam=0.1),
 )
 print(anomaly.benchmark_tables(bench))

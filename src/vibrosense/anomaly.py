@@ -20,12 +20,11 @@ DEFAULT_LAMBDA = 0.1
 #: Denominator floor as a fraction of the training-split RMS (scale-aware).
 EPSILON_RMS_FRACTION = 1e-6
 
-#: The convention every bench report records. Its first clause predates the two
-#: truth rules (date ranges and injected spikes): no defect labels are read and
-#: no point is excluded from scoring. The string keeps its bytes, because every
-#: report carries it.
+#: The convention every bench report records: the two truth rules, and how
+#: the test split is scored.
 GROUND_TRUTH_CONVENTION = (
-    "failure=anomaly, normal=clean, near-failure excluded from scoring; "
+    "truth from date_ranges (points on abnormal dates) or injected_spikes "
+    "(the spike indices); every test point scored; "
     "rolling one-step evaluation with true history (teacher forcing)"
 )
 
@@ -225,8 +224,7 @@ def run_benchmark(
         "convention": GROUND_TRUTH_CONVENTION,
         "rule": {"lambda": cfg.lam, "two_sided": cfg.two_sided,
                  "epsilon_rms_fraction": EPSILON_RMS_FRACTION},
-        "split": {"train_fraction": split.train_fraction, "mode": "CHRONOLOGICAL",
-                  "seed": split.seed},
+        "split": {"train_fraction": split.train_fraction, "mode": "CHRONOLOGICAL"},
         "datasets": dataset_info,
         "grid": grid_rows,
         "best_rmse": best_rmse,

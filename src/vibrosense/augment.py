@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
@@ -13,37 +12,23 @@ from .core import ContractError, make_rng
 K_NEIGHBORS = 5
 
 
-@dataclass(frozen=True)
-class LabeledSet:
-    """Feature rows with labels and a per-sample provenance tag."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    provenance: np.ndarray  # e.g. the source rpm per sample
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        object.__setattr__(self, "provenance", np.asarray(self.provenance))
-        n = self.features.shape[0]
-        if self.labels.shape != (n,) or self.provenance.shape != (n,):
-            raise ContractError("features, labels, provenance must be row-parallel")
-
-
-def aggregate_rpms(per_rpm: Dict[int, Tuple[np.ndarray, np.ndarray]]) -> LabeledSet:
-    """Pool the given training sets of every speed, in speed order, tagging
-    each sample with its source rpm."""
+def aggregate_rpms(
+    per_rpm: Dict[int, Tuple[np.ndarray, np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pool the given training sets of every speed, in speed order: their
+    feature rows stacked, and the labels of those rows."""
     if len(per_rpm) < 2:
         raise ContractError("aggregation needs >= 2 rpm datasets")
     rpms = sorted(per_rpm)
     feats, labs = zip(*(per_rpm[rpm] for rpm in rpms))
-    for rpm, f in zip(rpms, feats):
+    for rpm, f, l in zip(rpms, feats, labs):
         if f.shape[1] != feats[0].shape[1]:
             raise ContractError(f"feature schema mismatch: rpm {rpm} has {f.shape[1]} columns, "
                                 f"expected {feats[0].shape[1]}")
-    return LabeledSet(np.concatenate(feats), np.concatenate(labs),
-                      np.concatenate([np.full(l.size, rpm, dtype=np.int64)
-                                      for rpm, l in zip(rpms, labs)]))
+        if np.shape(l) != f.shape[:1]:
+            raise ContractError(f"rpm {rpm}: {np.shape(l)} labels are not row-parallel with "
+                                f"{f.shape[0]} feature rows")
+    return np.concatenate(feats), np.concatenate(labs)
 
 
 def interpolate_within_rpm(
@@ -89,20 +74,12 @@ def augmented_training_set(
     per_rpm: Dict[int, Tuple[np.ndarray, np.ndarray]],
     n_new_per_rpm: int = 20_000,
     seed: int = 0,
-) -> LabeledSet:
-    """The given training sets of every speed, pooled, plus n_new_per_rpm
-    interpolants within each speed's set."""
-    combined = aggregate_rpms(per_rpm)
-    feats = [combined.features]
-    labs = [combined.labels]
-    prov = [combined.provenance]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The given training sets of every speed, pooled, then n_new_per_rpm
+    interpolants within each speed's set (seeded seed + rpm), in speed order."""
+    feats, labs = aggregate_rpms(per_rpm)
+    parts = [(feats, labs)]
     if n_new_per_rpm > 0:
-        for rpm in sorted(per_rpm):
-            mask = combined.provenance == rpm
-            f, l = interpolate_within_rpm(
-                combined.features[mask], combined.labels[mask], n_new_per_rpm, seed=seed + rpm
-            )
-            feats.append(f)
-            labs.append(l)
-            prov.append(np.full(n_new_per_rpm, rpm, dtype=np.int64))
-    return LabeledSet(np.concatenate(feats), np.concatenate(labs), np.concatenate(prov))
+        parts += [interpolate_within_rpm(*per_rpm[rpm], n_new_per_rpm, seed=seed + rpm)
+                  for rpm in sorted(per_rpm)]
+    return np.concatenate([f for f, _ in parts]), np.concatenate([l for _, l in parts])

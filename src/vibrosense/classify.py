@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import augment, modelio, report
+from . import augment, modelio
 from .core import (
     ConfusionMatrix,
     ContractError,
@@ -196,13 +196,11 @@ def evaluate(model: ClassifierModel, features, labels) -> Tuple[float, Confusion
 
 @dataclass
 class TransferBundle:
-    """Everything that crosses the transfer boundary: source network weights,
-    the fitted feature encoder, and provenance."""
+    """What crosses the transfer boundary: the source network and the feature
+    encoder fitted on the source data."""
 
     model: ClassifierModel
     encoder: FeatureEncoder
-    source_id: str
-    config_fingerprint: str
 
     def __post_init__(self):
         if len(self.encoder.feature_names) != self.model.input_width:
@@ -212,13 +210,9 @@ class TransferBundle:
             )
 
 
-def make_bundle(model: ClassifierModel, encoder: FeatureEncoder, source_id: str,
-                cfg: TrainConfig) -> TransferBundle:
-    fingerprint = report.config_fingerprint(
-        {"epochs": cfg.epochs, "batch_size": cfg.batch_size,
-         "learning_rate": cfg.learning_rate, "seed": cfg.seed, "source": source_id}
-    )
-    return TransferBundle(model, encoder, source_id, fingerprint)
+# perfbench's tracer times the bundle's construction by this name
+def make_bundle(model: ClassifierModel, encoder: FeatureEncoder) -> TransferBundle:
+    return TransferBundle(model, encoder)
 
 
 def train_transfer(
@@ -237,7 +231,7 @@ def train_transfer(
     transformed = bundle.encoder.transform(target_features_raw)
     tuned_cfg = replace(cfg, learning_rate=cfg.learning_rate * FINE_TUNE_LR_SCALE) \
         if cfg.epochs > 0 else cfg
-    model = train_classifier(
+    return train_classifier(
         transformed,
         target_labels,
         cfg=tuned_cfg,
@@ -245,13 +239,6 @@ def train_transfer(
         init_net=bundle.model.net,
         freeze_hidden=freeze_hidden,
     )
-    model.provenance = {
-        "source": bundle.source_id,
-        "source_config_fingerprint": bundle.config_fingerprint,
-        "fine_tune_lr_scale": FINE_TUNE_LR_SCALE,
-        "freeze_hidden": freeze_hidden,
-    }
-    return model
 
 
 def binary_relax(labels) -> np.ndarray:
@@ -283,8 +270,7 @@ def cross_rpm_matrix(
         # interpolants, so the single-rpm test splits stay untouched
         combined = augment.augmented_training_set({rpm: splits[rpm][0] for rpm in rpms},
                                                   augment_n_per_rpm, seed=cfg.seed)
-        return _train_each([(combined.features, combined.labels)],
-                           replace(cfg, seed=cfg.seed + len(rpms)))
+        return _train_each([combined], replace(cfg, seed=cfg.seed + len(rpms)))
 
     # the two trainings are independent: side by side on the cores BLAS
     # leaves free, and a single-speed error outranks the augmented one's
@@ -299,32 +285,34 @@ def cross_rpm_matrix(
             "augment_n_per_rpm": augment_n_per_rpm, "seed": cfg.seed}
 
 
-@dataclass(frozen=True)
-class TuningStep:
-    """One cumulative tuning-ledger entry; unset fields inherit the current state."""
-
-    name: str
-    normalize: Optional[bool] = None
-    hidden_sizes: Optional[tuple] = None
-    epochs: Optional[int] = None
-    batch_size: Optional[int] = None
-
-
 def tuning_sweep(
     features,
     labels,
-    steps: Sequence[TuningStep],
+    steps: Sequence[Tuple[str, dict]],
     base_cfg: TrainConfig = TrainConfig(),
     mode: str = "cumulative",
 ) -> List[dict]:
     """Accuracy after the baseline (DEFAULT_HIDDEN layers) and after each
-    tuning step, on a stratified split seeded by base_cfg.seed.
+    tuning step, on a stratified split seeded by base_cfg.seed. A step is a
+    (name, overrides) pair; its overrides set some of normalize, hidden_sizes,
+    epochs and batch_size, and the rest keep the current state.
 
     Cumulative mode applies steps in ledger order; independent mode applies
     each step alone against the baseline.
     """
     if mode not in ("cumulative", "independent"):
         raise ContractError("mode must be 'cumulative' or 'independent'")
+    baseline = {
+        "normalize": False,
+        "hidden_sizes": DEFAULT_HIDDEN,
+        "epochs": base_cfg.epochs,
+        "batch_size": base_cfg.batch_size,
+    }
+    for name, overrides in steps:
+        for key in overrides:
+            if key not in baseline:
+                raise ContractError(f"tuning step '{name}' overrides unknown setting '{key}'; "
+                                    f"known: {', '.join(baseline)}")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     (ftr, ltr), (fte, lte) = split_arrays(features, labels, base_cfg.seed)
@@ -340,21 +328,11 @@ def tuning_sweep(
         acc, _ = evaluate(model, x_test, lte)
         return acc
 
-    baseline = {
-        "normalize": False,
-        "hidden_sizes": DEFAULT_HIDDEN,
-        "epochs": base_cfg.epochs,
-        "batch_size": base_cfg.batch_size,
-    }
     results = [{"step": "baseline", "accuracy": run(baseline)}]
-    state = dict(baseline)
-    for step in steps:
-        target = state if mode == "cumulative" else dict(baseline)
-        for key in ("normalize", "hidden_sizes", "epochs", "batch_size"):
-            value = getattr(step, key)
-            if value is not None:
-                target[key] = value
-        results.append({"step": step.name, "accuracy": run(target)})
+    state = baseline
+    for name, overrides in steps:
+        target = {**(state if mode == "cumulative" else baseline), **overrides}
+        results.append({"step": name, "accuracy": run(target)})
         if mode == "cumulative":
             state = target
     return results

@@ -294,7 +294,7 @@ def cmd_bench(args, cfg) -> dict:
     bench = anomaly.run_benchmark(
         datasets,
         grid,
-        SplitSpec(cfg["split"]["train_fraction"], seed=seed),
+        SplitSpec(cfg["split"]["train_fraction"]),
         anomaly.AnomalyRuleConfig(lam=cfg["detection"]["lambda"],
                                   two_sided=cfg["detection"]["two_sided"]),
     )
@@ -403,7 +403,7 @@ def run_transfer_experiment(
         _labeled_bursts(rpm, target_duration, noise, cfg.seed + 3, 7, 0.0)))
     enc = features.fit_encoder(fs, features.axis_feature_names())
     source_model = classify.train_classifier(enc.transform(fs), ls, cfg=cfg)
-    bundle = classify.make_bundle(source_model, enc, source_id=f"synthetic-piezo-rpm{rpm}", cfg=cfg)
+    bundle = classify.make_bundle(source_model, enc)
     (ftr, ltr), (fte, lte) = split_arrays(ft, lt, cfg.seed)
     target_cfg = replace(cfg, epochs=max(1, int(cfg.epochs * target_epoch_scale)))
     dnn_r = classify.train_classifier(enc.transform(ftr), ltr, cfg=target_cfg)
@@ -416,7 +416,7 @@ def run_transfer_experiment(
         "n_target": int(len(lt)),
         "dnn_r_accuracy": acc_r,
         "dnn_tl_accuracy": acc_tl,
-        "source_id": bundle.source_id,
+        "source_id": f"synthetic-piezo-rpm{rpm}",
     }
 
 
@@ -442,10 +442,10 @@ def cmd_tune(args, cfg) -> dict:
     per_rpm = _synth_per_rpm([args.rpm], args.duration, args.noise, tcfg.seed)
     feats, labels = per_rpm[args.rpm]
     steps = [
-        classify.TuningStep("feature_normalization", normalize=True),
-        classify.TuningStep("hidden_layers", hidden_sizes=(50, 80, 100)),
-        classify.TuningStep("epochs", epochs=max(tcfg.epochs, 30)),
-        classify.TuningStep("batch_size", batch_size=100),
+        ("feature_normalization", {"normalize": True}),
+        ("hidden_layers", {"hidden_sizes": (50, 80, 100)}),
+        ("epochs", {"epochs": max(tcfg.epochs, 30)}),
+        ("batch_size", {"batch_size": 100}),
     ]
     results = classify.tuning_sweep(feats, labels, steps, base_cfg=tcfg, mode=args.mode)
     print(report.format_table(["step", "accuracy"], [[r["step"], r["accuracy"]] for r in results]))

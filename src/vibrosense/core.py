@@ -93,10 +93,9 @@ TRAIN_FRACTION = 0.7
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """A series' chronological split; the benchmark report records its seed."""
+    """A series' chronological split: the first train_fraction of it trains."""
 
     train_fraction: float
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:

@@ -54,7 +54,6 @@ class FeatureEncoder:
     feature_names: tuple
     mean: np.ndarray
     scale: np.ndarray
-    constant_features: tuple = ()
 
     def __post_init__(self):
         self.feature_names = tuple(self.feature_names)
@@ -83,8 +82,7 @@ class FeatureEncoder:
 
 def fit_encoder(rows, feature_names: Sequence[str]) -> FeatureEncoder:
     """Fit each feature's mean and population std over the rows; constant
-    features get unit scale and are recorded in `constant_features` with a
-    warning."""
+    features get unit scale, and a warning names them."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] < 2:
         raise ContractError("fit_encoder needs >= 2 rows")
@@ -92,13 +90,8 @@ def fit_encoder(rows, feature_names: Sequence[str]) -> FeatureEncoder:
         raise ContractError("rows and feature_names disagree on feature count")
     scale = rows.std(axis=0)
     constant = scale == 0.0
-    constant_names = tuple(np.asarray(feature_names)[constant])
-    if constant_names:
-        warnings.warn(f"constant features normalized with unit scale: {constant_names}")
+    if constant.any():
+        names = ", ".join(name for name, c in zip(feature_names, constant) if c)
+        warnings.warn(f"constant features normalized with unit scale: {names}")
         scale = np.where(constant, 1.0, scale)
-    return FeatureEncoder(
-        feature_names=tuple(feature_names),
-        mean=rows.mean(axis=0),
-        scale=scale,
-        constant_features=constant_names,
-    )
+    return FeatureEncoder(tuple(feature_names), rows.mean(axis=0), scale)

@@ -98,7 +98,7 @@ class AutoRegression(OneStepForecaster):
         self.intercept = state["intercept"]
 
 
-class Arima(OneStepForecaster):
+class Arima(AutoRegression):
     """AR on the d-times differenced series, integrated back at prediction.
     Moving-average terms are out of scope: the tuned configuration uses q = 0."""
 
@@ -107,9 +107,8 @@ class Arima(OneStepForecaster):
             raise ContractError("MA terms unsupported (q must be 0)")
         if d not in (0, 1):
             raise ContractError("d must be 0 or 1")
-        self.p = p
+        super().__init__(p, fit_intercept)
         self.d = d
-        self.ar = AutoRegression(p, fit_intercept=fit_intercept)
 
     @property
     def min_context(self) -> int:
@@ -122,20 +121,14 @@ class Arima(OneStepForecaster):
                 f"arima({self.p},{self.d},0) needs > {self.p + self.d + 1} points"
             )
         diffed = np.diff(values, n=self.d) if self.d else values
-        self.ar.coefs, self.ar.intercept = autoregression_fit(
-            diffed, self.p, fit_intercept=self.ar.fit_intercept
+        self.coefs, self.intercept = autoregression_fit(
+            diffed, self.p, fit_intercept=self.fit_intercept
         )
         return self
 
     def predict_batch(self, contexts) -> np.ndarray:
         contexts = np.asarray(contexts, dtype=np.float64)
         if self.d == 0:
-            return self.ar.predict_batch(contexts)
+            return super().predict_batch(contexts)
         recent = contexts[:, -self.min_context :]
-        return recent[:, -1] + self.ar.predict_batch(np.diff(recent, axis=1))
-
-    def state(self) -> dict:
-        return self.ar.state()
-
-    def load_state(self, state) -> None:
-        self.ar.load_state(state)
+        return recent[:, -1] + super().predict_batch(np.diff(recent, axis=1))

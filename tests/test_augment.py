@@ -3,7 +3,6 @@ import pytest
 
 from vibrosense.augment import (
     K_NEIGHBORS,
-    LabeledSet,
     aggregate_rpms,
     augmented_training_set,
     interpolate_within_rpm,
@@ -21,24 +20,25 @@ def dataset(n, seed=0, width=2):
 class TestAggregate:
     def test_two_rpms_pool_every_given_row(self):
         per_rpm = {300: dataset(60, 1), 200: dataset(100, 0)}
-        combined = aggregate_rpms(per_rpm)
-        assert combined.labels.size == 160  # the given sets whole, not split again
+        feats, labels = aggregate_rpms(per_rpm)
+        assert labels.size == 160  # the given sets whole, not split again
         # in speed order, each speed's rows as given
-        assert np.array_equal(combined.features, np.concatenate([per_rpm[200][0], per_rpm[300][0]]))
-        assert np.array_equal(combined.labels, np.concatenate([per_rpm[200][1], per_rpm[300][1]]))
-
-    def test_provenance_maps_back(self):
-        per_rpm = {200: dataset(30, 0), 300: dataset(30, 1)}
-        combined = aggregate_rpms(per_rpm)
-        assert set(np.unique(combined.provenance)) == {200, 300}
-        mask = combined.provenance == 200
-        # the rpm-200 samples are the rows of the rpm-200 input
-        assert np.array_equal(combined.features[mask], per_rpm[200][0])
+        assert np.array_equal(feats, np.concatenate([per_rpm[200][0], per_rpm[300][0]]))
+        assert np.array_equal(labels, np.concatenate([per_rpm[200][1], per_rpm[300][1]]))
 
     def test_schema_mismatch(self):
         per_rpm = {200: dataset(20, 0, width=2), 300: dataset(20, 1, width=3)}
         with pytest.raises(ContractError, match="schema mismatch"):
             aggregate_rpms(per_rpm)
+
+    @pytest.mark.parametrize("pool", [aggregate_rpms,
+                                      lambda per_rpm: augmented_training_set(per_rpm, 5)])
+    @pytest.mark.parametrize("labels", [np.zeros(19, dtype=int), np.zeros(21, dtype=int),
+                                        np.zeros((20, 1), dtype=int)])
+    def test_labels_not_row_parallel(self, pool, labels):
+        per_rpm = {200: dataset(20, 0), 300: (dataset(20, 1)[0], labels)}
+        with pytest.raises(ContractError, match="rpm 300: .* not row-parallel with 20 feature rows"):
+            pool(per_rpm)
 
     def test_needs_two(self):
         with pytest.raises(ContractError):
@@ -105,15 +105,20 @@ class TestInterpolation:
 class TestAugmentedTrainingSet:
     def test_counts(self):
         per_rpm = {200: dataset(100, 0), 300: dataset(100, 1)}
-        combined = augmented_training_set(per_rpm, n_new_per_rpm=50)
-        assert combined.labels.size == 200 + 100
-        assert np.array_equal(np.bincount(combined.provenance)[[200, 300]], [150, 150])
+        feats, labels = augmented_training_set(per_rpm, n_new_per_rpm=50)
+        assert feats.shape == (200 + 100, 2) and labels.shape == (200 + 100,)
 
     def test_zero_interpolants(self):
         per_rpm = {200: dataset(50, 0), 300: dataset(50, 1)}
-        combined = augmented_training_set(per_rpm, n_new_per_rpm=0)
-        assert combined.labels.size == 100
+        feats, labels = augmented_training_set(per_rpm, n_new_per_rpm=0)
+        assert labels.size == 100
 
-    def test_row_parallel_guard(self):
-        with pytest.raises(ContractError):
-            LabeledSet(np.zeros((3, 2)), np.zeros(2), np.zeros(3))
+    def test_pools_in_speed_order_then_interpolates_each_speed_at_seed_plus_rpm(self):
+        per_rpm = {300: dataset(40, 1), 100: dataset(30, 0), 200: dataset(50, 2)}
+        feats, labels = augmented_training_set(per_rpm, n_new_per_rpm=7, seed=11)
+        rpms = [100, 200, 300]
+        new = [interpolate_within_rpm(*per_rpm[rpm], 7, seed=11 + rpm) for rpm in rpms]
+        assert np.array_equal(feats, np.concatenate([per_rpm[r][0] for r in rpms] +
+                                                    [f for f, _ in new]))
+        assert np.array_equal(labels, np.concatenate([per_rpm[r][1] for r in rpms] +
+                                                     [l for _, l in new]))

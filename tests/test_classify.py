@@ -11,7 +11,6 @@ from vibrosense.classify import (
     FINE_TUNE_LR_SCALE,
     TrainConfig,
     TransferBundle,
-    TuningStep,
     binary_relax,
     cross_rpm_matrix,
     evaluate,
@@ -122,7 +121,7 @@ class TestTransfer:
         enc = fit_encoder(feats, ("x", "z"))
         model = train_classifier(enc.transform(feats), labels,
                                  cfg=TrainConfig(epochs=20, seed=seed))
-        return make_bundle(model, enc, source_id="src", cfg=TrainConfig(epochs=20, seed=seed)), feats, labels
+        return make_bundle(model, enc), feats, labels
 
     def test_zero_epochs_identity(self):
         bundle, feats, labels = self.setup_bundle()
@@ -144,12 +143,6 @@ class TestTransfer:
         assert np.array_equal(tuned.net.weights[0], bundle.model.net.weights[0])
         assert not np.array_equal(tuned.net.weights[-1], bundle.model.net.weights[-1])
 
-    def test_provenance_recorded(self):
-        bundle, feats, labels = self.setup_bundle()
-        tuned = train_transfer(bundle, feats, labels, cfg=TrainConfig(epochs=1))
-        assert tuned.provenance["source"] == "src"
-        assert tuned.provenance["source_config_fingerprint"] == bundle.config_fingerprint
-
     def test_fine_tune_runs_at_the_lr_scale(self):
         bundle, feats, labels = self.setup_bundle()
         cfg = TrainConfig(epochs=3, learning_rate=0.05, seed=4)
@@ -159,7 +152,8 @@ class TestTransfer:
                                class_names=bundle.model.class_names, init_net=bundle.model.net)
         for got, want in zip(tuned.net.parameters(), ref.net.parameters()):
             assert got.tobytes() == want.tobytes()
-        assert tuned.provenance["fine_tune_lr_scale"] == FINE_TUNE_LR_SCALE == 0.1
+        assert FINE_TUNE_LR_SCALE == 0.1
+        assert tuned.provenance == {}
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_width_mismatch_guard(self, width):
@@ -167,7 +161,7 @@ class TestTransfer:
         names = tuple(f"f{i}" for i in range(width))
         enc_bad = fit_encoder(np.random.default_rng(0).normal(size=(4, width)), names)
         with pytest.raises(ContractError, match=f"encoder emits {width} features but the model expects 2"):
-            TransferBundle(bundle.model, enc_bad, "s", "f")
+            TransferBundle(bundle.model, enc_bad)
 
 
 class TestCrossRpm:
@@ -211,8 +205,7 @@ class TestCrossRpm:
 class TestTuningSweep:
     def test_entry_counts(self):
         feats, labels = blobs(n_per_class=40)
-        steps = [TuningStep("normalize", normalize=True),
-                 TuningStep("more_epochs", epochs=20)]
+        steps = [("normalize", {"normalize": True}), ("more_epochs", {"epochs": 20})]
         results = tuning_sweep(feats, labels, steps, base_cfg=TrainConfig(epochs=5))
         assert [r["step"] for r in results] == ["baseline", "normalize", "more_epochs"]
 
@@ -226,6 +219,14 @@ class TestTuningSweep:
         with pytest.raises(ContractError):
             tuning_sweep(feats, labels, [], mode="sideways")
 
+    @pytest.mark.parametrize("mode", ["cumulative", "independent"])
+    def test_unknown_override_key_is_named(self, mode):
+        feats, labels = blobs(n_per_class=30)
+        steps = [("norm", {"normalize": True}), ("rate", {"epochs": 2, "learning_rate": 0.1})]
+        with pytest.raises(ContractError, match="tuning step 'rate' overrides unknown setting "
+                                                "'learning_rate'"):
+            tuning_sweep(feats, labels, steps, base_cfg=TrainConfig(epochs=1), mode=mode)
+
     def test_baseline_is_default_hidden_on_a_stratified_split(self):
         feats, labels = blobs(n_per_class=30, spread=1.0)
         cfg = TrainConfig(epochs=3, seed=6)
@@ -238,13 +239,13 @@ class TestTuningSweep:
         # an untrained net scores near chance, so the "norm" step's accuracy
         # tells whether the "untrained" step before it carried over
         feats, labels = blobs(n_per_class=30, spread=0.3)
-        untrained, norm = TuningStep("untrained", epochs=0), TuningStep("norm", normalize=True)
+        untrained, norm = ("untrained", {"epochs": 0}), ("norm", {"normalize": True})
         cfg = TrainConfig(epochs=20, seed=7)
         independent = tuning_sweep(feats, labels, [untrained, norm], base_cfg=cfg,
                                    mode="independent")
         assert independent[2] == tuning_sweep(feats, labels, [norm], base_cfg=cfg)[1]
         cumulative = tuning_sweep(feats, labels, [untrained, norm], base_cfg=cfg)
-        both = TuningStep("norm", normalize=True, epochs=0)
+        both = ("norm", {"normalize": True, "epochs": 0})
         assert cumulative[2] == tuning_sweep(feats, labels, [both], base_cfg=cfg)[1]
         assert independent[2]["accuracy"] != cumulative[2]["accuracy"]
 
@@ -254,7 +255,7 @@ class TestTuningSweep:
             feats, labels = blobs(n_per_class=40, spread=0.5, seed=seed)
             feats = feats * np.array([1.0, 50.0])  # skewed scales
             results = tuning_sweep(
-                feats, labels, [TuningStep("normalize", normalize=True)],
+                feats, labels, [("normalize", {"normalize": True})],
                 base_cfg=TrainConfig(epochs=15, seed=seed),
             )
             deltas.append(results[1]["accuracy"] - results[0]["accuracy"])

@@ -564,7 +564,7 @@ class TestBench:
                          "synth-a", "--split", "0.5", "--lambda", "0.2", "--seed", "3",
                          "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["split"] == {"train_fraction": 0.5, "mode": "CHRONOLOGICAL", "seed": 3}
+        assert doc["split"] == {"train_fraction": 0.5, "mode": "CHRONOLOGICAL"}
         assert doc["rule"] == {"lambda": 0.2, "two_sided": False, "epsilon_rms_fraction": 1e-06}
 
     def test_tables_printed(self, tmp_path, capsys):

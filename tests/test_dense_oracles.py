@@ -392,7 +392,7 @@ class TestClassifierOracle:
         cfg = TrainConfig(epochs=4, batch_size=9, learning_rate=0.05, seed=39)
         enc = fit_encoder(feats, tuple(f"f{i}" for i in range(feats.shape[1])))
         source = train_classifier(enc.transform(feats), labels, (6,), cfg)
-        bundle = make_bundle(source, enc, "src", cfg)
+        bundle = make_bundle(source, enc)
         target, target_labels = blobs(seed=40)
         tuned = train_transfer(bundle, target, target_labels, cfg, freeze_hidden=freeze_hidden)
         ref_net, ref_losses = _ref_train_classifier(

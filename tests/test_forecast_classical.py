@@ -113,8 +113,8 @@ class TestArima:
         values = gen_ar([0.7], 200, noise=0.05, seed=2, y0=None)
         arima = Arima(p=4, d=0).fit(series(values))
         ar = AutoRegression(p=4).fit(series(values))
-        assert np.array_equal(arima.ar.coefs, ar.coefs)
-        assert arima.ar.intercept == ar.intercept
+        assert np.array_equal(arima.coefs, ar.coefs)
+        assert arima.intercept == ar.intercept
 
     def test_ma_unsupported(self):
         with pytest.raises(ContractError, match="MA terms unsupported"):
